@@ -86,9 +86,28 @@ def iteration_bounds(prim: Primitive, rect: tuple):
     return x0, y0, x1, y1
 
 
-def covers_rect(prim: Primitive, rect: tuple) -> bool:
-    """Whether ``prim`` covers every pixel center of the half-open pixel
-    box ``rect = (x0, y0, x1, y1)``.
+def _oriented_edges(screen: np.ndarray) -> tuple:
+    """Edge endpoints ``(ax, ay, bx, by)`` of each row's triangle, each
+    ``(3, n)``, and twice its area, after :func:`rasterize`'s
+    orientation swap.
+
+    ``screen`` is ``(n, 3, 2)``.  Edge ``e`` is the one opposite vertex
+    ``e`` (``w0``, ``w1``, ``w2``), and every value is the float64 that
+    :func:`rasterize` computes as a scalar for that row, by the same
+    elementwise expressions, so each row matches it bit for bit.
+    """
+    s = np.asarray(screen, dtype=np.float64)
+    area2 = _edge(s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1],
+                  s[:, 2, 0], s[:, 2, 1])
+    s = np.where((area2 < 0)[:, None, None], s[:, [0, 2, 1]], s)
+    vx, vy = s[:, :, 0].T, s[:, :, 1].T
+    a, b = [1, 2, 0], [2, 0, 1]
+    return vx[a], vy[a], vx[b], vy[b], np.abs(area2)
+
+
+def covers_rect(screen: np.ndarray, rects: np.ndarray) -> np.ndarray:
+    """Per row: whether triangle ``screen[i]`` covers every pixel center
+    of the half-open pixel box ``rects[i] = (x0, y0, x1, y1)``.
 
     Tests the three (positively-oriented) edge functions at the four
     corner pixel centers only: edge functions are affine in screen
@@ -96,66 +115,75 @@ def covers_rect(prim: Primitive, rect: tuple) -> bool:
     a corner.  Requiring ``w >= _COVER_EPS`` at all corners therefore
     guarantees strict interiority at every center, independent of the
     top-left tie-breaking that :func:`rasterize` applies on ``w == 0``.
+    ``screen`` is ``(n, 3, 2)``, ``rects`` is ``(n, 4)`` integers; the
+    result is a ``(n,)`` bool array.
     """
-    v0x, v0y = float(prim.screen[0, 0]), float(prim.screen[0, 1])
-    v1x, v1y = float(prim.screen[1, 0]), float(prim.screen[1, 1])
-    v2x, v2y = float(prim.screen[2, 0]), float(prim.screen[2, 1])
-    area2 = _edge(v0x, v0y, v1x, v1y, v2x, v2y)
-    if area2 < 0:
-        v1x, v1y, v2x, v2y = v2x, v2y, v1x, v1y
-        area2 = -area2
-    if area2 == 0:
-        return False
-    lox, loy = rect[0] + 0.5, rect[1] + 0.5
-    hix, hiy = rect[2] - 0.5, rect[3] - 0.5
-    if hix < lox or hiy < loy:
-        return False
-    for ax, ay, bx, by in (
-        (v1x, v1y, v2x, v2y),
-        (v2x, v2y, v0x, v0y),
-        (v0x, v0y, v1x, v1y),
-    ):
-        for px, py in ((lox, loy), (hix, loy), (lox, hiy), (hix, hiy)):
-            if _edge(ax, ay, bx, by, px, py) < _COVER_EPS:
-                return False
-    return True
+    ax, ay, bx, by, area2 = _oriented_edges(screen)
+    rects = np.asarray(rects)
+    lox, loy = rects[:, 0] + 0.5, rects[:, 1] + 0.5
+    hix, hiy = rects[:, 2] - 0.5, rects[:, 3] - 0.5
+    # Every (edge, corner) at once: (3, 1, n) edges by (4, n) corners.
+    w = _edge(ax[:, None], ay[:, None], bx[:, None], by[:, None],
+              np.stack([lox, hix, lox, hix]), np.stack([loy, loy, hiy, hiy]))
+    return ((area2 != 0) & (hix >= lox) & (hiy >= loy)
+            & ~(w < _COVER_EPS).any(axis=(0, 1)))
 
 
-def coverage_mask(prim: Primitive, rect: tuple):
-    """Boolean coverage of ``rect``'s pixels by ``prim``, or ``None``
-    when it covers none of them.
+#: Rows :func:`coverage_mask` evaluates at once: bounds its float64
+#: edge values to 1.5 MB for 16x16 tiles.
+_MASK_ROWS = 256
 
-    Evaluates the *same* oriented edge functions and fill rule as
-    :func:`rasterize` at the same absolute pixel centers, so the mask is
-    bit-exact with the fragments the rasterizer would emit — the
-    occlusion pass ORs these masks across a tile to prove that a set of
-    tessellated opaque primitives jointly covers every pixel center.
+
+def coverage_mask(screen: np.ndarray, rects: np.ndarray,
+                  size: int) -> np.ndarray:
+    """Per row: the pixels of ``rects[i]`` that triangle ``screen[i]``
+    covers, as a ``(n, size, size)`` bool array.
+
+    Mask element ``[i, r, c]`` is pixel ``(rects[i, 0] + c,
+    rects[i, 1] + r)``; pixels outside the rect are ``False``, so a rect
+    clipped by the screen edge pads its mask.  Evaluates the *same*
+    oriented edge functions, fill rule and :func:`iteration_bounds`
+    clipping as :func:`rasterize` at the same absolute pixel centers, so
+    each mask is bit-exact with the fragments the rasterizer would emit
+    — the occlusion pass ORs these masks across a tile to prove that a
+    set of tessellated opaque primitives jointly covers every pixel
+    center.
     """
-    v0x, v0y = float(prim.screen[0, 0]), float(prim.screen[0, 1])
-    v1x, v1y = float(prim.screen[1, 0]), float(prim.screen[1, 1])
-    v2x, v2y = float(prim.screen[2, 0]), float(prim.screen[2, 1])
-    area2 = _edge(v0x, v0y, v1x, v1y, v2x, v2y)
-    if area2 < 0:
-        v1x, v1y, v2x, v2y = v2x, v2y, v1x, v1y
-        area2 = -area2
-    if area2 == 0:
-        return None
-    bounds = iteration_bounds(prim, rect)
-    if bounds is None:
-        return None
-    x0, y0, x1, y1 = bounds
-    _, _, _, inside = edge_coverage(
-        v0x, v0y, v1x, v1y, v2x, v2y,
-        x0, y0, x1, y1,
-        _is_top_left(v1x, v1y, v2x, v2y),
-        _is_top_left(v2x, v2y, v0x, v0y),
-        _is_top_left(v0x, v0y, v1x, v1y),
-    )
-    if not inside.any():
-        return None
-    mask = np.zeros((rect[3] - rect[1], rect[2] - rect[0]), dtype=bool)
-    mask[y0 - rect[1]:y1 - rect[1], x0 - rect[0]:x1 - rect[0]] = inside
-    return mask
+    screen = np.asarray(screen, dtype=np.float64)
+    rects = np.asarray(rects, dtype=np.int64)
+    ax, ay, bx, by, area2 = _oriented_edges(screen)
+    dx, dy = bx - ax, by - ay
+    # Top-left edges (see _is_top_left) also cover w == 0.
+    top_left = np.where(dy == 0, dx < 0, dy < 0)
+    # iteration_bounds, per row: pixel x is iterated iff
+    # ceil(min x - 0.5) <= x < floor(max x - 0.5) + 1, inside the rect.
+    xs, ys = screen[:, :, 0], screen[:, :, 1]
+    offsets = np.arange(size)
+    px = rects[:, 0, None] + offsets                          # (n, size)
+    py = rects[:, 1, None] + offsets
+    x_in = ((px < rects[:, 2, None])
+            & (px >= np.ceil(xs.min(axis=1) - 0.5)[:, None])
+            & (px < (np.floor(xs.max(axis=1) - 0.5) + 1)[:, None]))
+    y_in = ((py < rects[:, 3, None])
+            & (py >= np.ceil(ys.min(axis=1) - 0.5)[:, None])
+            & (py < (np.floor(ys.max(axis=1) - 0.5) + 1)[:, None]))
+    masks = np.zeros((len(rects), size, size), dtype=bool)
+    # Degenerate triangles and empty iteration boxes cover nothing; the
+    # edge functions are evaluated for the other rows only.
+    live = np.flatnonzero(x_in.any(axis=1) & y_in.any(axis=1) & (area2 != 0))
+    for lo in range(0, len(live), _MASK_ROWS):
+        rows = live[lo:lo + _MASK_ROWS]
+        # Pixel centers as (1, k, 1, size) columns and (1, k, size, 1)
+        # rows, against (3, k, 1, 1) edges: the float64 values
+        # edge_coverage's open grids hold, all three edges at once.
+        cx = (px[rows] + 0.5)[None, :, None, :]
+        cy = (py[rows] + 0.5)[None, :, :, None]
+        edge = (slice(None), rows, None, None)
+        w = dx[edge] * (cy - ay[edge]) - dy[edge] * (cx - ax[edge])
+        inside = ((w > 0) | ((w == 0) & top_left[edge])).all(axis=0)
+        inside &= y_in[rows, :, None] & x_in[rows, None, :]
+        masks[rows] = inside
+    return masks
 
 
 def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import DrawState, Primitive, mat4
+from repro.pipeline import rasterizer
 from repro.pipeline.rasterizer import (
     coverage_mask,
     covers_rect,
@@ -134,31 +135,43 @@ class TestIterationBounds:
             assert batch.ys.min() >= y0 and batch.ys.max() < y1
 
 
+def covers(p, rect):
+    """``covers_rect`` for a single (primitive, rect) pair."""
+    return bool(covers_rect(p.screen[None], np.array([rect]))[0])
+
+
+def mask_of(p, rect, size=16):
+    """``coverage_mask`` for a single pair, cropped to the rect."""
+    mask = coverage_mask(p.screen[None], np.array([rect]), size)[0]
+    return mask[:rect[3] - rect[1], :rect[2] - rect[0]]
+
+
 class TestCoversRect:
     def test_enclosing_triangle_covers(self):
-        assert covers_rect(prim([[-1, -1], [40, -1], [-1, 40]]),
-                           (0, 0, 16, 16))
+        assert covers(prim([[-1, -1], [40, -1], [-1, 40]]), (0, 0, 16, 16))
 
     def test_winding_irrelevant(self):
-        assert covers_rect(prim([[-1, -1], [-1, 40], [40, -1]]),
-                           (0, 0, 16, 16))
+        assert covers(prim([[-1, -1], [-1, 40], [40, -1]]), (0, 0, 16, 16))
 
     def test_partial_triangle_does_not_cover(self):
-        assert not covers_rect(prim([[0, 0], [16, 0], [0, 16]]),
-                               (0, 0, 16, 16))
+        assert not covers(prim([[0, 0], [16, 0], [0, 16]]), (0, 0, 16, 16))
 
     def test_degenerate_triangle_does_not_cover(self):
-        assert not covers_rect(prim([[0, 0], [8, 8], [16, 16]]),
-                               (0, 0, 16, 16))
+        assert not covers(prim([[0, 0], [8, 8], [16, 16]]), (0, 0, 16, 16))
 
     def test_exact_rect_triangle_pair_each_fail_alone(self):
         # Either half of a screen-aligned quad leaves the other half
         # uncovered — only their union (coverage_mask accumulation)
         # fills the tile.
-        assert not covers_rect(prim([[0, 0], [16, 0], [16, 16]]),
-                               (0, 0, 16, 16))
-        assert not covers_rect(prim([[0, 0], [16, 16], [0, 16]]),
-                               (0, 0, 16, 16))
+        assert not covers(prim([[0, 0], [16, 0], [16, 16]]), (0, 0, 16, 16))
+        assert not covers(prim([[0, 0], [16, 16], [0, 16]]), (0, 0, 16, 16))
+
+    def test_rows_are_independent(self):
+        big = prim([[-1, -1], [40, -1], [-1, 40]])
+        half = prim([[0, 0], [16, 0], [16, 16]])
+        screens = np.stack([big.screen, half.screen, big.screen])
+        rects = np.array([(0, 0, 16, 16), (0, 0, 16, 16), (16, 16, 32, 32)])
+        assert covers_rect(screens, rects).tolist() == [True, False, False]
 
 
 class TestCoverageMask:
@@ -174,26 +187,91 @@ class TestCoverageMask:
         p = prim(points)
         rect = (0, 0, 16, 16)
         batch = rasterize(p, rect)
-        mask = coverage_mask(p, rect)
         scatter = np.zeros((16, 16), dtype=bool)
         if batch.count:
             scatter[batch.ys, batch.xs] = True
-        if mask is None:
-            assert not scatter.any()
-        else:
-            assert np.array_equal(mask, scatter)
+        assert np.array_equal(mask_of(p, rect), scatter)
 
     def test_quad_halves_union_to_full_cover(self):
-        a = coverage_mask(prim([[0, 0], [16, 0], [16, 16]]), (0, 0, 16, 16))
-        b = coverage_mask(prim([[0, 0], [16, 16], [0, 16]]), (0, 0, 16, 16))
+        a = mask_of(prim([[0, 0], [16, 0], [16, 16]]), (0, 0, 16, 16))
+        b = mask_of(prim([[0, 0], [16, 16], [0, 16]]), (0, 0, 16, 16))
         assert not a.all() and not b.all()
         assert (a | b).all()
         # The shared diagonal is emitted exactly once.
         assert not (a & b).any()
 
-    def test_offscreen_is_none(self):
-        assert coverage_mask(prim([[100, 100], [110, 100], [100, 110]]),
-                             (0, 0, 16, 16)) is None
+    def test_offscreen_covers_nothing(self):
+        assert not mask_of(prim([[100, 100], [110, 100], [100, 110]]),
+                           (0, 0, 16, 16)).any()
+
+    def test_clipped_rect_pads_with_false(self):
+        # A 4x6 rect at a screen's clipped corner: the enclosing
+        # triangle covers it exactly, and nothing outside it.
+        full = prim([[90, 60], [200, 60], [90, 200]])
+        mask = coverage_mask(full.screen[None], np.array([(96, 64, 100, 70)]),
+                             16)[0]
+        assert mask[:6, :4].all()
+        assert mask.sum() == 24
+
+
+#: A 100x70 screen in 16px tiles: the right column is 4px wide and the
+#: bottom row 6px tall, as neither preset's screen ever is.
+SCREEN_W, SCREEN_H, TILE = 100, 70, 16
+TILE_RECTS = [
+    (x, y, min(x + TILE, SCREEN_W), min(y + TILE, SCREEN_H))
+    for y in range(0, SCREEN_H, TILE) for x in range(0, SCREEN_W, TILE)
+]
+
+#: Coordinates on and off the screen, with pixel centers (top-left fill
+#: rule ties) and pixel corners drawn often.
+COORD = st.one_of(
+    st.floats(-40, 140, allow_nan=False, width=32),
+    st.integers(-2, 102).map(lambda v: v + 0.5),
+    st.integers(-2, 102).map(float),
+)
+POINT = st.tuples(COORD, COORD)
+TRIANGLE = st.one_of(
+    # Either winding; repeated points give zero area.
+    st.lists(POINT, min_size=3, max_size=3),
+    # Collinear, hence zero area, but with distinct vertices.
+    st.tuples(POINT, POINT).map(
+        lambda ends: [ends[0], ends[1],
+                      ((ends[0][0] + ends[1][0]) / 2,
+                       (ends[0][1] + ends[1][1]) / 2)]
+    ),
+)
+
+
+class TestBatchedCoverage:
+    """One batched call over every (triangle, tile) pair equals
+    rasterizing each pair on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(TRIANGLE, min_size=1, max_size=6))
+    def test_batch_equals_per_pair_rasterize(self, triangles):
+        prims = [prim(points) for points in triangles]
+        pairs = [(p, rect) for p in prims for rect in TILE_RECTS]
+        screens = np.stack([p.screen for p, _ in pairs])
+        rects = np.array([rect for _, rect in pairs])
+        covered = covers_rect(screens, rects)
+        masks = coverage_mask(screens, rects, TILE)
+        for (p, rect), full, mask in zip(pairs, covered, masks):
+            batch = rasterize(p, rect)
+            expected = np.zeros((TILE, TILE), dtype=bool)
+            expected[batch.ys - rect[1], batch.xs - rect[0]] = True
+            assert np.array_equal(mask, expected), (p.screen, rect)
+            if full:
+                width, height = rect[2] - rect[0], rect[3] - rect[1]
+                assert batch.count == width * height, (p.screen, rect)
+
+    def test_masks_in_small_chunks_are_the_same(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        screens = rng.uniform(-40, 140, (40, 3, 2)).astype(np.float32)
+        rects = np.array(TILE_RECTS)[rng.integers(0, len(TILE_RECTS), 40)]
+        whole = coverage_mask(screens, rects, TILE)
+        monkeypatch.setattr(rasterizer, "_MASK_ROWS", 3)
+        assert np.array_equal(coverage_mask(screens, rects, TILE), whole)
+        assert whole.any()
 
 
 class TestInterpolation:
