@@ -338,6 +338,16 @@ class LiveAggregator:
             print(self.render_status_table() + "\n", file=self.stream)
         return True
 
+    def seconds_until_tick(self) -> float:
+        """Seconds until :meth:`tick` next has work: the heartbeat
+        interval, or sooner, the first running worker's stall
+        threshold."""
+        due = self._last_tick + self.interval_s
+        for state in self.workers.values():
+            if state["status"] == "running" and not state["stalled"]:
+                due = min(due, state["last_update"] + self.stall_after_s)
+        return max(0.0, due - self._clock())
+
     def status_output(self) -> str:
         """Everything printed so far when no stream was provided."""
         return (

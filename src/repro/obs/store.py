@@ -30,6 +30,7 @@ profiles over time (:mod:`repro.obs.trend`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -194,11 +195,22 @@ def git_revision(cwd=None) -> str:
 
     ``REPRO_GIT_REV`` overrides (CI can stamp the exact rev without a
     work tree); failures of any kind degrade to ``None`` — a manifest
-    without provenance beats no manifest.
+    without provenance beats no manifest.  ``git`` runs once per
+    process and directory, so a long-lived service keeps reporting the
+    revision of its first manifest.
     """
     override = os.environ.get("REPRO_GIT_REV")
     if override:
         return override
+    try:
+        cwd = os.path.realpath(os.getcwd() if cwd is None else cwd)
+    except OSError:                     # the working directory is gone
+        return None
+    return _rev_parse(cwd)
+
+
+@functools.lru_cache(maxsize=None)
+def _rev_parse(cwd: str) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],

@@ -98,8 +98,6 @@ class ServiceConfig:
     #: Wall-clock limit per dispatched batch; a worker that exceeds it
     #: is terminated like a crash (``None`` = unlimited).
     job_timeout_s: float = None
-    #: Scheduler poll granularity; bounds crash/timeout detection lag.
-    poll_interval_s: float = 0.05
     #: Heartbeat file the daemon-owned aggregator writes (``None`` =
     #: no live telemetry).
     live_path: str = None
@@ -310,7 +308,8 @@ class EngineDaemon:
     Thread-safe: :meth:`submit` / :meth:`wait` / :meth:`status` may be
     called from any thread (the socket server calls them from its event
     loop and executor).  One internal scheduler thread owns dispatch,
-    worker pipes and registry writes.
+    worker pipes and registry writes; it sleeps until a worker message,
+    an admission or its nearest deadline.
 
     ``registry`` is the *root* :class:`~repro.obs.store.RunRegistry`;
     each finished job is recorded under its tenant's namespace.  Pass
@@ -342,6 +341,10 @@ class EngineDaemon:
         self._worker_ids = itertools.count(1)
         self._ctx = _mp_context()
         self._scheduler: threading.Thread = None
+        # The scheduler's wake pipe (read end, write end), open from
+        # the scheduler thread's start until close().
+        self._wake_r: int = None
+        self._wake_w: int = None
         self._running = False
         self.started_at = None
 
@@ -369,9 +372,14 @@ class EngineDaemon:
             if not self._running:
                 return
             self._running = False
+            self._wake_locked()
             self._done.notify_all()
         if self._scheduler is not None:
             self._scheduler.join(timeout=10.0)
+        if self._wake_r is not None:
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self._wake_r = self._wake_w = None
         for worker in list(self._workers.values()):
             try:
                 worker.conn.send(("stop",))
@@ -412,80 +420,98 @@ class EngineDaemon:
         reach the queue), then the bounded queue, then the tenant cap.
         A refused job leaves no state behind; retrying later is safe.
         """
-        spec = spec.validated()
-        digest = spec.digest()
-        with self._lock:
-            if not self._running:
-                raise ServiceError("service daemon is not running")
-            if len(self._queue) >= self.config.max_queue:
-                self.stats.rejected_backpressure += 1
-                if self.telemetry:
-                    self.telemetry.job_refused(spec.tenant, "backpressure")
-                raise BackpressureError(
-                    f"job queue is full ({self.config.max_queue} "
-                    "queued); the service applies backpressure instead "
-                    "of buffering without bound — resubmit later"
-                )
-            pending = sum(
-                1 for job in self.jobs.values()
-                if job.spec.tenant == spec.tenant
-                and job.state in ("queued", "running")
-            )
-            if pending >= self.config.tenant_max_pending:
-                self.stats.rejected_tenant += 1
-                if self.telemetry:
-                    self.telemetry.job_refused(spec.tenant, "tenant")
-                raise TenantError(
-                    f"tenant {spec.tenant!r} already has {pending} "
-                    f"pending job(s) (cap "
-                    f"{self.config.tenant_max_pending}); wait for them "
-                    "to finish"
-                )
-            job = Job(f"j{next(self._ids):04d}", spec, digest)
-            self.jobs[job.job_id] = job
-            self._queue.append(job.job_id)
-            self.stats.submitted += 1
-            if self.telemetry:
-                self.telemetry.job_admitted(job)
-            if self.trace is not None:
-                tid = _job_tid(job.job_id)
-                context = spec.trace_context()
-                args = {"job_id": job.job_id, "tenant": spec.tenant,
-                        "cell": spec.label}
-                if context is not None:
-                    args["trace_id"] = context.trace_id
-                    args["parent_span_id"] = context.span_id
-                self.trace.name_thread(tid, f"job {job.job_id}")
-                self.trace.begin("job", tid=tid, **args)
-                self.trace.begin("queue", tid=tid)
-            return job
+        return self._admit([spec])[0]
 
     def submit_payload(self, payload: typing.Mapping) -> list:
         """Expand and admit one wire payload (render/sweep/experiment).
 
         Expansion is atomic — if any expanded spec fails validation or
         admission, previously admitted siblings are withdrawn so a
-        refused payload leaves nothing queued."""
-        specs = expand_payload(payload)
+        refused payload leaves nothing queued.  The scheduler sees the
+        whole expansion at once, so its compatible jobs share a batch."""
+        return self._admit(expand_payload(payload))
+
+    def _admit(self, specs) -> list:
+        """Admit every spec or none, under one hold of the lock, then
+        wake the scheduler once."""
+        specs = [spec.validated() for spec in specs]
+        digests = [spec.digest() for spec in specs]
         admitted = []
-        try:
-            for spec in specs:
-                admitted.append(self.submit(spec))
-        except ServiceError:
-            with self._lock:
+        with self._lock:
+            try:
+                for spec, digest in zip(specs, digests):
+                    admitted.append(self._admit_locked(spec, digest))
+            except ServiceError:
                 for job in admitted:
-                    if job.state == "queued":
-                        self._queue.remove(job.job_id)
-                        del self.jobs[job.job_id]
-                        self.stats.submitted -= 1
-                        if self.telemetry:
-                            self.telemetry.job_withdrawn(job)
-                        if self.trace is not None:
-                            tid = _job_tid(job.job_id)
-                            self.trace.instant("withdrawn", tid=tid)
-                            self.trace.close_track(tid)
-            raise
+                    self._queue.remove(job.job_id)
+                    del self.jobs[job.job_id]
+                    self.stats.submitted -= 1
+                    if self.telemetry:
+                        self.telemetry.job_withdrawn(job)
+                    if self.trace is not None:
+                        tid = _job_tid(job.job_id)
+                        self.trace.instant("withdrawn", tid=tid)
+                        self.trace.close_track(tid)
+                raise
+            self._wake_locked()
         return admitted
+
+    def _admit_locked(self, spec: JobSpec, digest: str) -> Job:
+        if not self._running:
+            raise ServiceError("service daemon is not running")
+        if len(self._queue) >= self.config.max_queue:
+            self.stats.rejected_backpressure += 1
+            if self.telemetry:
+                self.telemetry.job_refused(spec.tenant, "backpressure")
+            raise BackpressureError(
+                f"job queue is full ({self.config.max_queue} "
+                "queued); the service applies backpressure instead "
+                "of buffering without bound — resubmit later"
+            )
+        pending = sum(
+            1 for job in self.jobs.values()
+            if job.spec.tenant == spec.tenant
+            and job.state in ("queued", "running")
+        )
+        if pending >= self.config.tenant_max_pending:
+            self.stats.rejected_tenant += 1
+            if self.telemetry:
+                self.telemetry.job_refused(spec.tenant, "tenant")
+            raise TenantError(
+                f"tenant {spec.tenant!r} already has {pending} "
+                f"pending job(s) (cap "
+                f"{self.config.tenant_max_pending}); wait for them "
+                "to finish"
+            )
+        job = Job(f"j{next(self._ids):04d}", spec, digest)
+        self.jobs[job.job_id] = job
+        self._queue.append(job.job_id)
+        self.stats.submitted += 1
+        if self.telemetry:
+            self.telemetry.job_admitted(job)
+        if self.trace is not None:
+            tid = _job_tid(job.job_id)
+            context = spec.trace_context()
+            args = {"job_id": job.job_id, "tenant": spec.tenant,
+                    "cell": spec.label}
+            if context is not None:
+                args["trace_id"] = context.trace_id
+                args["parent_span_id"] = context.span_id
+            self.trace.name_thread(tid, f"job {job.job_id}")
+            self.trace.begin("job", tid=tid, **args)
+            self.trace.begin("queue", tid=tid)
+        return job
+
+    def _wake_locked(self) -> None:
+        """Wake the scheduler from its wait (it dispatches on its next
+        pass anyway if it has not started yet).  A full pipe already
+        guarantees a wake, so that write is dropped."""
+        if self._wake_w is None:
+            return
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass
 
     # Introspection ------------------------------------------------------
     def job(self, job_id: str) -> Job:
@@ -586,6 +612,15 @@ class EngineDaemon:
         return worker
 
     def _scheduler_loop(self) -> None:
+        """Dispatch, then block until something needs the scheduler.
+
+        Wake sources are the worker pipes (results, telemetry, EOF of a
+        crashed worker) and the wake pipe (admission, close); the wait
+        times out at the nearest deadline (:meth:`_next_deadline_locked`)
+        and blocks indefinitely when there is none."""
+        with self._lock:
+            self._wake_r, self._wake_w = os.pipe()
+            os.set_blocking(self._wake_w, False)
         while True:
             with self._lock:
                 if not self._running:
@@ -595,13 +630,17 @@ class EngineDaemon:
                     worker.conn: worker
                     for worker in self._workers.values()
                 }
+                timeout = self._next_deadline_locked()
             ready = multiprocessing.connection.wait(
-                list(conns), timeout=self.config.poll_interval_s,
-            ) if conns else []
-            if not conns:
-                time.sleep(self.config.poll_interval_s)
+                [self._wake_r, *conns], timeout=timeout,
+            )
             for conn in ready:
-                self._drain_worker(conns[conn])
+                if conn in conns:
+                    self._drain_worker(conns[conn])
+                else:
+                    # Clear pending wakes; any left over only end the
+                    # next wait at once.
+                    os.read(self._wake_r, 4096)
             self._check_timeouts()
             if self.live is not None:
                 self.live.tick()
@@ -611,6 +650,29 @@ class EngineDaemon:
                     registry=self.registry,
                     interval_s=self.config.telemetry_interval_s,
                 )
+
+    def _next_deadline_locked(self) -> float:
+        """Seconds until the nearest timed duty (``None`` = none): an
+        in-flight batch's timeout, the heartbeat's next tick or stall
+        check, the next periodic telemetry flush."""
+        delays = []
+        if self.config.job_timeout_s is not None:
+            now = time.monotonic()
+            delays.extend(
+                worker.dispatched_at + self.config.job_timeout_s - now
+                for worker in self._workers.values()
+                if worker.dispatched_at is not None
+            )
+        if self.live is not None:
+            delays.append(self.live.seconds_until_tick())
+        flush = self.telemetry.seconds_until_flush(
+            path=self.config.telemetry_log,
+            registry=self.registry,
+            interval_s=self.config.telemetry_interval_s,
+        )
+        if flush is not None:
+            delays.append(flush)
+        return max(0.0, min(delays)) if delays else None
 
     def _dispatch_locked(self) -> None:
         """Send batches of digest-compatible queued jobs to idle

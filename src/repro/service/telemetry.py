@@ -255,6 +255,12 @@ class ServiceTelemetry:
                     interval_s: float = 30.0) -> None:
         """Flush if at least ``interval_s`` passed since the last one."""
 
+    def seconds_until_flush(self, path=None, registry=None,
+                            interval_s: float = 30.0) -> float:
+        """Seconds until :meth:`maybe_flush` next writes (``None`` when
+        it never will: disabled, or nowhere to write)."""
+        return None
+
 
 #: Shared ready-made disabled telemetry for non-None defaults.
 NULL_TELEMETRY = ServiceTelemetry()
@@ -451,8 +457,11 @@ class TelemetryRecorder(ServiceTelemetry):
 
     def maybe_flush(self, path=None, registry=None,
                     interval_s: float = 30.0) -> None:
+        if self.seconds_until_flush(path, registry, interval_s) == 0.0:
+            self.flush(path=path, registry=registry, reason="interval")
+
+    def seconds_until_flush(self, path=None, registry=None,
+                            interval_s: float = 30.0) -> float:
         if path is None and registry is None:
-            return
-        if time.monotonic() - self._last_flush < interval_s:
-            return
-        self.flush(path=path, registry=registry, reason="interval")
+            return None
+        return max(0.0, self._last_flush + interval_s - time.monotonic())

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import subprocess
 
 import pytest
 
@@ -82,6 +83,27 @@ class TestGitRevision:
     def test_degrades_to_none_outside_a_checkout(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_GIT_REV", raising=False)
         assert git_revision(cwd=tmp_path) is None
+
+    def test_git_runs_once_per_process_and_directory(
+            self, monkeypatch, tmp_path, registry, runs):
+        monkeypatch.delenv("REPRO_GIT_REV", raising=False)
+        # A directory no earlier call has resolved.
+        monkeypatch.chdir(tmp_path)
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        baseline, re_run = runs
+        registry.record_run(baseline)
+        registry.record_run(re_run)
+        assert len(spawned) == 1
+        # The override is still read first, on every call.
+        monkeypatch.setenv("REPRO_GIT_REV", "cafef00dbeef")
+        assert git_revision() == "cafef00dbeef"
 
 
 class TestRecordAndResolve:

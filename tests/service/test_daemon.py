@@ -9,6 +9,7 @@ are reproducible.
 """
 
 import os
+import signal
 import threading
 import time
 
@@ -209,6 +210,109 @@ class TestFaultRecovery:
             assert daemon.stats.worker_crashes == 0
         finally:
             daemon.close()
+
+
+class TestTimeouts:
+    """The hang path: a job past ``job_timeout_s`` gets its worker
+    terminated and is retried.  The limit leaves a cold engine on the
+    respawned worker ample time for the retry."""
+
+    def test_hung_worker_is_terminated_and_job_retried(self, monkeypatch):
+        monkeypatch.setenv(FAULT_ENV_VAR, "ccs/re:1:hang:1")
+        daemon = EngineDaemon(ServiceConfig(
+            workers=1, job_timeout_s=2.0, max_retries=1,
+        ))
+        [job] = start_with_preloaded_queue(daemon, [spec()])
+        [hung] = daemon._workers.values()
+        try:
+            done = daemon.wait(job.job_id, timeout=120)
+            assert done.state == "done", done.error
+            assert done.attempts == 2
+            assert daemon.stats.worker_crashes == 1
+            assert daemon.stats.worker_restarts == 1
+            hung.process.join(timeout=10)
+            assert hung.process.exitcode == -signal.SIGTERM
+            events = daemon.telemetry_events(0)
+        finally:
+            daemon.close()
+        # With no other timed duty, the batch's deadline alone woke the
+        # scheduler for the kill.
+        started = next(e for e in events if e["event"] == "started")
+        retried = next(e for e in events if e["event"] == "retried")
+        assert retried["ts"] - started["ts"] < 2.0 + 1.0
+
+    def test_stall_flagged_before_the_kill(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(FAULT_ENV_VAR, "ccs/re:1:hang:1")
+        live_path = tmp_path / "live.json"
+        daemon = EngineDaemon(ServiceConfig(
+            workers=1, job_timeout_s=2.0, max_retries=1,
+            live_path=str(live_path), stall_after_s=0.3,
+        ))
+        [job] = start_with_preloaded_queue(daemon, [spec()])
+        try:
+            done = daemon.wait(job.job_id, timeout=120)
+            assert done.state == "done", done.error
+            retried = next(e for e in daemon.telemetry_events(0)
+                           if e["event"] == "retried")
+        finally:
+            daemon.close()
+        # The scheduler ticks the heartbeat after checking timeouts, so
+        # a stall noticed only when the kill woke it would come later.
+        flagged = [e["ts"] for e in read_heartbeat(live_path)["events"]
+                   if e["event"] == "stall_flagged"]
+        assert flagged and flagged[0] < retried["ts"]
+
+
+class TestEventDrivenScheduler:
+    def test_payload_dispatches_as_one_batch(self):
+        """Unlike the preloaded tests, the scheduler is already waiting
+        when the payload arrives: admission must still be atomic with
+        respect to dispatch, or the wake splits the batch."""
+        daemon = EngineDaemon(ServiceConfig(workers=1)).start()
+        try:
+            time.sleep(0.2)         # the scheduler is idle in its wait
+            jobs = daemon.submit_payload({
+                "kind": "experiment", "id": "fig17a", "games": ["ccs"],
+                "num_frames": FRAMES,
+            })
+            for job in jobs:
+                done = daemon.wait(job.job_id, timeout=120)
+                assert done.state == "done", done.error
+            assert daemon.stats.batches_dispatched == 1
+            assert daemon.stats.jobs_batched == 3
+        finally:
+            daemon.close()
+
+    def test_idle_scheduler_blocks(self):
+        # No heartbeat, no telemetry sink, no job timeout: no deadline.
+        daemon = EngineDaemon(ServiceConfig(workers=1))
+        passes = []
+        dispatch = daemon._dispatch_locked
+
+        def counting_dispatch():
+            passes.append(time.monotonic())
+            dispatch()
+
+        daemon._dispatch_locked = counting_dispatch
+        daemon.start()
+        try:
+            time.sleep(0.5)
+            idle_passes = len(passes)
+        finally:
+            daemon.close()
+        assert idle_passes <= 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_start_and_close_leak_no_fds(self):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        EngineDaemon(ServiceConfig(workers=1)).start().close()
+        before = open_fds()
+        for _ in range(20):
+            EngineDaemon(ServiceConfig(workers=1)).start().close()
+        assert open_fds() == before
 
 
 class TestTenancyAndTelemetry:
