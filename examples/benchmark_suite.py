@@ -5,7 +5,6 @@ paper's headline comparison (speedup and energy saving per game).
 Run:  python examples/benchmark_suite.py [--frames N] [--scale small|benchmark]
                                          [--jobs N] [--profile]
                                          [--occlusion-culling]
-                                         [--raster-backend numpy|compiled]
 
 ``--jobs N`` fans the independent (game, technique) cells across N
 worker processes (see repro.harness.parallel).  ``--profile`` records
@@ -14,11 +13,10 @@ the measured speedup over the pre-batching reference runtime — to
 BENCH_pipeline.json; profiling implies a serial run so one recorder
 observes every frame.
 
-``--occlusion-culling`` and ``--raster-backend compiled`` exercise the
-binning-time occlusion pass and the compiled raster kernels; either
-variant suffixes the bench payload's command key (``suite+culling``,
-``suite+compiled``) so the registry's trend view never mixes their
-profiles with the plain suite's committed baseline.
+``--occlusion-culling`` exercises the binning-time occlusion pass; it
+suffixes the bench payload's command key (``suite+culling``) so the
+registry's trend view never mixes its profiles with the plain suite's
+committed baseline.
 
 This is the long-form version of what benchmarks/ automates; expect a
 few minutes at benchmark scale.
@@ -58,16 +56,8 @@ def main() -> None:
     parser.add_argument("--occlusion-culling", action="store_true",
                         help="enable the binning-time opaque-tile "
                              "occlusion pass (bit-identical output)")
-    parser.add_argument("--raster-backend", choices=("numpy", "compiled"),
-                        default=None,
-                        help="raster kernel backend (compiled needs "
-                             "numba; degrades to numpy without it)")
     args = parser.parse_args()
 
-    if args.raster_backend:
-        from repro.pipeline.kernels import set_raster_backend
-
-        set_raster_backend(args.raster_backend)
     config = (
         GpuConfig.small() if args.scale == "small" else GpuConfig.benchmark()
     )
@@ -130,13 +120,7 @@ def main() -> None:
     if perf is not None:
         from repro.perf import write_bench
 
-        from repro.pipeline.kernels import backend_record
-
-        command = "suite"
-        if args.occlusion_culling:
-            command += "+culling"
-        if args.raster_backend == "compiled":
-            command += "+compiled"
+        command = "suite+culling" if args.occlusion_culling else "suite"
         payload = {
             "suite": "benchmark_suite",
             "command": command,
@@ -144,7 +128,6 @@ def main() -> None:
             "scale": args.scale,
             "games": list(args.games),
             "wall_seconds": round(wall, 3),
-            "raster_backend": backend_record(),
             "profile": perf.snapshot(),
         }
         if (command == "suite"

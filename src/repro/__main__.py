@@ -56,9 +56,10 @@ Subcommands:
   claims into a live claim map with stall detection.  ``trend
   --fleet`` and ``diff --fleet`` read the recorded fleets back.
 
-Plain ``run`` executes through a *transient in-process service* (the
-same code path the daemon's workers run; ``--direct`` bypasses it) —
-outputs are bit-identical either way, down to per-tile CRCs.
+Every entry point that renders — ``run``, ``sweep``, ``experiment``,
+supervised attempts and the daemon's workers — executes a cell through
+:func:`repro.harness.runner.run_workload`, so their outputs agree by
+construction, down to per-tile CRCs.
 
 Cross-run registry: ``run`` and ``sweep`` record a manifest of every
 completed run (what ran, git revision, headline numbers, artifact
@@ -93,7 +94,6 @@ import os
 import sys
 
 from .config import GpuConfig
-from .errors import ServiceError
 from .harness.experiments import (
     EXPERIMENT_TECHNIQUES,
     EXPERIMENTS,
@@ -335,34 +335,10 @@ def _print_observability_paths(args) -> None:
               f"(analyse with `python -m repro report {args.metrics}`)")
 
 
-def _service_spec_from(args):
-    """The :class:`~repro.service.jobs.JobSpec` a ``run`` maps to."""
-    from .service import JobSpec
-
-    overrides = dict(getattr(args, "native_overrides", None) or {})
-    if getattr(args, "occlusion_culling", False):
-        overrides["occlusion_culling"] = True
-    return JobSpec(
-        args.game, technique=args.technique, num_frames=args.frames,
-        scale=args.scale, overrides=tuple(sorted(overrides.items())),
-        tenant=getattr(args, "tenant", None) or "default",
-    )
-
-
-def _run_needs_direct_path(args) -> bool:
-    """Features the in-process service path does not carry: checkpoint
-    plumbing, run manifests and the per-stage profiler stay on the
-    original :func:`run_workload` call."""
-    return bool(
-        args.direct or args.resume or args.checkpoint_at
-        or args.checkpoint_out or args.manifest or args.profile
-    )
-
-
 def _resolve_run_workload(args) -> int:
     """Resolve ``--workload-file``/``--native`` and validate the alias.
 
-    Runs before any rendering path (direct, service, supervised), so a
+    Runs before any rendering path (plain or supervised), so a
     typo'd alias fails at parse time with a did-you-mean instead of
     deep inside a worker.  Returns 0, or the exit code to fail with.
     """
@@ -430,8 +406,30 @@ def _resolve_run_workload(args) -> int:
     return 0
 
 
+def _validate_run(args) -> int:
+    """Refuse ``run`` inputs that would fail mid-run, before any frame
+    renders.  Returns 0, or the exit code to fail with."""
+    from .errors import TenantError
+    from .obs.store import validate_tenant
+
+    problem = None
+    if args.frames < 1:
+        problem = f"--frames must be at least 1, got {args.frames}"
+    elif args.checkpoint_at is not None and not args.checkpoint_out:
+        problem = "--checkpoint-at needs --checkpoint-out PATH"
+    elif args.tenant:
+        try:
+            validate_tenant(args.tenant)
+        except TenantError as exc:
+            problem = exc.args[0]
+    if problem is None:
+        return 0
+    print(f"run failed: {problem}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    failed = _resolve_run_workload(args)
+    failed = _resolve_run_workload(args) or _validate_run(args)
     if failed:
         return failed
     if _supervision_requested(args):
@@ -448,35 +446,18 @@ def _cmd_run(args) -> int:
 
         live_sink = ChannelLiveSink(live, f"{args.game}/{args.technique}")
     try:
-        if _run_needs_direct_path(args):
-            run = run_workload(
-                args.game, args.technique, _config_from(args),
-                num_frames=args.frames,
-                perf=perf,
-                resume_from=args.resume,
-                checkpoint_at=args.checkpoint_at,
-                checkpoint_path=args.checkpoint_out,
-                manifest_path=args.manifest,
-                trace_path=args.trace,
-                metrics_path=args.metrics,
-                live=live_sink,
-            )
-        else:
-            # Default path: a transient in-process service — the exact
-            # code the daemon's workers run, bit-identical to the
-            # direct call above (tests/service/test_cli.py pins this).
-            from .service import run_job_inprocess
-
-            run = run_job_inprocess(
-                _service_spec_from(args),
-                trace_path=args.trace,
-                metrics_path=args.metrics,
-                live=live_sink,
-            )
-    except ServiceError as exc:
-        # Typed refusal (bad spec / tenant id), raised before rendering.
-        print(f"run failed: {exc.args[0]}", file=sys.stderr)
-        return 2
+        run = run_workload(
+            args.game, args.technique, _config_from(args),
+            num_frames=args.frames,
+            perf=perf,
+            resume_from=args.resume,
+            checkpoint_at=args.checkpoint_at,
+            checkpoint_path=args.checkpoint_out,
+            manifest_path=args.manifest,
+            trace_path=args.trace,
+            metrics_path=args.metrics,
+            live=live_sink,
+        )
     finally:
         if live is not None:
             live.close()
@@ -1468,12 +1449,6 @@ def main(argv=None) -> int:
                         help="truncate each tile's polygon list at the "
                              "last full-cover opaque primitive during "
                              "binning (bit-identical output; see DESIGN)")
-    parser.add_argument("--raster-backend", default=None,
-                        choices=("numpy", "compiled"),
-                        help="raster inner-loop kernels: numpy (default) "
-                             "or compiled (numba when importable, numpy "
-                             "fallback otherwise; bit-identical either "
-                             "way, recorded in run manifests)")
     parser.add_argument("--bench-out", default="BENCH_pipeline.json",
                         help="where --profile writes its JSON payload")
     parser.add_argument("--timeout", type=float, default=None,
@@ -1528,10 +1503,6 @@ def main(argv=None) -> int:
     run.add_argument("--tenant", default=None,
                      help="record this run under a tenant namespace of "
                           "the registry (the service daemon's layout)")
-    run.add_argument("--direct", action="store_true",
-                     help="bypass the in-process service path and call "
-                          "the runner directly (bit-identical output; "
-                          "exists for differential testing)")
     _add_observability_flags(run)
     _add_registry_flags(run, suppress=True)
     swp = sub.add_parser(
@@ -1893,12 +1864,6 @@ def main(argv=None) -> int:
                              "screen between redraws")
 
     args = parser.parse_args(argv)
-    if args.raster_backend:
-        from .pipeline.kernels import set_raster_backend
-
-        # Also exported via REPRO_RASTER_BACKEND so --jobs workers and
-        # supervised attempts inherit the selection.
-        set_raster_backend(args.raster_backend)
     handlers = {
         "list": _cmd_list,
         "experiment": _cmd_experiment,

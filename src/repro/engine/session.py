@@ -9,7 +9,8 @@ with its technique, a :class:`~repro.timing.TimingModel`, an
 The session is *checkpointable*: :meth:`RenderSession.checkpoint`
 captures every piece of cross-frame state (framebuffer banks, signature
 buffers, technique state, DRAM pressure, traffic and cache totals, the
-metrics rendered so far) into a versioned, pickle-free state dict, and
+stage counters, the metrics rendered so far) into a versioned,
+pickle-free state dict, and
 :meth:`RenderSession.from_checkpoint` rebuilds a session that continues
 bit-identically — the acceptance test renders frames ``k..N`` after a
 restore and compares FrameStats, per-tile CRCs and the final frame CRC
@@ -180,8 +181,7 @@ class RenderSession:
 
     def __init__(self, alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
-                 exact_signatures: bool = False, perf=None,
-                 tracer=None, metrics=None, live=None) -> None:
+                 exact_signatures: bool = False) -> None:
         self.alias = alias
         self.technique_name = technique
         self.config = config if config is not None else GpuConfig.benchmark()
@@ -192,12 +192,10 @@ class RenderSession:
             technique, self.config, exact=exact_signatures
         )
         self.gpu = Gpu(self.config, self.technique)
-        self.gpu.perf = perf
         self.timing = TimingModel(self.config)
         self.energy_model = EnergyModel(self.config)
         self.metrics = None
         self.live = None
-        self.attach_observability(tracer=tracer, metrics=metrics, live=live)
 
         self.frames: list = []          # FrameMetrics, one per frame
         self.frame_stats: list = []     # FrameStats, one per frame
@@ -411,6 +409,7 @@ class RenderSession:
                 "config": self.config.to_dict(),
             },
             "gpu": self.gpu.state_dict(),
+            "counters": self.gpu.stats_registry.snapshot(),
             "events_before": dict(self._events_before),
             "frames": [_metrics_to_dict(m) for m in self.frames],
             "color_crcs": [crcs for crcs in self._color_crcs],
@@ -433,6 +432,10 @@ class RenderSession:
                 f"session is {self.alias!r}/{self.technique_name!r}"
             )
         self.gpu.load_state_dict(state["gpu"])
+        # Checkpoints written before counters were stored lack the key;
+        # they resume with counters covering only the frames after it.
+        if state.get("counters") is not None:
+            self.gpu.stats_registry.load_counters(state["counters"])
         self._events_before = {
             key: int(value) for key, value in state["events_before"].items()
         }
@@ -449,15 +452,14 @@ class RenderSession:
         self.final_frame_crc = int(state["final_frame_crc"])
 
     @classmethod
-    def from_checkpoint(cls, source, config: GpuConfig = None,
-                        perf=None, tracer=None,
-                        metrics=None, live=None) -> "RenderSession":
+    def from_checkpoint(cls, source,
+                        config: GpuConfig = None) -> "RenderSession":
         """Rebuild a session from a checkpoint file path or state dict.
 
         ``config`` defaults to the configuration stored in the
         checkpoint, so a resumed run simulates the same hardware.
-        ``tracer``/``metrics`` attach observability sinks to the resumed
-        session (sinks are host-side and never checkpointed).
+        Observability sinks are host-side and never checkpointed; attach
+        them with :meth:`attach_observability`.
         """
         state = source if isinstance(source, dict) else load_checkpoint(source)
         meta = state["session"]
@@ -466,8 +468,7 @@ class RenderSession:
         session = cls(
             meta["alias"], meta["technique"], config=config,
             num_frames=int(meta["num_frames"]),
-            exact_signatures=bool(meta["exact_signatures"]), perf=perf,
-            tracer=tracer, metrics=metrics, live=live,
+            exact_signatures=bool(meta["exact_signatures"]),
         )
         session.restore(state)
         return session

@@ -43,6 +43,7 @@ class StatsRegistry:
     def __init__(self) -> None:
         self._getters: dict = {}
         self._specs: dict = {}
+        self._fields: dict = {}     # key -> (stats object, field name)
 
     def register(self, key: str, getter, description: str = "") -> None:
         """Register one counter under ``key``; duplicate keys are bugs."""
@@ -62,11 +63,25 @@ class StatsRegistry:
         for field in dataclasses.fields(stats):
             if field.type not in _COUNTER_TYPES:
                 continue
+            key = f"{group}.{field.name}"
             self.register(
-                f"{group}.{field.name}",
-                (lambda obj=stats, name=field.name: getattr(obj, name)),
+                key, (lambda obj=stats, name=field.name: getattr(obj, name)),
                 description,
             )
+            self._fields[key] = (stats, field.name)
+
+    def load_counters(self, snapshot: dict) -> None:
+        """Set every counter registered by :meth:`register_counters` to
+        its value in ``snapshot``.
+
+        Checkpoint restore uses this for the stage counters, which a
+        rebuilt engine starts from zero; counters read through plain
+        getters (traffic and cache totals) belong to state the GPU
+        restores itself and are left alone.
+        """
+        for key, (stats, name) in self._fields.items():
+            if key in snapshot:
+                setattr(stats, name, snapshot[key])
 
     @property
     def specs(self) -> tuple:

@@ -7,9 +7,10 @@ matrix parallelizes trivially across ``multiprocessing`` workers; the
 suite and the experiment cache both fan out through :func:`run_cells`.
 
 Determinism: every cell derives a seed from its own identity
-(:func:`cell_seed`) and reseeds NumPy's legacy global generator before
-running, so a cell's result is a pure function of the cell — identical
-whether it runs serially, in any worker, or in any order.  (Workload
+(:func:`cell_seed`), and :func:`~repro.harness.runner.run_workload`
+reseeds NumPy's legacy global generator from it before rendering, so a
+cell's result is a pure function of the cell — identical whether it
+runs serially, in any worker, or in any order.  (Workload
 content already uses explicit per-scene generators; the reseeding
 guards any library code that reaches for global randomness.)
 
@@ -34,10 +35,8 @@ import os
 import re
 import typing
 
-import numpy as np
-
 from ..config import GpuConfig
-from ..errors import ReproError, SupervisionError
+from ..errors import ReproError
 from .runner import run_workload
 
 
@@ -50,8 +49,8 @@ class Cell:
     way); ``None`` means "use the config the runner was given".
     ``tag``, when set, names the cell's per-cell artifacts (trace /
     metrics fan-out) instead of the positional ``-NN-alias-technique``
-    scheme — sweeps tag points with their parameter assignment so the
-    files stop being anonymous.
+    scheme, and is its label in journals and live rows — sweeps tag
+    points with their parameter assignment so neither is anonymous.
     """
 
     alias: str
@@ -78,8 +77,9 @@ def cell_seed(cell: Cell) -> int:
 
 
 def cell_label(cell: Cell) -> str:
-    """Human-readable cell identity used by journals and fault specs."""
-    return f"{cell.alias}/{cell.technique}"
+    """Human-readable cell identity used by journals and live rows: the
+    cell's tag when it has one (sweep points), else ``alias/technique``."""
+    return cell.tag or f"{cell.alias}/{cell.technique}"
 
 
 def sanitize_component(text) -> str:
@@ -153,26 +153,23 @@ def _pool_live_init(queue) -> None:
     _LIVE_CHANNEL = queue
 
 
-def _live_sink(cell: Cell, channel=None):
-    """Worker-side live sink for a cell, or ``None`` when disabled."""
-    channel = channel if channel is not None else _LIVE_CHANNEL
-    if channel is None:
-        return None
-    from ..obs.live import ChannelLiveSink
+def _run_cell(payload: tuple, live=None) -> tuple:
+    """Worker body: run one cell; returns ``(cell, RunResult)``.
 
-    return ChannelLiveSink(channel, cell_label(cell))
-
-
-def _run_cell(payload: tuple) -> tuple:
-    """Worker body: run one cell; returns ``(cell, RunResult)``."""
+    Live telemetry posts to ``live`` (the aggregator itself, on the
+    serial path) or else to the queue this pool worker was given."""
     cell, config, trace_path, metrics_path = payload
-    np.random.seed(cell_seed(cell))
+    channel = live if live is not None else _LIVE_CHANNEL
+    sink = None
+    if channel is not None:
+        from ..obs.live import ChannelLiveSink
+
+        sink = ChannelLiveSink(channel, cell_label(cell))
     result = run_workload(
         cell.alias, cell.technique, config=cell.config or config,
         num_frames=cell.num_frames,
         exact_signatures=cell.exact_signatures,
-        trace_path=trace_path, metrics_path=metrics_path,
-        live=_live_sink(cell),
+        trace_path=trace_path, metrics_path=metrics_path, live=sink,
     )
     return cell, result
 
@@ -212,20 +209,12 @@ def run_cells(cells: typing.Sequence, config: GpuConfig = None,
     if policy is not None or journal_path is not None or fault_spec is not None:
         from .supervisor import supervise_cells
 
-        supervised = supervise_cells(
+        return supervise_cells(
             cells, config=config, policy=policy, processes=processes,
             journal_path=journal_path, fault_spec=fault_spec,
             workdir=workdir, trace_path=trace_path,
             metrics_path=metrics_path, live=live,
-        )
-        failed = supervised.failed
-        if failed:
-            raise SupervisionError(
-                "supervised run failed for "
-                + ", ".join(sorted(cell_label(c) for c in failed)),
-                supervised,
-            )
-        return supervised.results()
+        ).raise_on_failure().results()
 
     many = len(cells) > 1
     payloads = [
@@ -237,18 +226,11 @@ def run_cells(cells: typing.Sequence, config: GpuConfig = None,
     ensure_unique_paths([p[2] for p in payloads], "trace")
     ensure_unique_paths([p[3] for p in payloads], "metrics")
     if processes in (None, 0, 1) or len(cells) <= 1:
-        results = {}
-        for payload in payloads:
+        try:
+            return dict(_run_cell(payload, live) for payload in payloads)
+        finally:
             if live is not None:
-                # In-process: the sink posts straight to the aggregator.
-                sink = _live_sink(payload[0], channel=live)
-                cell, result = _run_cell_with_live(payload, sink)
-            else:
-                cell, result = _run_cell(payload)
-            results[cell] = result
-        if live is not None:
-            live.close()
-        return results
+                live.close()
 
     import multiprocessing
 
@@ -275,20 +257,6 @@ def run_cells(cells: typing.Sequence, config: GpuConfig = None,
     finally:
         live.close()
         queue.close()
-
-
-def _run_cell_with_live(payload: tuple, sink) -> tuple:
-    """Serial-path worker body with an in-process live sink attached."""
-    cell, config, trace_path, metrics_path = payload
-    np.random.seed(cell_seed(cell))
-    result = run_workload(
-        cell.alias, cell.technique, config=cell.config or config,
-        num_frames=cell.num_frames,
-        exact_signatures=cell.exact_signatures,
-        trace_path=trace_path, metrics_path=metrics_path,
-        live=sink,
-    )
-    return cell, result
 
 
 def _drain_live_queue(queue, live, timeout: float) -> None:

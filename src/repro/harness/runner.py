@@ -21,7 +21,6 @@ import numpy as np
 from ..config import GpuConfig
 from ..engine.factory import TECHNIQUES, make_technique
 from ..engine.session import FrameMetrics, RenderSession, tile_color_crcs
-from ..pipeline.kernels import backend_record
 
 __all__ = [
     "TECHNIQUES",
@@ -135,7 +134,6 @@ def _write_manifest(path, session: RenderSession, result: RunResult,
         "tiles_skipped": result.tiles_skipped,
         "skipped_fraction": result.skipped_fraction(),
         "config": session.config.to_dict(),
-        "raster_backend": backend_record(),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -143,12 +141,7 @@ def _write_manifest(path, session: RenderSession, result: RunResult,
 
 
 def result_from_session(session: RenderSession) -> RunResult:
-    """Package a completed :class:`RenderSession` as a :class:`RunResult`.
-
-    Shared by :func:`run_workload` and the supervised cell runner in
-    :mod:`repro.harness.supervisor`, so both produce field-identical
-    results for the same session state.
-    """
+    """Package a completed :class:`RenderSession` as a :class:`RunResult`."""
     return RunResult(
         alias=session.alias,
         technique=session.technique_name,
@@ -170,11 +163,26 @@ def run_workload(alias: str, technique: str = "baseline",
                  resume_from=None, checkpoint_at: int = None,
                  checkpoint_path=None, manifest_path=None,
                  trace_path=None, metrics_path=None,
-                 live=None) -> RunResult:
+                 live=None, session: RenderSession = None, tracer=None,
+                 metrics_mode: str = "w", header_fields: dict = None,
+                 checkpoint_stride: int = 0, after_step=None) -> RunResult:
     """Render ``num_frames`` of a benchmark under a technique.
+
+    The one body every entry point executes a cell through: ``repro
+    run``, the process pool of :func:`~repro.harness.parallel.run_cells`,
+    the supervisor's attempts and the service's
+    :func:`~repro.service.pool.execute_job` all call it.  NumPy's global
+    generator is reseeded from the run's identity
+    (:func:`~repro.harness.parallel.cell_seed`) before the first frame,
+    so a result is a pure function of the cell, whatever the process
+    rendered before.
 
     ``perf`` may be a :class:`repro.perf.PerfRecorder`; it then receives
     per-stage wall-clock and event counts for every frame rendered.
+    ``session`` hands in an already-built engine (a warm one from
+    :class:`~repro.service.pool.WarmEnginePool`); ``alias``,
+    ``technique``, ``config``, ``num_frames`` and ``exact_signatures``
+    are then ignored.
 
     Observability (:mod:`repro.obs`):
 
@@ -182,9 +190,15 @@ def run_workload(alias: str, technique: str = "baseline",
       write Chrome trace-event JSON there (Perfetto-loadable).  The
       trace is written even if the run raises, so a failed run still
       leaves its timeline behind.
+    * ``tracer`` — a caller-owned tracer to record into instead.  Spans
+      the caller opened on it stay open on success; every open span is
+      closed if the run raises.
     * ``metrics_path`` — sample every registry counter at each frame
       boundary into a JSONL per-frame metrics log there (the input to
-      ``python -m repro report``).
+      ``python -m repro report``).  ``metrics_mode="a"`` appends, so
+      retried attempts share one log.
+    * ``header_fields`` — caller context stamped into the trace metadata
+      and the metrics header (the supervisor's cell/attempt ids).
     * ``live`` — a :class:`~repro.obs.live.LiveSink` receiving a
       per-frame progress callback (see :mod:`repro.obs.live`); falsy
       sinks cost one truthiness check per frame.
@@ -197,46 +211,61 @@ def run_workload(alias: str, technique: str = "baseline",
       uninterrupted run.
     * ``checkpoint_at`` — write a checkpoint to ``checkpoint_path``
       after that many frames, then keep rendering to completion.
+    * ``checkpoint_stride`` — write a checkpoint to ``checkpoint_path``
+      (when given) every that many frames, calling
+      ``after_step(frames_rendered)`` after each stride boundary; the
+      supervisor reports progress and injects faults there.
     * ``manifest_path`` — write a JSON manifest describing the run.
     """
-    tracer = metrics = None
-    if trace_path is not None or metrics_path is not None:
-        from ..obs import MetricsLog, TraceRecorder
+    if checkpoint_at is not None and checkpoint_path is None:
+        raise ValueError("checkpoint_at requires checkpoint_path")
+    metrics = None
+    if trace_path is not None and tracer is None:
+        from ..obs import TraceRecorder
 
-        if trace_path is not None:
-            tracer = TraceRecorder()
-        if metrics_path is not None:
-            metrics = MetricsLog(metrics_path)
+        tracer = TraceRecorder()
+    if metrics_path is not None:
+        from ..obs import MetricsLog
 
-    if resume_from is not None:
-        session = RenderSession.from_checkpoint(
-            resume_from, config=config, perf=perf,
-            tracer=tracer, metrics=metrics, live=live,
-        )
-        resumed_at = session.frames_rendered
-    else:
+        metrics = MetricsLog(metrics_path, mode=metrics_mode)
+
+    if session is None and resume_from is not None:
+        session = RenderSession.from_checkpoint(resume_from, config=config)
+    elif session is None:
         session = RenderSession(
             alias, technique=technique, config=config,
             num_frames=num_frames, exact_signatures=exact_signatures,
-            perf=perf, tracer=tracer, metrics=metrics, live=live,
         )
-        resumed_at = 0
+    resumed_at = session.frames_rendered
+    session.gpu.perf = perf
+    session.attach_observability(
+        tracer=tracer, metrics=metrics, live=live,
+        header_fields=header_fields,
+    )
+    from .parallel import Cell, cell_seed  # parallel imports this module
 
+    np.random.seed(cell_seed(Cell(
+        session.alias, session.technique_name, session.num_frames,
+        session.exact_signatures,
+    )))
+
+    done = False
     try:
         if checkpoint_at is not None:
             session.run(until=checkpoint_at)
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_at requires checkpoint_path")
             session.save(checkpoint_path)
-        session.run()
+        session.run_checkpointed(checkpoint_stride, checkpoint_path,
+                                 after_step)
+        done = True
     finally:
-        if tracer is not None:
+        if tracer is not None and not done:
             tracer.close_open_spans()
+        if trace_path is not None:
             tracer.write(trace_path)
         if metrics is not None:
             metrics.close()
         if live:
-            live.finish(ok=session.frames_rendered >= session.num_frames)
+            live.finish(ok=done)
 
     result = result_from_session(session)
     if manifest_path is not None:

@@ -55,21 +55,17 @@ import tempfile
 import time
 import typing
 
-import numpy as np
-
 from ..config import GpuConfig
 from ..engine.checkpoint import try_load_checkpoint
-from ..engine.session import RenderSession
 from ..errors import ReproError, SupervisionError
 from .parallel import (
     Cell,
     cell_label,
-    cell_seed,
     coerce_cells,
     ensure_unique_paths,
     per_cell_path,
 )
-from .runner import RunResult, result_from_session
+from .runner import RunResult, run_workload
 
 __all__ = [
     "FAULT_ENV_VAR",
@@ -150,6 +146,29 @@ class FaultSpec:
         """Fire at the first stride boundary at/after ``frame``, on the
         first ``times`` attempts."""
         return attempt <= self.times and frames_rendered >= self.frame
+
+    def fire(self) -> None:
+        """Inject the fault: hard exit, hang, or raise."""
+        if self.kind == "crash":
+            os._exit(CRASH_EXITCODE)
+        if self.kind == "hang":
+            while True:          # the parent's timeout terminates us
+                time.sleep(3600)
+        raise InjectedFault(f"injected fault at frame boundary ({self})")
+
+    def frame_hook(self, cell: Cell, attempt: int):
+        """The ``after_step(frames_rendered)`` hook that injects this
+        fault into one attempt of ``cell``, or ``None`` when the spec
+        does not match the cell.  Supervised attempts and the service
+        daemon's workers both call it at their frame boundaries."""
+        if not self.matches(cell):
+            return None
+
+        def hook(frames_rendered: int) -> None:
+            if self.should_fire(attempt, frames_rendered):
+                self.fire()
+
+        return hook
 
 
 @dataclasses.dataclass(frozen=True)
@@ -304,17 +323,6 @@ class SupervisedRun:
 # Worker side (child process)
 # ----------------------------------------------------------------------
 
-def _fire_fault(fault: FaultSpec) -> None:
-    if fault.kind == "crash":
-        os._exit(CRASH_EXITCODE)
-    if fault.kind == "hang":
-        while True:          # parent's timeout terminates us
-            time.sleep(3600)
-    raise InjectedFault(
-        f"injected fault at frame boundary ({fault})"
-    )
-
-
 def _attempt_main(conn, cell: Cell, config: GpuConfig,
                   policy: SupervisorPolicy, attempt: int, ckpt_path,
                   fault: FaultSpec, trace_path=None,
@@ -338,70 +346,42 @@ def _attempt_main(conn, cell: Cell, config: GpuConfig,
     stamped header and the frames it rendered, flushed per record so
     even a crashed attempt leaves its completed frames on disk.
     """
-    np.random.seed(cell_seed(cell))
-    tracer = metrics = None
     try:
-        if trace_path is not None or metrics_path is not None:
-            from ..obs import MetricsLog, TraceRecorder
-
-            if trace_path is not None:
-                tracer = TraceRecorder()
-            if metrics_path is not None:
-                metrics = MetricsLog(metrics_path, mode="a")
-
         state = try_load_checkpoint(ckpt_path)
-        if state is not None:
-            session = RenderSession.from_checkpoint(state)
-            resumed_from = session.frames_rendered
-        else:
-            session = RenderSession(
-                cell.alias, technique=cell.technique, config=config,
-                num_frames=cell.num_frames,
-                exact_signatures=cell.exact_signatures,
-            )
-            resumed_from = 0
-        live_sink = None
+        resumed_from = len(state["frames"]) if state is not None else 0
+        live = None
         if live_enabled:
             from ..obs.live import ChannelLiveSink
 
-            live_sink = ChannelLiveSink(
-                conn, cell_label(cell), attempt=attempt,
-            )
-        if tracer is not None or metrics is not None or live_sink is not None:
-            session.attach_observability(
-                tracer=tracer, metrics=metrics, live=live_sink,
-                header_fields={
-                    "cell": cell_label(cell),
-                    "attempt": attempt,
-                    "resumed_from_frame": resumed_from,
-                },
-            )
-
-        armed = fault is not None and fault.matches(cell)
+            live = ChannelLiveSink(conn, cell_label(cell), attempt=attempt)
+        fault_hook = fault.frame_hook(cell, attempt) if fault else None
 
         def after_step(frames_rendered: int) -> None:
             conn.send(("progress", frames_rendered))
-            if armed and fault.should_fire(attempt, frames_rendered):
-                _fire_fault(fault)
+            if fault_hook is not None:
+                fault_hook(frames_rendered)
 
-        session.run_checkpointed(
-            policy.checkpoint_stride, ckpt_path, after_step
+        result = run_workload(
+            cell.alias, cell.technique, config=config,
+            num_frames=cell.num_frames,
+            exact_signatures=cell.exact_signatures, resume_from=state,
+            checkpoint_path=ckpt_path,
+            checkpoint_stride=policy.checkpoint_stride,
+            after_step=after_step, trace_path=trace_path,
+            metrics_path=metrics_path, metrics_mode="a", live=live,
+            header_fields={
+                "cell": cell_label(cell),
+                "attempt": attempt,
+                "resumed_from_frame": resumed_from,
+            },
         )
-        conn.send(("ok", result_from_session(session), resumed_from))
+        conn.send(("ok", result, resumed_from))
     except BaseException as exc:  # noqa: BLE001 - report, then die quietly
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (OSError, ValueError):
             pass
     finally:
-        if tracer is not None:
-            try:
-                tracer.close_open_spans()
-                tracer.write(trace_path)
-            except OSError:      # pragma: no cover - best-effort artifact
-                pass
-        if metrics is not None:
-            metrics.close()
         try:
             conn.close()
         except OSError:

@@ -17,7 +17,8 @@ import typing
 
 from ..config import GpuConfig
 from ..errors import ReproError
-from .runner import RunResult, run_workload
+from .parallel import Cell, run_cells, sanitize_component
+from .runner import RunResult
 
 
 @dataclasses.dataclass
@@ -44,24 +45,6 @@ class SweepPoint:
         return metrics[name]
 
 
-def _sweep_point(payload: tuple) -> RunResult:
-    """Worker body for parallel sweeps (module-level for pickling)."""
-    (label, alias, technique, config, num_frames, technique_params,
-     trace_path, metrics_path) = payload
-    from . import parallel
-
-    live = None
-    if parallel._LIVE_CHANNEL is not None:
-        from ..obs.live import ChannelLiveSink
-
-        live = ChannelLiveSink(parallel._LIVE_CHANNEL, label)
-    return run_workload(
-        alias, technique, config=config, num_frames=num_frames,
-        trace_path=trace_path, metrics_path=metrics_path, live=live,
-        **(technique_params or {}),
-    )
-
-
 def point_tag(alias: str, technique: str, assignment: dict) -> str:
     """Human-readable identity of one sweep point, used to name its
     per-point artifacts: ``cde-re-tile_size=8-ot_queue_entries=16``."""
@@ -79,8 +62,6 @@ def _check_assignments(alias: str, technique: str,
     trace/metrics files (and collapse to one cell under the supervisor),
     so both raise up front.
     """
-    from .parallel import sanitize_component
-
     tags = [point_tag(alias, technique, a) for a in assignments]
     seen: dict = {}
     for tag, assignment in zip(tags, assignments):
@@ -130,9 +111,9 @@ def expand_grid(alias: str, technique: str, parameters: dict,
 
 def sweep(alias: str, technique: str, parameters: dict,
           base_config: GpuConfig = None, num_frames: int = 8,
-          technique_params: dict = None, processes: int = None,
-          policy=None, journal_path=None, fault_spec=None,
-          trace_path=None, metrics_path=None, live=None) -> list:
+          processes: int = None, policy=None, journal_path=None,
+          fault_spec=None, trace_path=None, metrics_path=None,
+          live=None) -> list:
     """Run ``alias`` under ``technique`` for every combination of
     ``parameters`` (a mapping of GpuConfig field name -> list of values).
 
@@ -142,122 +123,40 @@ def sweep(alias: str, technique: str, parameters: dict,
                        {"tile_size": [8, 16, 32],
                         "ot_queue_entries": [16, 64]})
 
-    ``processes`` > 1 fans the grid across a process pool (each point is
-    an independent simulation); the default runs serially and returns
-    identical results.
+    Every point is one :class:`~repro.harness.parallel.Cell` and the
+    grid runs through :func:`~repro.harness.parallel.run_cells`, so the
+    rest of its arguments mean what they mean there: ``processes`` > 1
+    fans the grid across a process pool (the default runs serially and
+    returns identical results); ``policy`` / ``journal_path`` /
+    ``fault_spec`` route it through the fault-tolerant supervisor
+    (:mod:`repro.harness.supervisor`); ``live`` accepts a
+    :class:`~repro.obs.live.LiveAggregator`.
 
-    ``trace_path`` / ``metrics_path`` record per-point observability
-    (:mod:`repro.obs`): each grid point writes its own trace / metrics
-    log, the paths suffixed with the point's parameter assignment
-    (``-tile_size=8-ot_queue_entries=16``); single-point sweeps use the
-    paths verbatim.  Duplicate parameter points, or points whose
+    With more than one point, each cell is tagged with its parameter
+    assignment (:func:`point_tag`): the tag suffixes its ``trace_path``
+    / ``metrics_path`` artifacts (``-tile_size=8-ot_queue_entries=16``)
+    and names its live row and journal records.  A single point uses
+    the paths verbatim.  Duplicate parameter points, or points whose
     sanitized names collide, raise up front instead of overwriting each
-    other's artifacts.  ``live`` accepts a
-    :class:`~repro.obs.live.LiveAggregator`: every point streams
-    per-frame progress to it while the grid runs.
-
-    Large sweep matrices are exactly the runs worth leaving unattended,
-    so ``policy`` / ``journal_path`` / ``fault_spec`` route the grid
-    through the fault-tolerant supervisor
-    (:mod:`repro.harness.supervisor`) — per-point timeouts, bounded
-    retries and checkpoint recovery — instead of the bare pool.  The
-    supervised path does not support ``technique_params`` (those are
-    per-call :func:`run_workload` extras a cell cannot carry).
+    other's artifacts.
     """
     base_config = base_config or GpuConfig.small()
     grid = expand_grid(alias, technique, parameters,
                        base_config=base_config, num_frames=num_frames)
-    assignments = [assignment for assignment, _, _ in grid]
-    configs = [config for _, config, _ in grid]
-    tags = [tag for _, _, tag in grid]
-    many = len(configs) > 1
-
-    supervised = (
-        policy is not None or journal_path is not None
-        or fault_spec is not None
+    many = len(grid) > 1
+    cells = [
+        Cell(alias, technique, num_frames, config=config,
+             tag=tag if many else None)
+        for _, config, tag in grid
+    ]
+    results = run_cells(
+        cells, config=base_config, processes=processes, policy=policy,
+        journal_path=journal_path, fault_spec=fault_spec,
+        trace_path=trace_path, metrics_path=metrics_path, live=live,
     )
-    if supervised:
-        if technique_params:
-            raise ReproError(
-                "supervised sweeps do not support technique_params"
-            )
-        from .parallel import Cell, run_cells
-
-        # Points are tagged with their parameter assignment so per-point
-        # artifacts carry the assignment instead of a bare index (a
-        # single point keeps the base paths verbatim), and so identical
-        # configs from duplicate --set values cannot collapse into one
-        # cell (Cell is hashable; _check_assignments raised already).
-        cells = [
-            Cell(alias, technique, num_frames, config=config,
-                 tag=tag if many else None)
-            for config, tag in zip(configs, tags)
-        ]
-        results = run_cells(
-            cells, config=base_config, processes=processes, policy=policy,
-            journal_path=journal_path, fault_spec=fault_spec,
-            trace_path=trace_path, metrics_path=metrics_path, live=live,
-        )
-        runs = [results[cell] for cell in cells]
-    else:
-        from .parallel import (
-            Cell,
-            _drain_live_queue,
-            _pool_live_init,
-            ensure_unique_paths,
-            per_cell_path,
-        )
-
-        points = [
-            Cell(alias, technique, num_frames, tag=tag if many else None)
-            for tag in tags
-        ]
-        payloads = [
-            (point.tag or f"{alias}/{technique}", alias, technique, config,
-             num_frames, technique_params,
-             per_cell_path(trace_path, point, index, many),
-             per_cell_path(metrics_path, point, index, many))
-            for index, (config, point) in enumerate(zip(configs, points))
-        ]
-        ensure_unique_paths([p[6] for p in payloads], "trace")
-        ensure_unique_paths([p[7] for p in payloads], "metrics")
-        if processes in (None, 0, 1) or len(payloads) <= 1:
-            if live is not None:
-                _pool_live_init(live)   # in-process: post straight to it
-            try:
-                runs = [_sweep_point(payload) for payload in payloads]
-            finally:
-                if live is not None:
-                    _pool_live_init(None)
-                    live.close()
-        elif live is None:
-            import multiprocessing
-
-            workers = min(int(processes), len(payloads))
-            with multiprocessing.Pool(workers) as pool:
-                runs = pool.map(_sweep_point, payloads)
-        else:
-            import multiprocessing
-
-            workers = min(int(processes), len(payloads))
-            queue = multiprocessing.Queue()
-            try:
-                with multiprocessing.Pool(
-                    workers, initializer=_pool_live_init, initargs=(queue,),
-                ) as pool:
-                    async_result = pool.map_async(_sweep_point, payloads)
-                    while not async_result.ready():
-                        _drain_live_queue(queue, live, timeout=0.1)
-                        live.tick()
-                    runs = async_result.get()
-                _drain_live_queue(queue, live, timeout=0.0)
-            finally:
-                live.close()
-                queue.close()
-
     return [
-        SweepPoint(parameters=assignment, run=run)
-        for assignment, run in zip(assignments, runs)
+        SweepPoint(parameters=assignment, run=results[cell])
+        for (assignment, _, _), cell in zip(grid, cells)
     ]
 
 

@@ -59,7 +59,6 @@ def _identity(manifest: dict) -> dict:
         "num_frames": manifest.get("num_frames"),
         "config_digest": manifest.get("config_digest"),
         "git_rev": manifest.get("git_rev"),
-        "raster_backend": (manifest.get("raster_backend") or {}).get("active"),
     }
 
 
@@ -349,13 +348,6 @@ def render_diff(diff: dict, top_counters: int = 12) -> str:
         lines.append(
             f"configs differ: {a.get('config_digest')} vs "
             f"{b.get('config_digest')}"
-        )
-    if a.get("raster_backend") != b.get("raster_backend"):
-        lines.append(
-            "warning: raster backends differ "
-            f"({a.get('raster_backend') or 'unrecorded'} vs "
-            f"{b.get('raster_backend') or 'unrecorded'}); "
-            "timings are not comparable across backends"
         )
 
     cycles = diff["cycles"]

@@ -39,7 +39,6 @@ import sys
 import time
 
 from ..errors import ReproError
-from ..pipeline.kernels import backend_record
 
 __all__ = [
     "RunRegistry",
@@ -261,7 +260,6 @@ def run_manifest(result, kind: str = "run", artifacts: dict = None,
         "num_frames": result.num_frames,
         "config_digest": result.config.digest(),
         "config": result.config.to_dict(),
-        "raster_backend": backend_record(),
         "git_rev": git_rev,
         "created_at": time.time() if created_at is None else created_at,
         "summary": {

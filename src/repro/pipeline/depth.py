@@ -14,7 +14,6 @@ import dataclasses
 import numpy as np
 
 from ..engine.stage import Stage
-from .kernels import early_z_test
 
 
 @dataclasses.dataclass
@@ -49,8 +48,12 @@ class DepthStage(Stage):
             self.stats.fragments_passed += count
             return mask
 
-        mask = early_z_test(depth_tile, local_xs, local_ys, depth,
-                            depth_write)
+        # Strict LESS.  A batch is one primitive's fragments in one
+        # tile, so under the fill rule no pixel repeats within it and
+        # the vectorized compare-then-scatter is the sequential test.
+        mask = depth < depth_tile[local_ys, local_xs]
+        if depth_write and mask.any():
+            depth_tile[local_ys[mask], local_xs[mask]] = depth[mask]
         passed = int(mask.sum())
         self.stats.fragments_passed += passed
         self.stats.fragments_culled += count - passed

@@ -17,7 +17,6 @@ import dataclasses
 import numpy as np
 
 from ..geometry.primitives import Primitive
-from .kernels import edge_coverage
 
 #: Strict margin for the full-tile coverage test: an edge function must
 #: clear every corner pixel center by at least this much before a
@@ -175,7 +174,7 @@ def coverage_mask(screen: np.ndarray, rects: np.ndarray,
         rows = live[lo:lo + _MASK_ROWS]
         # Pixel centers as (1, k, 1, size) columns and (1, k, size, 1)
         # rows, against (3, k, 1, 1) edges: the float64 values
-        # edge_coverage's open grids hold, all three edges at once.
+        # rasterize's open grids hold, all three edges at once.
         cx = (px[rows] + 0.5)[None, :, None, :]
         cy = (py[rows] + 0.5)[None, :, :, None]
         edge = (slice(None), rows, None, None)
@@ -210,14 +209,18 @@ def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:
         return _empty_batch(prim)
     x0, y0, x1, y1 = bounds
 
-    # w0 opposes v0 (edge v1->v2), w1 opposes v1, w2 opposes v2.
-    w0, w1, w2, inside = edge_coverage(
-        v0x, v0y, v1x, v1y, v2x, v2y,
-        x0, y0, x1, y1,
-        _is_top_left(v1x, v1y, v2x, v2y),
-        _is_top_left(v2x, v2y, v0x, v0y),
-        _is_top_left(v0x, v0y, v1x, v1y),
-    )
+    # Pixel centers as open grids, broadcast through the edge functions
+    # (cheaper than materializing a meshgrid).  w0 opposes v0 (edge
+    # v1->v2), w1 opposes v1, w2 opposes v2; a top-left edge also
+    # covers the centers it passes through (w == 0).
+    px = np.arange(x0, x1, dtype=np.float64)[None, :] + 0.5
+    py = np.arange(y0, y1, dtype=np.float64)[:, None] + 0.5
+    w0 = _edge(v1x, v1y, v2x, v2y, px, py)
+    w1 = _edge(v2x, v2y, v0x, v0y, px, py)
+    w2 = _edge(v0x, v0y, v1x, v1y, px, py)
+    inside = (w0 >= 0) if _is_top_left(v1x, v1y, v2x, v2y) else (w0 > 0)
+    inside &= (w1 >= 0) if _is_top_left(v2x, v2y, v0x, v0y) else (w1 > 0)
+    inside &= (w2 >= 0) if _is_top_left(v0x, v0y, v1x, v1y) else (w2 > 0)
 
     if not inside.any():
         return _empty_batch(prim)

@@ -9,13 +9,12 @@ get rebuilt per process.  This package keeps those resident:
   render request (plus sweep/experiment expansion);
 * :mod:`.pool`   — :class:`WarmEnginePool`, an LRU of constructed
   engines keyed by ``(game, technique, exact, config digest)``, and
-  :func:`execute_job`, the one code path both the daemon's workers and
-  the CLI's in-process mode run;
+  :func:`execute_job`, which runs a job on a pooled engine through
+  :func:`~repro.harness.runner.run_workload`;
 * :mod:`.daemon` — :class:`EngineDaemon`, admission control, request
   batching and persistent fault-isolated worker processes;
 * :mod:`.server` — the asyncio socket front-end (``repro serve``);
-* :mod:`.client` — the synchronous client (``repro submit/status``)
-  and :func:`run_job_inprocess` for CLI runs without a daemon;
+* :mod:`.client` — the synchronous client (``repro submit/status``);
 * :mod:`.bench`  — the warm-vs-cold latency benchmark behind
   ``BENCH_service.json``.
 
@@ -26,7 +25,7 @@ bit-identical to a run on a fresh one, so warm service answers equal
 cold CLI answers down to per-tile CRCs.
 """
 
-from .client import ServiceClient, run_job_inprocess
+from .client import ServiceClient
 from .daemon import EngineDaemon, ServiceConfig
 from .jobs import DEFAULT_TENANT, JobSpec, expand_payload
 from .pool import WarmEnginePool, execute_job
@@ -54,5 +53,4 @@ __all__ = [
     "execute_job",
     "expand_payload",
     "merge_histograms",
-    "run_job_inprocess",
 ]

@@ -6,11 +6,6 @@ protocol of :mod:`repro.service.server` and rebuilds typed refusals
 (``kind`` → :class:`~repro.errors.BackpressureError` /
 :class:`~repro.errors.TenantError` / ...) so callers handle a remote
 "queue full" exactly like a local one.
-
-:func:`run_job_inprocess` is the no-daemon mode: the CLI's plain
-``repro run`` routes through it, executing the same
-:func:`~repro.service.pool.execute_job` path the daemon's workers run —
-one code path, so direct runs and service runs cannot drift apart.
 """
 
 from __future__ import annotations
@@ -24,10 +19,7 @@ from ..errors import (
     ServiceError,
     TenantError,
 )
-from .jobs import JobSpec
-from .pool import WarmEnginePool, execute_job
-
-__all__ = ["ServiceClient", "run_job_inprocess"]
+__all__ = ["ServiceClient"]
 
 #: Wire ``kind`` back to the exception the daemon raised.
 _ERROR_KINDS = {
@@ -188,22 +180,3 @@ class ServiceClient:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def run_job_inprocess(spec: JobSpec, pool: WarmEnginePool = None,
-                      trace_path=None, metrics_path=None, live=None):
-    """Run one job through a transient in-process service.
-
-    The CLI's default ``repro run`` path: validates the spec, executes
-    it via the exact worker code path (:func:`execute_job` — including
-    the per-cell reseed), and returns the :class:`RunResult`.  With a
-    ``pool`` the engine stays warm for the caller's next job (the warm
-    benchmark and batched CLI futures use this); without one the
-    behaviour — and the output, bit for bit — matches the pre-service
-    direct :func:`~repro.harness.runner.run_workload` call.
-    """
-    result, _info = execute_job(
-        spec.validated(), pool=pool,
-        trace_path=trace_path, metrics_path=metrics_path, live=live,
-    )
-    return result

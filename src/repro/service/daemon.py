@@ -21,7 +21,9 @@ worker (cold pool, warmth is the only loss) and requeues its in-flight
 jobs until ``max_retries`` is exhausted.  The supervisor's
 deterministic fault injection carries over verbatim: workers honour
 ``REPRO_FAULT_SPEC`` (``alias/technique:frame:kind[:times]``, ``*``
-wildcards) at frame boundaries, so the recovery path is testable.
+wildcards) at frame boundaries through the same
+:meth:`~repro.harness.supervisor.FaultSpec.frame_hook`, so the recovery
+path is testable.
 
 Telemetry: the daemon owns at most one
 :class:`~repro.obs.live.LiveAggregator` — the single writer of its
@@ -48,13 +50,7 @@ from ..errors import (
     ServiceError,
     TenantError,
 )
-from ..harness.supervisor import (
-    CRASH_EXITCODE,
-    FAULT_ENV_VAR,
-    FaultSpec,
-    InjectedFault,
-    _mp_context,
-)
+from ..harness.supervisor import FAULT_ENV_VAR, FaultSpec, _mp_context
 from ..obs.distributed import ShardTracer, TraceShard
 from ..obs.live import TELEMETRY_TAG, ChannelLiveSink, LiveAggregator
 from .jobs import JobSpec, expand_payload
@@ -196,16 +192,6 @@ def _summarize(result) -> dict:
 # Worker side (child process)
 # ----------------------------------------------------------------------
 
-def _fire_fault(fault: FaultSpec) -> None:
-    """The supervisor's fault semantics, verbatim."""
-    if fault.kind == "crash":
-        os._exit(CRASH_EXITCODE)
-    if fault.kind == "hang":
-        while True:
-            time.sleep(3600)
-    raise InjectedFault(f"injected fault at frame boundary ({fault})")
-
-
 def _worker_main(conn, worker_id: int, max_engines: int,
                  trace_dir=None) -> None:
     """Persistent worker body: serve jobs until ``stop`` or EOF.
@@ -222,10 +208,8 @@ def _worker_main(conn, worker_id: int, max_engines: int,
     via the :class:`ShardTracer` handed to :func:`execute_job`) on the
     job's own track, stamped with the request's trace context.
     """
-    fault = None
     fault_env = os.environ.get(FAULT_ENV_VAR)
-    if fault_env:
-        fault = FaultSpec.parse(fault_env)
+    fault = FaultSpec.parse(fault_env) if fault_env else None
     pool = WarmEnginePool(max_engines=max_engines)
     shard = (TraceShard(trace_dir, f"worker{worker_id}")
              if trace_dir else None)
@@ -240,11 +224,7 @@ def _worker_main(conn, worker_id: int, max_engines: int,
         tracer = None
         try:
             spec = JobSpec.from_dict(spec_dict)
-            hook = None
-            if fault is not None and fault.matches(spec.cell()):
-                def hook(frames_rendered, _fault=fault, _attempt=attempt):
-                    if _fault.should_fire(_attempt, frames_rendered):
-                        _fire_fault(_fault)
+            hook = fault.frame_hook(spec.cell(), attempt) if fault else None
             live = ChannelLiveSink(
                 conn, f"{spec.tenant}:{spec.label}", attempt=attempt,
             )

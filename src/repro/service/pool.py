@@ -16,11 +16,12 @@ nothing else.  An engine is returned to the pool only after its job
 *succeeded* — a job that raised leaves its engine behind (state
 unknown, never reused).
 
-:func:`execute_job` is the one code path every service execution takes:
-the daemon's persistent workers, the CLI's transient in-process mode
-(:func:`~repro.service.client.run_job_inprocess`) and the warm-latency
-benchmark all call it, which is what makes "service answers equal
-direct-run answers" a single invariant instead of three.
+:func:`execute_job` is how the service executes a job: the daemon's
+persistent workers and the warm-latency benchmark call it.  It only
+checks an engine out of the pool and back in; the run itself is
+:func:`~repro.harness.runner.run_workload`, the body every other entry
+point renders through too, so "service answers equal direct-run
+answers" holds by construction.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 
-import numpy as np
-
 from ..engine.session import RenderSession
-from ..harness.parallel import cell_seed
-from ..harness.runner import result_from_session
+from ..harness.runner import run_workload
 from .jobs import JobSpec
 
 __all__ = ["PoolStats", "WarmEnginePool", "execute_job"]
@@ -119,13 +117,10 @@ def execute_job(spec: JobSpec, pool: WarmEnginePool = None,
 
     ``info`` is a small dict — currently ``{"warm": bool}`` — describing
     how the job was served.  With a ``pool`` the engine comes from (and,
-    on success, returns to) it; without one the engine is built and
-    dropped, which is exactly the pre-service direct path.
-
-    Seeding mirrors the harness worker discipline
-    (:func:`repro.harness.parallel._run_cell`): NumPy's global generator
-    is reseeded from the cell identity so a job's result is a pure
-    function of its spec, independent of what the worker ran before.
+    on success, returns to) it; without one
+    :func:`~repro.harness.runner.run_workload` builds the engine and
+    drops it.  Everything else — the per-cell reseed, observability,
+    the frame loop — is ``run_workload``'s.
 
     ``frame_hook(frames_rendered)`` — when given — is invoked at every
     frame boundary (the daemon's workers use it for deterministic fault
@@ -135,51 +130,22 @@ def execute_job(spec: JobSpec, pool: WarmEnginePool = None,
     pass a :class:`~repro.obs.distributed.ShardTracer` so engine frame
     spans land in the job's distributed trace); spans the caller opened
     on it stay open on success, and every open span is closed if the
-    job dies mid-frame.  Without one, ``trace_path`` builds a local
-    :class:`~repro.obs.tracer.TraceRecorder` as before.
+    job dies mid-frame.
     """
-    np.random.seed(cell_seed(spec.cell()))
-    metrics = None
-    if trace_path is not None and tracer is None:
-        from ..obs import TraceRecorder
-
-        tracer = TraceRecorder()
-    if metrics_path is not None:
-        from ..obs import MetricsLog
-
-        metrics = MetricsLog(metrics_path)
-
-    if pool is not None:
-        session, warm = pool.acquire(spec)
-    else:
-        session = RenderSession(
-            spec.alias, technique=spec.technique, config=spec.config(),
-            num_frames=spec.num_frames,
-            exact_signatures=spec.exact_signatures,
-        )
-        warm = False
-    session.attach_observability(tracer=tracer, metrics=metrics, live=live)
-
-    done = False
+    session, warm = pool.acquire(spec) if pool is not None else (None, False)
     try:
-        if frame_hook is not None:
-            session.run_checkpointed(1, None, frame_hook)
-        else:
-            session.run()
-        done = True
-    finally:
-        if tracer is not None and not done:
-            tracer.close_open_spans()
-        if tracer is not None and trace_path is not None:
-            tracer.write(trace_path)
-        if metrics is not None:
-            metrics.close()
-        if live:
-            live.finish(ok=session.frames_rendered >= session.num_frames)
-        if pool is not None and not done:
+        result = run_workload(
+            spec.alias, spec.technique, config=spec.config(),
+            num_frames=spec.num_frames,
+            exact_signatures=spec.exact_signatures, session=session,
+            trace_path=trace_path, metrics_path=metrics_path, live=live,
+            tracer=tracer, checkpoint_stride=1 if frame_hook else 0,
+            after_step=frame_hook,
+        )
+    except BaseException:
+        if pool is not None:
             pool.discard(spec)
-
-    result = result_from_session(session)
+        raise
     if pool is not None:
         pool.release(spec, session)
     return result, {"warm": warm}

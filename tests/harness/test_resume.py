@@ -35,6 +35,23 @@ def test_resume_equals_uninterrupted(full_run, tmp_path):
     assert resumed.final_frame_crc == full_run.final_frame_crc
     assert resumed.total_cycles == full_run.total_cycles
     assert resumed.total_energy_nj == full_run.total_energy_nj
+    # Whole-run counters, not just the frames rendered after the resume.
+    assert resumed.counters == full_run.counters
+
+
+def test_checkpoint_without_counters_still_resumes(full_run, tmp_path):
+    # A checkpoint written before counters were stored keeps loading.
+    from repro.engine.checkpoint import load_checkpoint, save_checkpoint
+
+    ckpt = tmp_path / "run.ckpt"
+    run_workload("ccs", "re", CONFIG, num_frames=6,
+                 checkpoint_at=3, checkpoint_path=ckpt)
+    state = load_checkpoint(ckpt)
+    del state["format"], state["version"], state["counters"]
+    save_checkpoint(state, ckpt)
+    resumed = run_workload("ccs", resume_from=ckpt)
+    assert np.array_equal(resumed.tile_color_crcs, full_run.tile_color_crcs)
+    assert resumed.final_frame_crc == full_run.final_frame_crc
 
 
 def test_checkpoint_at_requires_path():

@@ -50,6 +50,7 @@ def assert_bit_identical(result, reference):
     assert result.total_energy_nj == reference.total_energy_nj
     assert result.tiles_skipped == reference.tiles_skipped
     assert result.fragments_shaded == reference.fragments_shaded
+    assert result.counters == reference.counters
 
 
 class TestCrashRecovery:

@@ -1,9 +1,15 @@
 """Parameter sweep driver."""
 
+import json
+
 import pytest
 
 from repro.errors import ReproError
+from repro.harness.supervisor import SupervisorPolicy
 from repro.harness.sweeps import sweep, tabulate
+from repro.obs.live import LiveAggregator
+
+TAGS = ("cde-re-tile_size=8", "cde-re-tile_size=16")
 
 
 class TestSweep:
@@ -57,6 +63,27 @@ class TestSweepArtifactNaming:
             assert (tmp_path / f"grid.trace-cde-re-tile_size={value}.json"
                     ).exists()
 
+    @pytest.mark.parametrize("supervised", [False, True],
+                             ids=["plain", "supervised"])
+    def test_points_get_their_own_live_rows(self, tmp_path, supervised):
+        # Each point is its own worker row, named by its tag, whether
+        # the grid runs plain or under the supervisor.
+        live_path = tmp_path / "live.json"
+        journal_path = tmp_path / "journal.jsonl"
+        agg = LiveAggregator(path=live_path, stall_after_s=60.0,
+                             interval_s=0.0)
+        sweep("cde", "re", {"tile_size": [8, 16]}, num_frames=2, live=agg,
+              policy=SupervisorPolicy(max_retries=0) if supervised else None,
+              journal_path=journal_path if supervised else None)
+        rows = json.loads(live_path.read_text())["workers"]
+        assert sorted(rows) == sorted(TAGS)
+        assert all(row["status"] == "done" for row in rows.values())
+        if supervised:
+            done = [json.loads(line)["cell"]
+                    for line in journal_path.read_text().splitlines()
+                    if json.loads(line)["event"] == "cell_done"]
+            assert sorted(done) == sorted(TAGS)
+
     def test_single_point_uses_base_path_verbatim(self, tmp_path):
         trace = tmp_path / "one.trace.json"
         sweep("cde", "re", {"tile_size": [16]}, num_frames=2,
@@ -75,8 +102,6 @@ class TestSweepCollisionSafety:
             sweep("cde", "re", {"tile_size": [16, 16]}, num_frames=10**6)
 
     def test_supervised_duplicates_raise_too(self, tmp_path):
-        from repro.harness.supervisor import SupervisorPolicy
-
         with pytest.raises(ReproError, match="duplicate parameter point"):
             sweep("cde", "re", {"tile_size": [8, 8]}, num_frames=2,
                   policy=SupervisorPolicy(),

@@ -1,77 +1,11 @@
-"""Raster kernel backends: selection, provenance, bit-identity."""
+"""The raster inner loops: early-Z compare/update and edge coverage."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigError
-from repro.pipeline import kernels
-from repro.pipeline.kernels import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    HAVE_NUMBA,
-    active_backend,
-    available_backends,
-    backend_record,
-    early_z_test,
-    edge_coverage,
-    requested_backend,
-    set_raster_backend,
-)
-
-
-@pytest.fixture(autouse=True)
-def clean_backend_state(monkeypatch):
-    """Each test starts unselected, with no environment override, and
-    leaves no process-wide selection behind."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_REQUESTED", None)
-    yield
-
-
-class TestSelection:
-    def test_default_is_numpy(self):
-        assert requested_backend() == "numpy"
-        assert active_backend() == "numpy"
-
-    def test_set_backend_returns_and_sticks(self):
-        assert set_raster_backend("compiled") == "compiled"
-        assert requested_backend() == "compiled"
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown raster backend"):
-            set_raster_backend("cuda")
-
-    def test_set_backend_exports_environment(self, monkeypatch):
-        set_raster_backend("compiled")
-        # Worker processes re-read the variable at import.
-        import os
-        assert os.environ[BACKEND_ENV_VAR] == "compiled"
-
-    def test_environment_controls_unselected_process(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compiled")
-        assert requested_backend() == "compiled"
-
-    def test_bad_environment_value_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ConfigError, match=BACKEND_ENV_VAR):
-            requested_backend()
-
-    def test_active_degrades_without_numba(self):
-        set_raster_backend("compiled")
-        if HAVE_NUMBA:
-            assert active_backend() == "compiled"
-        else:
-            assert active_backend() == "numpy"
-
-    def test_available_backends(self):
-        assert available_backends() == BACKENDS == ("numpy", "compiled")
-
-    def test_backend_record_provenance(self):
-        set_raster_backend("compiled")
-        record = backend_record()
-        assert record["requested"] == "compiled"
-        assert record["numba"] is HAVE_NUMBA
-        assert record["active"] == ("compiled" if HAVE_NUMBA else "numpy")
+from repro.geometry import DrawState, Primitive, mat4
+from repro.pipeline.depth import DepthStage
+from repro.pipeline.rasterizer import rasterize
+from repro.shaders import FLAT_COLOR, pack_constants
 
 
 class TestEarlyZ:
@@ -80,7 +14,7 @@ class TestEarlyZ:
         xs = np.array([0, 1, 2], dtype=np.int64)
         ys = np.array([0, 0, 0], dtype=np.int64)
         depth = np.array([0.25, 0.5, 0.75], dtype=np.float32)
-        mask = early_z_test(tile, xs, ys, depth, True)
+        mask = DepthStage().test(tile, xs, ys, depth, depth_write=True)
         # Strict LESS: equal depth fails.
         assert mask.tolist() == [True, False, False]
         assert tile[0, 0] == np.float32(0.25)
@@ -90,29 +24,35 @@ class TestEarlyZ:
         tile = np.full((4, 4), 0.5, dtype=np.float32)
         xs = np.array([0], dtype=np.int64)
         ys = np.array([0], dtype=np.int64)
-        mask = early_z_test(tile, xs, ys,
-                            np.array([0.1], dtype=np.float32), False)
+        mask = DepthStage().test(tile, xs, ys,
+                                 np.array([0.1], dtype=np.float32),
+                                 depth_write=False)
         assert mask.tolist() == [True]
         assert tile[0, 0] == np.float32(0.5)
 
     def test_empty_batch(self):
         tile = np.full((2, 2), 1.0, dtype=np.float32)
         empty = np.array([], dtype=np.int64)
-        mask = early_z_test(tile, empty, empty,
-                            np.array([], dtype=np.float32), True)
+        stage = DepthStage()
+        mask = stage.test(tile, empty, empty,
+                          np.array([], dtype=np.float32), depth_write=True)
         assert mask.size == 0
+        assert stage.stats.fragments_tested == 0
 
 
 class TestEdgeCoverage:
     def test_grid_and_fill_rule(self):
         # Positively-oriented right triangle spanning a 4x4 grid; only
         # the strict interior of non-top-left edges is covered.
-        w0, w1, w2, inside = edge_coverage(
-            0.0, 0.0, 4.0, 0.0, 0.0, 4.0,
-            0, 0, 4, 4,
-            False, True, False,
+        prim = Primitive(
+            screen=np.array([[0, 0], [4, 0], [0, 4]], dtype=np.float32),
+            depth=np.full(3, 0.5, dtype=np.float32),
+            clip=np.zeros((3, 4), dtype=np.float32), varyings={},
+            state=DrawState(FLAT_COLOR, pack_constants(mat4.identity())),
         )
-        assert inside.shape == (4, 4)
+        batch = rasterize(prim, (0, 0, 4, 4))
+        inside = np.zeros((4, 4), dtype=bool)
+        inside[batch.ys, batch.xs] = True
         # Diagonal pixel centers (x + y == 3, w0 == 0, non-top-left edge)
         # are excluded; everything strictly inside is covered.
         expected = np.array([
@@ -122,40 +62,4 @@ class TestEdgeCoverage:
             [0, 0, 0, 0],
         ], dtype=bool)
         assert np.array_equal(inside, expected)
-        assert np.all(w0 + w1 + w2 > 0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestCompiledBitIdentity:
-    """With numba present, the jit kernels must be bit-identical to the
-    numpy reference on the same inputs."""
-
-    def test_edge_coverage_identical(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            verts = rng.uniform(-4.0, 20.0, size=6)
-            flags = rng.integers(0, 2, size=3).astype(bool)
-            ref = kernels._edge_coverage_numpy(
-                *verts, 0, 0, 16, 16, *flags)
-            jit = kernels._edge_coverage_jit(
-                *(float(v) for v in verts), 0, 0, 16, 16,
-                *(bool(f) for f in flags))
-            for a, b in zip(ref, jit):
-                assert a.tobytes() == b.tobytes()
-
-    def test_early_z_identical(self):
-        rng = np.random.default_rng(11)
-        for depth_write in (False, True):
-            tile_a = rng.uniform(0, 1, (8, 8)).astype(np.float32)
-            tile_b = tile_a.copy()
-            xs = rng.integers(0, 8, 32).astype(np.int64)
-            ys = rng.integers(0, 8, 32).astype(np.int64)
-            depth = rng.uniform(0, 1, 32).astype(np.float32)
-            ref = kernels._early_z_numpy(tile_a, xs, ys, depth, depth_write)
-            jit = kernels._early_z_jit(tile_b, xs, ys, depth, depth_write)
-            # Duplicate pixels may appear in this synthetic batch; the
-            # pipeline never produces them (fill rule), so compare only
-            # the no-duplicate case for the tile itself.
-            if len(set(zip(xs.tolist(), ys.tolist()))) == len(xs):
-                assert np.array_equal(ref, jit)
-                assert tile_a.tobytes() == tile_b.tobytes()
+        assert np.all(batch.bary > 0)

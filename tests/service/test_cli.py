@@ -1,14 +1,9 @@
-"""CLI surface of the service layer.
-
-``test_service_path_output_identical_to_direct`` pins the ISSUE's
-acceptance criterion at the outermost layer: ``repro run`` (which now
-routes through the transient in-process service) prints byte-for-byte
-what ``repro run --direct`` (the pre-service path) prints.
-"""
+"""CLI surface of the service layer."""
 
 import pytest
 
 from repro.__main__ import main
+from repro.engine.session import RenderSession
 from repro.obs.live import LiveAggregator
 from repro.service.daemon import EngineDaemon, ServiceConfig
 from repro.service.server import ServiceServer
@@ -17,15 +12,33 @@ FRAMES = 2
 
 
 class TestRunRoutesThroughService:
-    def test_service_path_output_identical_to_direct(self, capsys):
-        assert main(["--frames", "3", "run", "ccs",
-                     "--no-registry"]) == 0
-        service_out = capsys.readouterr().out
-        assert main(["--frames", "3", "run", "ccs",
-                     "--no-registry", "--direct"]) == 0
-        direct_out = capsys.readouterr().out
-        assert service_out == direct_out
-        assert "ccs under re" in service_out
+    @pytest.mark.parametrize("global_flags, run_flags", [
+        ([], []),
+        (["--profile"], []),
+        ([], ["--manifest", "run.json"]),
+    ], ids=["plain", "profile", "manifest"])
+    @pytest.mark.parametrize("frames, bad_flags, message", [
+        ("0", [], "--frames"),
+        ("4", ["--checkpoint-at", "2"], "--checkpoint-out"),
+        ("4", ["--tenant", "a/b"], "tenant"),
+    ], ids=["zero-frames", "checkpoint-without-path", "bad-tenant"])
+    def test_run_refuses_bad_input_before_rendering(
+            self, frames, bad_flags, message, global_flags, run_flags,
+            tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def render_one(*_args, **_kwargs):
+            raise AssertionError("a frame rendered before validation")
+
+        monkeypatch.setattr(RenderSession, "_render_one", render_one)
+        argv = (["--frames", frames, "--bench-out", "bench.json"]
+                + global_flags + ["run", "ccs", "--no-registry"]
+                + bad_flags + run_flags)
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("run failed: ") and message in line
+        assert not (tmp_path / "bench.json").exists()
+        assert not (tmp_path / "run.json").exists()
 
     def test_run_rejects_bad_tenant_before_rendering(self, capsys):
         assert main(["--frames", "2", "run", "ccs",
