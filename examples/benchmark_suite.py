@@ -3,23 +3,15 @@
 paper's headline comparison (speedup and energy saving per game).
 
 Run:  python examples/benchmark_suite.py [--frames N] [--scale small|benchmark]
-                                         [--jobs N] [--profile]
-                                         [--occlusion-culling]
+                                         [--jobs N] [--occlusion-culling]
 
 ``--jobs N`` fans the independent (game, technique) cells across N
-worker processes (see repro.harness.parallel).  ``--profile`` records
-per-stage simulator wall-clock plus event rates and writes them — with
-the measured speedup over the pre-batching reference runtime — to
-BENCH_pipeline.json; profiling implies a serial run so one recorder
-observes every frame.
-
-``--occlusion-culling`` exercises the binning-time occlusion pass; it
-suffixes the bench payload's command key (``suite+culling``) so the
-registry's trend view never mixes its profiles with the plain suite's
-committed baseline.
+worker processes (see repro.harness.parallel).  ``--occlusion-culling``
+exercises the binning-time occlusion pass (bit-identical output).
 
 This is the long-form version of what benchmarks/ automates; expect a
-few minutes at benchmark scale.
+few minutes at benchmark scale.  Host performance is measured by the
+repo benchmark, ``python3 bench/run.py``.
 """
 
 import argparse
@@ -29,13 +21,6 @@ from repro.config import GpuConfig
 from repro.harness import reporting, run_workload
 from repro.harness.parallel import run_matrix
 from repro.workloads import FIGURE_ORDER
-
-#: Wall-clock of this script at ``--frames 6 --scale small`` (all games)
-#: before the batched raster path landed, measured on the same host the
-#: batching work was tuned on.  ``--profile`` reports the speedup
-#: against this when invoked with the same arguments.
-SEED_REFERENCE_SECONDS = 16.70
-SEED_REFERENCE = {"frames": 6, "scale": "small"}
 
 TECHNIQUES = ("baseline", "re", "te")
 
@@ -49,10 +34,6 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=0,
                         help="worker processes for the run matrix "
                              "(0/1 = serial)")
-    parser.add_argument("--profile", action="store_true",
-                        help="record per-stage wall-clock and write "
-                             "BENCH_pipeline.json (forces serial)")
-    parser.add_argument("--bench-out", default="BENCH_pipeline.json")
     parser.add_argument("--occlusion-culling", action="store_true",
                         help="enable the binning-time opaque-tile "
                              "occlusion pass (bit-identical output)")
@@ -66,13 +47,7 @@ def main() -> None:
 
         config = dataclasses.replace(config, occlusion_culling=True)
     start = time.perf_counter()
-    perf = None
-    if args.profile:
-        from repro.perf import PerfRecorder
-
-        perf = PerfRecorder()
-
-    if args.jobs > 1 and perf is None:
+    if args.jobs > 1:
         matrix = run_matrix(
             args.games, TECHNIQUES, config, args.frames, processes=args.jobs
         )
@@ -81,8 +56,7 @@ def main() -> None:
             return matrix[(alias, technique)]
     else:
         def get(alias, technique):
-            return run_workload(alias, technique, config, args.frames,
-                                perf=perf)
+            return run_workload(alias, technique, config, args.frames)
 
     rows = []
     for alias in args.games:
@@ -117,36 +91,6 @@ def main() -> None:
 
     wall = time.perf_counter() - start
     print(f"suite wall-clock: {wall:.2f} s")
-    if perf is not None:
-        from repro.perf import write_bench
-
-        command = "suite+culling" if args.occlusion_culling else "suite"
-        payload = {
-            "suite": "benchmark_suite",
-            "command": command,
-            "frames": args.frames,
-            "scale": args.scale,
-            "games": list(args.games),
-            "wall_seconds": round(wall, 3),
-            "profile": perf.snapshot(),
-        }
-        if (command == "suite"
-                and args.frames == SEED_REFERENCE["frames"]
-                and args.scale == SEED_REFERENCE["scale"]
-                and list(args.games) == list(FIGURE_ORDER)):
-            payload["reference"] = {
-                "seed_wall_seconds": SEED_REFERENCE_SECONDS,
-                "description": "same args, scalar per-tile path "
-                               "(pre-batching seed)",
-            }
-            payload["speedup_vs_seed"] = round(
-                SEED_REFERENCE_SECONDS / wall, 2
-            )
-            print(f"speedup vs pre-batching seed: "
-                  f"{payload['speedup_vs_seed']:.2f}x "
-                  f"({SEED_REFERENCE_SECONDS:.2f} s -> {wall:.2f} s)")
-        write_bench(args.bench_out, payload)
-        print(f"wrote {args.bench_out}")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,15 @@ Subcommands:
 * ``report``         — regenerate every figure into a markdown report,
   or, given a metrics log (``report run.metrics.jsonl``), print the
   per-stage cycle shares, skip-rate curve and hottest tiles of that run.
-* ``runs``           — list the run registry (every recorded run/sweep
-  point/bench profile, newest last; filter with ``--kind``/``--game``).
+* ``runs``           — list the run registry (every recorded run, sweep
+  point, figure cell and golden, oldest first; filter with
+  ``--kind``/``--game``).
 * ``diff <A> <B>``   — compare two registered runs: per-stage cycle
   deltas, skip-rate and traffic deltas, counter diffs and per-tile CRC
   divergence.  A/B are run ids (or unique prefixes) from ``runs``.
-* ``trend``          — render the performance trajectory over the
-  registry's bench profiles; ``--check`` exits non-zero on regression
-  (``--append BENCH.json`` records a profile first).
+* ``trend``          — the fleet dashboard: per-fleet rollups over every
+  fleet-stamped sweep point, plus a cycles trajectory across re-runs of
+  the same point set.
 * ``list``           — list the available games and experiments.
 * ``serve``          — run the warm engine-pool daemon behind a Unix
   socket: persistent workers keep constructed engines resident, batch
@@ -53,8 +54,8 @@ Subcommands:
   worker processes that idempotently claim points (atomic lease
   records, heartbeats, crash-safe requeue); ``work`` runs one worker
   (how another host joins); ``status``/``watch`` merge heartbeats and
-  claims into a live claim map with stall detection.  ``trend
-  --fleet`` and ``diff --fleet`` read the recorded fleets back.
+  claims into a live claim map with stall detection.  ``trend`` and
+  ``diff --fleet`` read the recorded fleets back.
 
 Every entry point that renders — ``run``, ``sweep``, ``experiment``,
 supervised attempts and the daemon's workers — executes a cell through
@@ -75,8 +76,9 @@ counter at each frame boundary into a per-frame metrics log that
 
 Global flags: ``--jobs N`` fans independent (workload, technique) cells
 across N worker processes (see :mod:`repro.harness.parallel`);
-``--profile`` records per-stage simulator wall-clock and event rates and
-writes them to ``BENCH_pipeline.json``.
+``--profile`` prints ``run``'s host seconds and calls per span name,
+folded from the tracer's span stream (:func:`repro.obs.span_totals`).
+The repo benchmark (``bench/run.py``) is the performance gate.
 
 Supervision flags (any of them routes the run through the
 fault-tolerant orchestrator in :mod:`repro.harness.supervisor`):
@@ -415,6 +417,10 @@ def _validate_run(args) -> int:
     problem = None
     if args.frames < 1:
         problem = f"--frames must be at least 1, got {args.frames}"
+    elif args.profile and _supervision_requested(args):
+        problem = ("--profile reads this process's spans, but --timeout/"
+                   "--retries/--journal/--inject-fault/--checkpoint-stride "
+                   "render the cell in a child process; drop one")
     elif args.checkpoint_at is not None and not args.checkpoint_out:
         problem = "--checkpoint-at needs --checkpoint-out PATH"
     elif args.tenant:
@@ -434,11 +440,11 @@ def _cmd_run(args) -> int:
         return failed
     if _supervision_requested(args):
         return _cmd_run_supervised(args)
-    perf = None
+    tracer = None
     if args.profile:
-        from .perf import PerfRecorder
+        from .obs import TraceRecorder
 
-        perf = PerfRecorder()
+        tracer = TraceRecorder()
     live = _live_from(args)
     live_sink = None
     if live is not None:
@@ -449,7 +455,6 @@ def _cmd_run(args) -> int:
         run = run_workload(
             args.game, args.technique, _config_from(args),
             num_frames=args.frames,
-            perf=perf,
             resume_from=args.resume,
             checkpoint_at=args.checkpoint_at,
             checkpoint_path=args.checkpoint_out,
@@ -457,6 +462,7 @@ def _cmd_run(args) -> int:
             trace_path=args.trace,
             metrics_path=args.metrics,
             live=live_sink,
+            tracer=tracer,
         )
     finally:
         if live is not None:
@@ -471,29 +477,13 @@ def _cmd_run(args) -> int:
     if run_id:
         print(f"  registered as {run_id} (compare with "
               f"`python -m repro diff`)")
-    if perf is not None:
-        from .perf import write_bench
+    if tracer is not None:
+        from .obs import span_totals
 
-        snapshot = perf.snapshot()
-        print("  simulator profile (wall-clock, not simulated time):")
-        for name, seconds in snapshot["stage_seconds"].items():
-            print(f"    {name:10s} {seconds:8.3f} s "
-                  f"({snapshot['stage_calls'][name]} calls)")
-        payload = {
-            "command": "run",
-            "game": args.game,
-            "technique": args.technique,
-            "scale": args.scale,
-            "frames": args.frames,
-            "profile": snapshot,
-        }
-        write_bench(args.bench_out, payload)
-        print(f"  wrote profile to {args.bench_out}")
-        registry = _registry_from(args)
-        if registry is not None:
-            bench_id = registry.record_bench(payload)
-            print(f"  registered bench {bench_id} (follow with "
-                  f"`python -m repro trend`)")
+        print("  simulator profile (host wall-clock, inclusive, "
+              "not simulated time):")
+        for name, (seconds, calls) in span_totals(tracer.events).items():
+            print(f"    {name:10s} {seconds:8.3f} s ({calls} calls)")
     return 0
 
 
@@ -922,7 +912,7 @@ def _cmd_fleet(args) -> int:
             return 1
         print(f"fleet {fleet_id} complete; reconcile with "
               f"`python -m repro diff --fleet {fleet_id} OTHER` or "
-              "`python -m repro trend --fleet`")
+              "`python -m repro trend`")
         return 0
 
     if args.fleet_action == "work":
@@ -1156,22 +1146,16 @@ def _cmd_runs(args) -> int:
     rows = []
     for entry in entries:
         summary = entry.summary or {}
-        if entry.kind == "bench":
-            wall = summary.get("wall_seconds")
-            headline = (
-                f"wall={wall:.3f}s" if wall is not None else "wall=?"
+        cycles = summary.get("total_cycles")
+        skip = summary.get("skipped_fraction")
+        headline = (
+            f"cycles={cycles / 1e6:.2f}M skip={100 * (skip or 0):.1f}%"
+            if cycles is not None else "-"
+        )
+        if summary.get("parameters"):
+            headline += " " + ",".join(
+                f"{k}={v}" for k, v in summary["parameters"].items()
             )
-        else:
-            cycles = summary.get("total_cycles")
-            skip = summary.get("skipped_fraction")
-            headline = (
-                f"cycles={cycles / 1e6:.2f}M skip={100 * (skip or 0):.1f}%"
-                if cycles is not None else "-"
-            )
-            if summary.get("parameters"):
-                headline += " " + ",".join(
-                    f"{k}={v}" for k, v in summary["parameters"].items()
-                )
         rows.append([
             entry.run_id,
             entry.kind,
@@ -1251,31 +1235,10 @@ def _cmd_diff(args) -> int:
 
 def _cmd_trend(args) -> int:
     from .errors import ReproError
-    from .obs.trend import check_trend, render_trend
+    from .obs.trend import render_fleet_trend
 
-    registry = _reader_registry(args)
-    if getattr(args, "fleet", False):
-        from .obs.trend import render_fleet_trend
-
-        try:
-            print(render_fleet_trend(registry))
-        except (OSError, ReproError) as exc:
-            print(f"trend failed: {exc}", file=sys.stderr)
-            return 2
-        return 0
     try:
-        if args.append:
-            for path in args.append:
-                bench_id = registry.record_bench(path)
-                print(f"appended {path} as {bench_id}")
-        print(render_trend(registry))
-        if args.check:
-            failures = check_trend(
-                registry, share_tolerance=args.share_tolerance,
-                wall_tolerance=args.wall_tolerance,
-            )
-            if failures:
-                return 1
+        print(render_fleet_trend(_reader_registry(args)))
     except (OSError, ReproError) as exc:
         print(f"trend failed: {exc}", file=sys.stderr)
         return 2
@@ -1443,14 +1406,12 @@ def main(argv=None) -> int:
                         help="fan independent cells across N worker "
                              "processes (0/1 = serial)")
     parser.add_argument("--profile", action="store_true",
-                        help="record per-stage simulator wall-clock and "
-                             "event rates")
+                        help="print run's host seconds and calls per "
+                             "span (frame, geometry, raster, ...)")
     parser.add_argument("--occlusion-culling", action="store_true",
                         help="truncate each tile's polygon list at the "
                              "last full-cover opaque primitive during "
                              "binning (bit-identical output; see DESIGN)")
-    parser.add_argument("--bench-out", default="BENCH_pipeline.json",
-                        help="where --profile writes its JSON payload")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-attempt wall-clock limit; exceeding it "
@@ -1544,11 +1505,10 @@ def main(argv=None) -> int:
                              "JSON file written by --trace")
     runs = sub.add_parser(
         "runs", help="list the run registry (recorded runs, sweep "
-                     "points and bench profiles)"
+                     "points, figure cells and goldens)"
     )
     runs.add_argument("--kind", default=None,
-                      choices=("run", "sweep-point", "bench", "figure",
-                               "golden"),
+                      choices=("run", "sweep-point", "figure", "golden"),
                       help="only entries of this kind")
     runs.add_argument("--game", default=None,
                       help="only entries for this game alias")
@@ -1579,27 +1539,10 @@ def main(argv=None) -> int:
                            "exit 1 on any divergence")
     _add_registry_flags(diff, suppress=True)
     trend = sub.add_parser(
-        "trend", help="performance trajectory over the registry's "
-                      "bench profiles"
+        "trend", help="fleet dashboard: per-fleet rollups over every "
+                      "fleet-stamped sweep point, plus a cycles "
+                      "trajectory across re-runs of the same point set"
     )
-    trend.add_argument("--append", action="append", default=None,
-                       metavar="BENCH.json",
-                       help="record this bench profile into the registry "
-                            "first (repeatable)")
-    trend.add_argument("--check", action="store_true",
-                       help="exit 1 if the newest bench point regresses "
-                            "vs its predecessor")
-    trend.add_argument("--share-tolerance", type=float, default=0.10,
-                       help="allowed absolute drift per stage's share of "
-                            "stage time (default 0.10)")
-    trend.add_argument("--wall-tolerance", type=float, default=None,
-                       help="allowed fractional wall slowdown for --check "
-                            "(default: skip the wall comparison)")
-    trend.add_argument("--fleet", action="store_true",
-                       help="show the fleet dashboard instead: per-fleet "
-                            "rollups over every fleet-stamped sweep "
-                            "point, plus a cycles trajectory across "
-                            "re-runs of the same point set")
     _add_registry_flags(trend, suppress=True)
     serve = sub.add_parser(
         "serve", help="run the warm engine-pool daemon behind a Unix "

@@ -272,7 +272,6 @@ class RenderSession:
         it).
         """
         self.gpu.reset()
-        self.gpu.perf = None
         self.gpu.tracer = None
         self.metrics = None
         self.live = None

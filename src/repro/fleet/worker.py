@@ -22,7 +22,7 @@ its peers but the registry directory.  Its loop:
 Execution wall time per point feeds a per-worker
 :class:`~repro.service.telemetry.LogHistogram` on the shared fleet
 scheme, published inside heartbeats so the coordinator (and
-``repro trend --fleet``) can merge shards across workers.
+``repro trend``) can merge shards across workers.
 
 Crash injection (``crash_after_claims=N``) hard-exits the process with
 :data:`~repro.harness.supervisor.CRASH_EXITCODE` right after winning

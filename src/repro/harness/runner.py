@@ -159,7 +159,7 @@ def result_from_session(session: RenderSession) -> RunResult:
 
 def run_workload(alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
-                 exact_signatures: bool = False, perf=None,
+                 exact_signatures: bool = False,
                  resume_from=None, checkpoint_at: int = None,
                  checkpoint_path=None, manifest_path=None,
                  trace_path=None, metrics_path=None,
@@ -177,8 +177,6 @@ def run_workload(alias: str, technique: str = "baseline",
     so a result is a pure function of the cell, whatever the process
     rendered before.
 
-    ``perf`` may be a :class:`repro.perf.PerfRecorder`; it then receives
-    per-stage wall-clock and event counts for every frame rendered.
     ``session`` hands in an already-built engine (a warm one from
     :class:`~repro.service.pool.WarmEnginePool`); ``alias``,
     ``technique``, ``config``, ``num_frames`` and ``exact_signatures``
@@ -237,7 +235,6 @@ def run_workload(alias: str, technique: str = "baseline",
             num_frames=num_frames, exact_signatures=exact_signatures,
         )
     resumed_at = session.frames_rendered
-    session.gpu.perf = perf
     session.attach_observability(
         tracer=tracer, metrics=metrics, live=live,
         header_fields=header_fields,

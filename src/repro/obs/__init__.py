@@ -1,13 +1,14 @@
 """Observability: tracing, metrics, run registry, and live telemetry.
 
-The telemetry layer for the simulator — distinct from
-:mod:`repro.perf`, which times the *simulator process* in aggregate.
-This package records *time-resolved, per-entity* telemetry of the
-simulated run and archives run outcomes for cross-run analysis:
+The telemetry layer for the simulator.  This package records
+*time-resolved, per-entity* telemetry of the simulated run and archives
+run outcomes for cross-run analysis:
 
 * :class:`Tracer` / :class:`TraceRecorder` — span and instant events
   over the stage graph, emitted as Chrome trace-event JSON for
   Perfetto / ``chrome://tracing`` (``--trace out.json``);
+  :func:`span_totals` folds them into per-span host seconds and calls
+  (``--profile``);
 * :class:`MetricsLog` — every registry counter sampled at each frame
   boundary into a JSONL time series plus per-tile skip heatmap data
   (``--metrics out.jsonl``);
@@ -16,12 +17,12 @@ simulated run and archives run outcomes for cross-run analysis:
 * :mod:`repro.obs.validate` — strict trace-event schema checks, so
   viewer compatibility is pinned by tests;
 * :class:`RunRegistry` (:mod:`repro.obs.store`) — content-addressed
-  archive of run/sweep/bench manifests under ``results/registry/``,
-  the substrate for ``python -m repro runs / diff / trend``;
+  archive of run/sweep manifests under ``results/registry/``, the
+  substrate for ``python -m repro runs / diff / trend``;
 * :mod:`repro.obs.diff` — pairwise comparison of two registered runs
   (stage cycles, skip rates, traffic, counters, per-tile CRCs);
-* :mod:`repro.obs.trend` — performance trajectory over registered
-  bench profiles, with regression flagging (``repro trend --check``);
+* :mod:`repro.obs.trend` — per-fleet rollups over fleet-stamped sweep
+  points (``repro trend``);
 * :mod:`repro.obs.live` — live telemetry for parallel/supervised
   runs: workers stream per-frame progress to a
   :class:`LiveAggregator` that renders a status table, writes a
@@ -39,9 +40,8 @@ from .distributed import (
 from .live import NULL_LIVE, ChannelLiveSink, LiveAggregator, LiveSink
 from .metrics import MetricsLog, frame_record
 from .report import render_report
-from .store import RunRegistry, bench_manifest, git_revision, run_manifest
-from .tracer import NULL_TRACER, Tracer, TraceRecorder
-from .trend import check_trend, render_trend, trend_points
+from .store import RunRegistry, git_revision, run_manifest
+from .tracer import NULL_TRACER, Tracer, TraceRecorder, span_totals
 from .validate import validate_trace, validate_trace_file
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "TraceRecorder",
     "TraceShard",
     "Tracer",
-    "bench_manifest",
-    "check_trend",
     "diff_manifests",
     "diff_results",
     "diff_runs",
@@ -68,9 +66,8 @@ __all__ = [
     "mint_trace",
     "render_diff",
     "render_report",
-    "render_trend",
     "run_manifest",
-    "trend_points",
+    "span_totals",
     "validate_trace",
     "validate_trace_file",
 ]

@@ -23,8 +23,8 @@ git rev, created_at, headline numbers) so queries never open manifests.
 
 Downstream consumers: ``python -m repro runs`` lists the index,
 ``python -m repro diff`` compares two manifests
-(:mod:`repro.obs.diff`), ``python -m repro trend`` follows bench
-profiles over time (:mod:`repro.obs.trend`).
+(:mod:`repro.obs.diff`), ``python -m repro trend`` rolls fleet-stamped
+sweep points up per fleet (:mod:`repro.obs.trend`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..errors import ReproError
 __all__ = [
     "RunRegistry",
     "append_jsonl_atomic",
-    "bench_manifest",
     "claim_record",
     "done_record",
     "git_revision",
@@ -58,7 +57,7 @@ REGISTRY_ENV_VAR = "REPRO_REGISTRY"
 
 #: Manifest kinds the registry understands (free-form strings are
 #: accepted; these are the ones the harness emits).
-KINDS = ("run", "sweep-point", "bench", "figure", "golden")
+KINDS = ("run", "sweep-point", "figure", "golden")
 
 #: Registry-root names a tenant namespace may not shadow: the store's
 #: own layout lives there.  ``fleet`` holds distributed-sweep state
@@ -293,52 +292,6 @@ def run_manifest(result, kind: str = "run", artifacts: dict = None,
     return manifest
 
 
-def bench_manifest(payload: dict, source=None, git_rev: str = "auto",
-                   created_at: float = None) -> dict:
-    """Build a registry manifest from a ``BENCH_*.json`` bench payload.
-
-    ``payload`` is what :func:`repro.perf.write_bench` wrote (or its
-    bare ``profile`` snapshot).  The *bench key* — command, frames,
-    scale, game list — identifies comparable points, so the trend view
-    never compares a 6-frame smoke profile against a 50-frame one.
-    """
-    profile = payload.get("profile", payload)
-    if "counters" not in profile or "stage_seconds" not in profile:
-        raise ReproError(
-            "not a bench payload: expected 'counters' and 'stage_seconds'"
-        )
-    if git_rev == "auto":
-        git_rev = git_revision()
-    if created_at is None:
-        created_at = payload.get("generated_at")
-    if created_at is None and source is not None:
-        try:
-            created_at = os.path.getmtime(source)
-        except OSError:
-            created_at = None
-    key = {
-        "command": payload.get("command", "suite"),
-        "frames": payload.get("frames"),
-        "scale": payload.get("scale"),
-        "games": payload.get("games"),
-    }
-    return {
-        "schema": "repro-bench-manifest-v1",
-        "kind": "bench",
-        "bench_key": key,
-        "git_rev": git_rev,
-        "created_at": time.time() if created_at is None else created_at,
-        "source": str(source) if source is not None else None,
-        "profile": {
-            "wall_seconds": profile.get("wall_seconds"),
-            "stage_seconds": dict(profile.get("stage_seconds", {})),
-            "stage_calls": dict(profile.get("stage_calls", {})),
-            "counters": dict(profile.get("counters", {})),
-            "rates": dict(profile.get("rates", {})),
-        },
-    }
-
-
 @dataclasses.dataclass(frozen=True)
 class IndexEntry:
     """One light row of the registry index."""
@@ -363,30 +316,21 @@ class IndexEntry:
 
 def _index_projection(run_id: str, manifest: dict) -> dict:
     """The light per-manifest row appended to ``index.jsonl``."""
-    summary = {}
-    if manifest["kind"] == "bench":
-        profile = manifest.get("profile", {})
-        summary = {
-            "wall_seconds": profile.get("wall_seconds"),
-            "counters": profile.get("counters"),
-            "stage_seconds": profile.get("stage_seconds"),
-        }
-    else:
-        full = manifest.get("summary", {})
-        summary = {
-            key: full.get(key)
-            for key in ("total_cycles", "total_energy_nj",
-                        "total_traffic_bytes", "tiles_skipped",
-                        "skipped_fraction", "final_frame_crc")
-        }
-        if "parameters" in manifest:
-            summary["parameters"] = manifest["parameters"]
-        # Fleet-stamped manifests keep their coordination identity in
-        # the projection so `repro trend/diff --fleet` can group points
-        # from the index without opening every manifest.
-        for key in ("fleet_id", "point_id", "fleet_worker"):
-            if key in manifest:
-                summary[key] = manifest[key]
+    full = manifest.get("summary", {})
+    summary = {
+        key: full.get(key)
+        for key in ("total_cycles", "total_energy_nj",
+                    "total_traffic_bytes", "tiles_skipped",
+                    "skipped_fraction", "final_frame_crc")
+    }
+    if "parameters" in manifest:
+        summary["parameters"] = manifest["parameters"]
+    # Fleet-stamped manifests keep their coordination identity in the
+    # projection so `repro trend` and `repro diff --fleet` can group
+    # points from the index without opening every manifest.
+    for key in ("fleet_id", "point_id", "fleet_worker"):
+        if key in manifest:
+            summary[key] = manifest[key]
     return {
         "run_id": run_id,
         "kind": manifest.get("kind"),
@@ -590,16 +534,6 @@ class RunRegistry:
         if crcs is not None and getattr(crcs, "size", len(crcs)) == 0:
             crcs = None
         return self.record(manifest, crcs=crcs)
-
-    def record_bench(self, payload_or_path) -> str:
-        """Record a bench payload (dict, or path to a ``BENCH_*.json``)."""
-        if isinstance(payload_or_path, dict):
-            manifest = bench_manifest(payload_or_path)
-        else:
-            with open(payload_or_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            manifest = bench_manifest(payload, source=payload_or_path)
-        return self.record(manifest)
 
     # Reading ------------------------------------------------------------
     def entries(self) -> list:

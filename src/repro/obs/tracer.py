@@ -10,11 +10,14 @@ Two implementations:
 
 * :class:`Tracer` itself is the no-op null tracer.  It is *falsy*, so
   hot paths guard with ``if tracer:`` and pay a single truthiness check
-  per decision when tracing is off — the same discipline the pipeline
-  already uses for :class:`repro.perf.PerfRecorder`.
+  per decision when tracing is off.
 * :class:`TraceRecorder` accumulates Chrome trace-event JSON — the
   format ``chrome://tracing`` and Perfetto load natively — and writes a
   ``{"traceEvents": [...], "metadata": {...}}`` payload.
+
+Stage timing is a view of the same stream: :func:`span_totals` folds a
+recorder's B/E events into inclusive seconds and calls per span name
+(what ``repro --profile run`` prints).
 
 Timestamps are microseconds of host wall-clock since the recorder was
 created (the trace-event ``ts`` unit).  Every event carries ``pid``,
@@ -187,3 +190,37 @@ class TraceRecorder(Tracer):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_json(), handle)
             handle.write("\n")
+
+
+def span_totals(events) -> dict:
+    """Inclusive seconds and call count per span name, from B/E events.
+
+    Returns ``{name: (seconds, calls)}`` in first-opened order.  Spans
+    pair per ``(pid, tid)`` track, so nested spans each count their full
+    duration: a ``frame`` includes its ``geometry`` and ``raster``.
+
+    >>> ticks = iter([0.0, 0.0, 1.0, 3.0, 4.0])
+    >>> tracer = TraceRecorder(pid=1, clock=lambda: next(ticks))
+    >>> with tracer.span("frame"):
+    ...     with tracer.span("raster"):
+    ...         pass
+    >>> span_totals(tracer.events)
+    {'frame': (4.0, 1), 'raster': (2.0, 1)}
+    """
+    open_at: dict = {}               # (pid, tid) -> [begin ts]
+    totals: dict = {}                # name -> [microseconds, calls]
+    for event in events:
+        phase = event["ph"]
+        if phase == "B":
+            open_at.setdefault((event["pid"], event["tid"]), []).append(
+                event["ts"])
+            totals.setdefault(event["name"], [0.0, 0])
+        elif phase == "E":
+            begun = open_at[(event["pid"], event["tid"])].pop()
+            total = totals[event["name"]]
+            total[0] += event["ts"] - begun
+            total[1] += 1
+    return {
+        name: (micros / 1e6, calls)
+        for name, (micros, calls) in totals.items()
+    }

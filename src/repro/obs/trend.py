@@ -1,37 +1,28 @@
-"""Perf trajectory over the run registry: the ``repro trend`` backend.
+"""Fleet trajectory over the run registry: the ``repro trend`` backend.
 
-``BENCH_pipeline.json`` pins a single performance point; the registry
-finally gives it a *history*.  Every ``--profile`` run and every CI
-bench job can append a bench manifest (:func:`~repro.obs.store.bench_manifest`)
-and this module reads them back chronologically:
+Every fleet worker, and every ``repro sweep --fleet-id NAME``, records
+its sweep points stamped with a fleet id.  This module rolls them up:
 
-* :func:`trend_points` — bench entries grouped by *bench key* (command,
-  frames, scale, games), so only like-for-like profiles are compared;
-* :func:`render_trend` — the trajectory as a table (when, git rev, wall
-  seconds, frames/s, counter signature) plus a wall-clock sparkline;
-* :func:`check_trend` — regression gate: the newest point is compared
-  against its predecessor with :func:`repro.perf.guard.compare_bench`
-  semantics (counters exact — the simulation is deterministic — stage
-  shares within tolerance, wall-clock optionally), the same contract
-  the CI bench guard enforces, now with memory.
+* :func:`fleet_trend` — per-fleet aggregates over the registry index
+  (points, workers, total cycles, skipped tiles, wall span), plus the
+  workers' merged execute-wall histogram when the fleet directory is
+  present;
+* :func:`render_fleet_trend` — the rollups as a table, with a cycles
+  trajectory across re-runs of the same point set.
+
+Host performance is measured by the repo benchmark (``bench/run.py``,
+compared with ``bench/compare.py``), not here.
 """
 
 from __future__ import annotations
 
-import json
-import time
-
 from ..harness.reporting import format_table
 from ..harness.timeline import sparkline
-from ..perf.guard import compare_bench
 from .store import RunRegistry
 
 __all__ = [
-    "check_trend",
     "fleet_trend",
     "render_fleet_trend",
-    "render_trend",
-    "trend_points",
 ]
 
 
@@ -39,54 +30,6 @@ def _registry(registry) -> RunRegistry:
     if isinstance(registry, RunRegistry):
         return registry
     return RunRegistry(registry)
-
-
-def _bench_key(manifest: dict) -> str:
-    key = manifest.get("bench_key") or {}
-    games = key.get("games")
-    return json.dumps({
-        "command": key.get("command"),
-        "frames": key.get("frames"),
-        "scale": key.get("scale"),
-        "games": sorted(games) if games else None,
-    }, sort_keys=True)
-
-
-def trend_points(registry, bench_key: str = None) -> list:
-    """Bench manifests, oldest first, optionally filtered to one key.
-
-    Returns ``(key, manifest)`` pairs; with ``bench_key=None`` the key
-    of the *newest* point is chosen (the trajectory you are growing) and
-    only its group is returned.
-    """
-    registry = _registry(registry)
-    manifests = [
-        registry.manifest(entry.run_id)
-        for entry in registry.query(kind="bench")
-    ]
-    if not manifests:
-        return []
-    if bench_key is None:
-        bench_key = _bench_key(manifests[-1])
-    return [m for m in manifests if _bench_key(m) == bench_key]
-
-
-def check_trend(registry, share_tolerance: float = 0.10,
-                wall_tolerance: float = None) -> list:
-    """Guard-style regression check of the newest bench point.
-
-    Compares the newest point of the newest bench key against its
-    predecessor in the same group.  Returns a list of human-readable
-    violations (empty = pass; fewer than two comparable points also
-    passes — there is nothing to regress against yet).
-    """
-    points = trend_points(registry)
-    if len(points) < 2:
-        return []
-    return compare_bench(
-        points[-2], points[-1],
-        share_tolerance=share_tolerance, wall_tolerance=wall_tolerance,
-    )
 
 
 def fleet_trend(registry) -> list:
@@ -213,7 +156,7 @@ def render_fleet_trend(registry, width: int = 60) -> str:
                 + ", ".join(rollup["failed"])
             )
     # Trajectory across re-runs of the same point set: like-for-like
-    # only, mirroring the bench-key discipline of the bench trend.
+    # only, so a different grid never reads as a regression.
     newest_set = rollups[-1]["point_set"]
     series = [r for r in rollups if r["point_set"] == newest_set]
     if len(series) > 1:
@@ -225,65 +168,4 @@ def render_fleet_trend(registry, width: int = 60) -> str:
                 "point set (normalized to worst): "
                 + sparkline([c / peak for c in cycles], width=width)
             )
-    return "\n".join(lines)
-
-
-def _counter_signature(counters: dict) -> str:
-    """Compact per-point counter fingerprint for the trend table."""
-    frames = counters.get("frames")
-    shaded = counters.get("fragments_shaded")
-    skipped = counters.get("tiles_skipped")
-    return f"f={frames} shade={shaded} skip={skipped}"
-
-
-def render_trend(registry, width: int = 60) -> str:
-    """The perf trajectory as text: table + wall-clock sparkline."""
-    points = trend_points(registry)
-    if not points:
-        return ("no bench points recorded; append one with "
-                "`python -m repro trend --append BENCH_pipeline.json` "
-                "or run with --profile --registry")
-    key = points[-1].get("bench_key") or {}
-    lines = [
-        f"bench trajectory: {len(points)} point(s) "
-        f"(command={key.get('command')}, frames={key.get('frames')}, "
-        f"scale={key.get('scale')})"
-    ]
-    rows = []
-    walls = []
-    for manifest in points:
-        profile = manifest.get("profile", {})
-        wall = profile.get("wall_seconds") or 0.0
-        walls.append(wall)
-        counters = profile.get("counters", {})
-        frames = counters.get("frames") or 0
-        when = time.strftime(
-            "%Y-%m-%d %H:%M", time.localtime(manifest.get("created_at", 0))
-        )
-        rows.append([
-            when,
-            manifest.get("git_rev") or "-",
-            wall,
-            (frames / wall) if wall else 0.0,
-            _counter_signature(counters),
-        ])
-    lines.append(format_table(
-        ["when", "git", "wall_s", "frames/s", "counters"], rows,
-        float_format="{:.3f}",
-    ))
-    peak = max(walls) if walls else 0.0
-    if peak > 0.0 and len(walls) > 1:
-        normalized = [wall / peak for wall in walls]
-        lines.append("wall seconds (normalized to worst point): "
-                     + sparkline(normalized, width=width))
-    failures = check_trend(registry)
-    if failures:
-        lines.append("")
-        lines.append(f"regression vs previous point: {len(failures)} "
-                     "check(s) failed")
-        for failure in failures:
-            lines.append(f"  - {failure}")
-    elif len(points) > 1:
-        lines.append("no regression vs previous point "
-                     "(counters exact, stage shares in tolerance)")
     return "\n".join(lines)

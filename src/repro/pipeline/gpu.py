@@ -201,9 +201,6 @@ class Gpu:
                 (lambda stats=cache.stats: stats.misses),
             )
 
-        # Optional repro.perf.PerfRecorder; None keeps the hot path free
-        # of timing overhead.
-        self.perf = None
         # Optional repro.obs.Tracer; None (or the falsy null tracer)
         # keeps the hot path at one truthiness check per decision.
         self.tracer = None
@@ -241,7 +238,6 @@ class Gpu:
         for stage in self.stages:
             stage.begin_frame(ctx)
 
-        perf = self.perf
         tracer = self.tracer
         if tracer:
             tracer.begin("frame", frame=self.frame_index,
@@ -249,9 +245,6 @@ class Gpu:
         self.technique.begin_frame(self.frame_index, commands.has_uploads)
 
         # --- Geometry Pipeline ---------------------------------------
-        geometry_timer = perf.stage("geometry") if perf else None
-        if geometry_timer:
-            geometry_timer.__enter__()
         if tracer:
             tracer.begin("geometry")
         for invocation in self.command_processor.process(commands):
@@ -280,13 +273,8 @@ class Gpu:
                     prims_culled=dropped, fragments_avoided=avoided,
                 )
             tracer.end("geometry")
-        if geometry_timer:
-            geometry_timer.__exit__(None, None, None)
 
         # --- Raster Pipeline ------------------------------------------
-        raster_timer = perf.stage("raster") if perf else None
-        if raster_timer:
-            raster_timer.__enter__()
         if tracer:
             tracer.begin("raster")
         raster = self.raster
@@ -321,8 +309,6 @@ class Gpu:
         self.technique.end_frame()
         if tracer:
             tracer.end("raster")
-        if raster_timer:
-            raster_timer.__exit__(None, None, None)
         for stage in self.stages:
             stage.end_frame(ctx)
 
@@ -337,16 +323,6 @@ class Gpu:
                 "shaded": stats.fragment.fragments_shaded,
             })
             tracer.end("frame")
-        if perf:
-            perf.count("frames")
-            perf.count("fragments_rasterized",
-                       stats.raster.fragments_rasterized, stage="raster")
-            perf.count("fragments_shaded", stats.fragment.fragments_shaded,
-                       stage="raster")
-            perf.count("tiles_rendered", stats.raster.tiles_rendered,
-                       stage="raster")
-            perf.count("tiles_skipped", stats.raster.tiles_skipped,
-                       stage="raster")
 
         stats.frame_colors = self.framebuffer.snapshot_back()
         self.framebuffer.swap()

@@ -14,9 +14,10 @@ get rebuilt per process.  This package keeps those resident:
 * :mod:`.daemon` — :class:`EngineDaemon`, admission control, request
   batching and persistent fault-isolated worker processes;
 * :mod:`.server` — the asyncio socket front-end (``repro serve``);
-* :mod:`.client` — the synchronous client (``repro submit/status``);
-* :mod:`.bench`  — the warm-vs-cold latency benchmark behind
-  ``BENCH_service.json``.
+* :mod:`.client` — the synchronous client (``repro submit/status``).
+
+What the warm pool buys is measured by the repo benchmark's ``service``
+workload (``bench/run.py``), which reports warm and cold request p50.
 
 The load-bearing invariant is the engine-reuse contract
 (:meth:`RenderSession.reset`, pinned by

@@ -17,7 +17,7 @@ nothing else.  An engine is returned to the pool only after its job
 unknown, never reused).
 
 :func:`execute_job` is how the service executes a job: the daemon's
-persistent workers and the warm-latency benchmark call it.  It only
+persistent workers call it.  It only
 checks an engine out of the pool and back in; the run itself is
 :func:`~repro.harness.runner.run_workload`, the body every other entry
 point renders through too, so "service answers equal direct-run
@@ -38,7 +38,7 @@ __all__ = ["PoolStats", "WarmEnginePool", "execute_job"]
 
 @dataclasses.dataclass
 class PoolStats:
-    """Lifetime counters of one pool (deterministic; bench-guarded)."""
+    """Lifetime counters of one pool (deterministic)."""
 
     requests: int = 0
     warm_hits: int = 0

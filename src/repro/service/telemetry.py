@@ -22,8 +22,7 @@ dispatch, retry, terminal — and keeps:
 The disabled implementation is the falsy base class — the same
 contract as :class:`~repro.obs.tracer.Tracer` and
 :class:`~repro.obs.live.LiveSink`: hot paths guard with
-``if telemetry:`` and pay one truthiness check when it is off, which is
-what keeps the daemon inside the ``BENCH_service.json`` guard.
+``if telemetry:`` and pay one truthiness check when it is off.
 
 Snapshots flush periodically (and finally, on shutdown) as JSONL and
 into the content-addressed run registry under kind
@@ -178,7 +177,7 @@ class LogHistogram:
 
 #: Bucket scheme every fleet worker uses for its per-point execute-wall
 #: histogram.  Fixing the scheme here is what lets the coordinator (and
-#: ``repro trend --fleet``) merge shards from any mix of workers/hosts.
+#: ``repro trend``) merge shards from any mix of workers/hosts.
 FLEET_EXECUTE_SCHEME = (1e-3, 600.0, 2.0)
 
 

@@ -1,8 +1,6 @@
 """Run registry: content-addressed manifests and the queryable index."""
 
-import json
 import os
-import pathlib
 import subprocess
 
 import pytest
@@ -12,7 +10,6 @@ from repro.errors import ReproError
 from repro.harness.runner import run_workload
 from repro.obs.store import (
     RunRegistry,
-    bench_manifest,
     git_revision,
     run_manifest,
 )
@@ -167,30 +164,6 @@ class TestRecordAndResolve:
             handle.write("{not json\n")
         with pytest.raises(ReproError):
             registry.entries()
-
-
-#: The committed bench baseline, resolved from the repo root so the
-#: tests don't depend on pytest's invocation directory.
-BENCH_BASELINE = pathlib.Path(__file__).resolve().parents[2] \
-    / "BENCH_pipeline.json"
-
-
-class TestBenchManifest:
-    def test_committed_baseline_is_recordable(self, registry):
-        run_id = registry.record_bench(BENCH_BASELINE)
-        manifest = registry.manifest(run_id)
-        with open(BENCH_BASELINE, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert manifest["kind"] == "bench"
-        assert manifest["profile"]["wall_seconds"] == \
-            payload["profile"]["wall_seconds"]
-        assert manifest["profile"]["counters"] == \
-            payload["profile"]["counters"]
-        assert manifest["bench_key"]["frames"] == payload["frames"]
-
-    def test_rejects_non_bench_payloads(self):
-        with pytest.raises(ReproError):
-            bench_manifest({"wall_seconds": 1.0})
 
 
 class TestWriteErrorLogging:

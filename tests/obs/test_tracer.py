@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import NULL_TRACER, Tracer, TraceRecorder
+from repro.obs import NULL_TRACER, Tracer, TraceRecorder, span_totals
 
 
 class FakeClock:
@@ -158,3 +158,49 @@ class TestEventsAndOutput:
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert any(e["ph"] == "B" for e in payload["traceEvents"])
+
+
+class TestSpanTotals:
+    """``--profile``'s fold: inclusive seconds and calls per span name."""
+
+    def test_nested_totals_are_exact(self):
+        clock = FakeClock()
+        tracer = TraceRecorder(pid=1, clock=clock)
+        for _ in range(2):
+            tracer.begin("frame")
+            clock.tick(0.125)
+            tracer.begin("geometry")
+            for _ in range(2):
+                tracer.begin("vertex")
+                clock.tick(0.25)
+                tracer.end("vertex")
+            clock.tick(0.125)
+            tracer.end("geometry")
+            tracer.begin("raster")
+            for tile in range(3):
+                tracer.begin("tile", tile=tile)
+                clock.tick(0.5)
+                tracer.end("tile")
+                tracer.instant("tile_skip", tile=tile)
+            tracer.counter("tiles", {"skipped": 3})
+            tracer.end("raster")
+            tracer.end("frame")
+        assert list(span_totals(tracer.events).items()) == [
+            ("frame", (4.5, 2)),
+            ("geometry", (1.25, 2)),
+            ("vertex", (1.0, 4)),
+            ("raster", (3.0, 2)),
+            ("tile", (3.0, 6)),
+        ]
+
+    def test_tracks_pair_independently(self):
+        clock = FakeClock()
+        tracer = TraceRecorder(pid=1, clock=clock)
+        tracer.begin("job", tid=0)
+        clock.tick(0.125)
+        tracer.begin("job", tid=1)
+        clock.tick(0.125)
+        tracer.end("job", tid=0)
+        clock.tick(0.25)
+        tracer.end("job", tid=1)
+        assert span_totals(tracer.events) == {"job": (0.625, 2)}

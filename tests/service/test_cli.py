@@ -17,28 +17,28 @@ class TestRunRoutesThroughService:
         (["--profile"], []),
         ([], ["--manifest", "run.json"]),
     ], ids=["plain", "profile", "manifest"])
-    @pytest.mark.parametrize("frames, bad_flags, message", [
-        ("0", [], "--frames"),
-        ("4", ["--checkpoint-at", "2"], "--checkpoint-out"),
-        ("4", ["--tenant", "a/b"], "tenant"),
-    ], ids=["zero-frames", "checkpoint-without-path", "bad-tenant"])
+    @pytest.mark.parametrize("frames, bad_globals, bad_flags, message", [
+        ("0", [], [], "--frames"),
+        ("4", [], ["--checkpoint-at", "2"], "--checkpoint-out"),
+        ("4", [], ["--tenant", "a/b"], "tenant"),
+        ("4", ["--profile", "--retries", "1"], [], "--profile"),
+    ], ids=["zero-frames", "checkpoint-without-path", "bad-tenant",
+            "profile-supervised"])
     def test_run_refuses_bad_input_before_rendering(
-            self, frames, bad_flags, message, global_flags, run_flags,
-            tmp_path, monkeypatch, capsys):
+            self, frames, bad_globals, bad_flags, message, global_flags,
+            run_flags, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
 
         def render_one(*_args, **_kwargs):
             raise AssertionError("a frame rendered before validation")
 
         monkeypatch.setattr(RenderSession, "_render_one", render_one)
-        argv = (["--frames", frames, "--bench-out", "bench.json"]
-                + global_flags + ["run", "ccs", "--no-registry"]
-                + bad_flags + run_flags)
+        argv = (["--frames", frames] + global_flags + bad_globals
+                + ["run", "ccs", "--no-registry"] + bad_flags + run_flags)
         assert main(argv) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("run failed: ") and message in line
-        assert not (tmp_path / "bench.json").exists()
-        assert not (tmp_path / "run.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_rejects_bad_tenant_before_rendering(self, capsys):
         assert main(["--frames", "2", "run", "ccs",

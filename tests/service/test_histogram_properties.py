@@ -4,7 +4,7 @@ cross-daemon aggregation rely on.
 Merging is bucket-count addition, so it must be commutative and
 associative, and every quantile must be independent of how the
 observations were sharded across workers and in what order the shards
-merged — otherwise ``repro trend --fleet`` would report different
+merged — otherwise ``repro trend`` would report different
 latencies depending on which worker's heartbeat arrived first.
 """
 

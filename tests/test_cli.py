@@ -1,15 +1,11 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
-import pathlib
 import re
 
 import pytest
 
 from repro.__main__ import main
-
-BENCH_BASELINE = pathlib.Path(__file__).resolve().parents[1] \
-    / "BENCH_pipeline.json"
 
 
 class TestList:
@@ -32,6 +28,30 @@ class TestRun:
     def test_default_technique_is_re(self, capsys):
         assert main(["--frames", "3", "run", "ccs"]) == 0
         assert "ccs under re" in capsys.readouterr().out
+
+
+class TestProfile:
+    """``--profile`` is a view of the tracer's span stream."""
+
+    ROW = re.compile(r"^ {4}(\w+) +[\d.]+ s \((\d+) calls\)$", re.M)
+
+    @pytest.mark.parametrize("trace_flags", [[], ["--trace", "t.json"]],
+                             ids=["untraced", "traced"])
+    def test_prints_span_totals_and_writes_no_profile_file(
+            self, trace_flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--frames", "2", "--profile", "run", "ccs",
+                     "--no-registry"] + trace_flags) == 0
+        calls = dict(self.ROW.findall(capsys.readouterr().out))
+        assert {"geometry", "raster", "vertex", "binning", "tile"} \
+            <= set(calls)
+        assert calls["geometry"] == calls["raster"] == "2"
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == trace_flags[1:]
+        if trace_flags:
+            from repro.obs import validate_trace_file
+
+            validate_trace_file(tmp_path / "t.json")
 
 
 class TestExperiment:
@@ -221,19 +241,42 @@ class TestRegistryCli:
         ]) == 2
         assert "diff failed" in capsys.readouterr().err
 
-    def test_trend_append_and_check(self, tmp_path, capsys):
-        reg = str(tmp_path / "reg")
-        assert main([
-            "--registry", reg,
-            "trend", "--append", str(BENCH_BASELINE), "--check",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "appended" in out
-        assert "1 point(s)" in out
-
     def test_trend_on_an_empty_registry(self, tmp_path, capsys):
         assert main(["--registry", str(tmp_path / "reg"), "trend"]) == 0
-        assert "no bench points" in capsys.readouterr().out
+        assert "no fleet-stamped sweep points" in capsys.readouterr().out
+
+    def test_trend_rolls_up_a_fleet_stamped_sweep(self, tmp_path, capsys):
+        reg = str(tmp_path / "reg")
+        assert main([
+            "--frames", "2", "sweep", "ccs", "--technique", "re",
+            "--set", "tile_size=8,16", "--fleet-id", "f1",
+            "--registry", reg,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trend", "--registry", reg]) == 0
+        out = capsys.readouterr().out
+        assert "fleet trajectory: 1 fleet(s)" in out
+        [row] = [line.split() for line in out.splitlines()
+                 if line.startswith("f1 ")]
+        assert row[:3] == ["f1", "ccs/re", "2"]
+
+    def test_runs_lists_a_bench_row_from_an_older_registry(
+            self, tmp_path, capsys):
+        # The index row an earlier `repro --profile run` recorded.
+        reg = tmp_path / "reg"
+        reg.mkdir()
+        (reg / "index.jsonl").write_text(json.dumps({
+            "run_id": "0123456789abcdef", "kind": "bench", "alias": None,
+            "technique": None, "num_frames": None, "config_digest": None,
+            "git_rev": "abc1234", "created_at": 1.0,
+            "summary": {"wall_seconds": 4.28,
+                        "counters": {"frames": 60},
+                        "stage_seconds": {"geometry": 1.1, "raster": 2.4}},
+        }) + "\n")
+        assert main(["--registry", str(reg), "runs"]) == 0
+        out = capsys.readouterr().out
+        assert "1 entries" in out
+        assert "0123456789abcdef" in out and "bench" in out
 
     def test_sweep_records_each_point(self, tmp_path, capsys):
         reg = str(tmp_path / "reg")

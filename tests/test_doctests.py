@@ -7,13 +7,11 @@ import pytest
 import repro.hashing.crc32
 import repro.hashing.incremental
 import repro.obs.tracer
-import repro.perf.timers
 
 MODULES = [
     repro.hashing.crc32,
     repro.hashing.incremental,
     repro.obs.tracer,
-    repro.perf.timers,
 ]
 
 
