@@ -47,8 +47,9 @@ Subcommands:
   defaults-filled document.  ``run``'s ``--workload-file`` runs a scene
   file directly; ``--native`` applies its native defaults.
 * ``goldens``        — ``record``/``check`` the registry-pinned golden
-  conformance baselines (per-tile CRC matrices + RE skip counts) under
-  ``results/goldens``; ``check`` exits non-zero on any output drift.
+  conformance baselines (per-tile CRC matrices, RE skip counts, registry
+  counters and total cycles/energy/traffic) under ``results/goldens``;
+  ``check`` exits non-zero on any output or model drift.
 * ``fleet``          — distributed sweeps over a shared registry
   directory: ``launch`` expands a grid into a fleet spec and spawns N
   worker processes that idempotently claim points (atomic lease
@@ -1634,7 +1635,7 @@ def main(argv=None) -> int:
                                 "(default ./workloads)")
     goldens = sub.add_parser(
         "goldens", help="record or check the registry-pinned golden "
-                        "CRC/skip conformance baselines"
+                        "CRC/skip/counter conformance baselines"
     )
     goldens.add_argument("action", choices=("record", "check"))
     goldens.add_argument("--goldens", metavar="DIR",

@@ -512,12 +512,11 @@ def _tile_message_digests(alias: str, config: GpuConfig, num_frames: int,
                           schemes: dict) -> dict:
     """Per-frame per-tile hashes of the true tile input messages, plus a
     128-bit reference digest under key ``_strong``."""
-    from ..memory.dram import Dram
+    from ..memory.hierarchy import MemoryHierarchy
     from ..pipeline.command_processor import CommandProcessor
     from ..pipeline.primitive_assembly import PrimitiveAssembly
     from ..pipeline.tiling import PolygonListBuilder
     from ..pipeline.vertex_stage import VertexStage
-    from ..memory.cache import Cache
 
     scene = build_scene(alias)
     results = {name: np.zeros((num_frames, config.num_tiles), dtype=np.uint64)
@@ -552,12 +551,12 @@ def _tile_message_digests(alias: str, config: GpuConfig, num_frames: int,
             def on_geometry_complete(self):
                 pass
 
-        dram = Dram(config)
+        memory = MemoryHierarchy(config)
         collector = Collector()
         processor = CommandProcessor()
-        vertex = VertexStage(Cache(config.vertex_cache), dram)
+        vertex = VertexStage(memory)
         assembly = PrimitiveAssembly(config.screen_width, config.screen_height)
-        plb = PolygonListBuilder(config, dram, listeners=(collector,))
+        plb = PolygonListBuilder(config, memory, listeners=(collector,))
         for invocation in processor.process(stream):
             shaded = vertex.run(invocation)
             plb.bin_drawcall(

@@ -1,12 +1,14 @@
-"""Golden conformance baselines: registry-pinned CRC/skip references.
+"""Golden conformance baselines: registry-pinned output and model references.
 
 A *golden* is a registry manifest (``kind="golden"``) plus its per-tile
 CRC matrix, recorded for one ``(alias, technique, config, num_frames)``
 point.  ``record_goldens`` renders those points and pins them;
 ``check_goldens`` re-renders and compares bit-for-bit — any drift in
 rendered output (a changed CRC anywhere in the frames x tiles matrix)
-or in RE's skip counts fails the check with a diff naming the first
-divergent frames and tiles.
+fails the check with a diff naming the first divergent frames and
+tiles, and so does any drift in RE's skip counts or in the modelled
+activity: every registry counter (caches, stall cycles, traffic, ...)
+and the run's total cycles, energy and traffic.
 
 The committed registry at ``results/goldens`` is the conformance
 baseline CI runs against (``tests/workloads/test_conformance.py``);
@@ -59,7 +61,7 @@ class GoldenCheck:
 
     alias: str
     technique: str
-    status: str  # "ok" | "missing" | "crc-drift" | "skip-drift"
+    status: str  # "ok" | "missing" | "crc-drift" | "skip-drift" | "model-drift"
     golden_id: str = None
     detail: str = ""
 
@@ -125,6 +127,30 @@ def _crc_diff_detail(golden, fresh, max_sites: int = 4) -> str:
     )
 
 
+#: Run totals pinned next to the registry counters.
+MODEL_TOTALS = ("total_cycles", "total_energy_nj", "total_traffic_bytes")
+
+
+def _model_drift_detail(summary: dict, result, max_keys: int = 4) -> str:
+    """First registry counters and run totals whose fresh values differ
+    from the golden manifest's summary, as ``key golden -> fresh``."""
+    golden = dict(summary.get("counters") or {})
+    fresh = {key: (result.counters or {}).get(key) for key in golden}
+    for key in MODEL_TOTALS:
+        golden[key] = summary.get(key)
+        fresh[key] = getattr(result, key)
+    drifted = [key for key in golden if golden[key] != fresh[key]]
+    if not drifted:
+        return ""
+    sites = ", ".join(
+        f"{key} {golden[key]!r} -> {fresh[key]!r}"
+        for key in drifted[:max_keys]
+    )
+    more = ("" if len(drifted) <= max_keys
+            else f" (+{len(drifted) - max_keys} more)")
+    return f"{len(drifted)}/{len(golden)} model values drift: {sites}{more}"
+
+
 def _run_points(aliases, config, num_frames, techniques):
     for alias in aliases:
         results = {}
@@ -176,10 +202,13 @@ def check_goldens(registry: RunRegistry, aliases=None,
 
     Each point is checked for (1) a recorded golden existing at this
     exact (alias, technique, config digest, frame count), (2) the fresh
-    per-tile CRC matrix matching the pinned one bit-for-bit, and (3)
-    for RE, the pinned skip count.  Cross-technique bit-identity
-    (baseline vs re) is asserted on the *fresh* results too, so the
-    check catches a lossy regression even before goldens are consulted.
+    per-tile CRC matrix matching the pinned one bit-for-bit, (3) for
+    RE, the pinned skip count, and (4) every pinned registry counter
+    plus total cycles, energy and traffic (``model-drift``: output can
+    stay exact while the memory or timing model moves).
+    Cross-technique bit-identity (baseline vs re) is asserted on the
+    *fresh* results too, so the check catches a lossy regression even
+    before goldens are consulted.
     """
     aliases = list(aliases) if aliases else all_workload_aliases()
     config = config or golden_config()
@@ -233,6 +262,15 @@ def check_goldens(registry: RunRegistry, aliases=None,
                         f"tiles_skipped {result.tiles_skipped} != "
                         f"golden {pinned_skips}"
                     ),
+                ))
+                continue
+            detail = _model_drift_detail(
+                registry.manifest(entry.run_id)["summary"], result
+            )
+            if detail:
+                checks.append(GoldenCheck(
+                    alias, technique, "model-drift",
+                    golden_id=entry.run_id, detail=detail,
                 ))
                 continue
             checks.append(GoldenCheck(alias, technique, "ok",

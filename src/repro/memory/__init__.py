@@ -1,7 +1,9 @@
-"""Memory hierarchy substrate: caches, DRAM model, traffic accounting."""
+"""Memory hierarchy substrate: caches, DRAM model, traffic accounting,
+and the per-frame access log that ties them together."""
 
 from .cache import Cache, CacheStats, line_addresses
 from .dram import Dram, DramStats, LATENCY_OVERLAP, latency_overlap
+from .hierarchy import MemoryHierarchy
 from .traffic import ALL_STREAMS, RASTER_STREAMS, TrafficCounters
 
 __all__ = [
@@ -12,6 +14,7 @@ __all__ = [
     "DramStats",
     "LATENCY_OVERLAP",
     "latency_overlap",
+    "MemoryHierarchy",
     "ALL_STREAMS",
     "RASTER_STREAMS",
     "TrafficCounters",

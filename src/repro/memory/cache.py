@@ -1,15 +1,17 @@
 """Set-associative cache simulation.
 
 Models the on-chip caches of Table I (vertex, texture, tile, L2) with LRU
-replacement and write-back/write-allocate behaviour.  The functional
-pipeline reduces its per-batch address streams to line granularity (see
-:func:`line_addresses`) and drives them through these caches; misses feed
-the DRAM model and the traffic counters.
+replacement.  Every cache starts each frame empty (see
+:mod:`repro.memory.hierarchy`), so a cache is simulated one whole frame
+at a time: :meth:`Cache.access_run` takes the frame's line-address
+stream and returns which accesses missed.  The functional pipeline
+reduces its per-batch address streams to line granularity (see
+:func:`line_addresses`); misses feed the L2, the DRAM model and the
+traffic counters.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 
 import numpy as np
@@ -24,7 +26,6 @@ class CacheStats:
     accesses: int = 0
     hits: int = 0
     misses: int = 0
-    writebacks: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -34,123 +35,92 @@ class CacheStats:
         self.accesses = 0
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
 
 
 class Cache:
-    """One set-associative, LRU, write-back cache."""
+    """One set-associative LRU cache."""
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # Hot-path constants, resolved once.
         self.line_bytes = config.line_bytes
         self.num_sets = config.num_sets
-        self._ways_limit = config.ways
-        # set index -> OrderedDict mapping tag -> dirty flag; ordering is
-        # recency (last = most recently used).
-        self._sets = collections.defaultdict(collections.OrderedDict)
+        self.ways = config.ways
 
-    def _locate(self, line_address: int) -> tuple:
-        set_index = line_address % self.num_sets
-        tag = line_address // self.num_sets
-        return set_index, tag
+    def access_run(self, line_addrs) -> np.ndarray:
+        """Access one frame's line stream, in order, starting from an
+        empty cache; returns the boolean miss mask, one entry per access.
 
-    def access(self, line_address: int, write: bool = False) -> bool:
-        """Touch one cache line; returns True on hit.
-
-        A miss allocates the line, evicting the LRU way; evicting a dirty
-        line counts a writeback (which the caller should forward to DRAM).
+        LRU has the stack property: a set holds the ``ways`` most
+        recently used distinct lines of that set.  So an access hits iff
+        its line was touched before and fewer than ``ways`` distinct
+        other lines of its set were touched since.  That is decided for
+        the whole stream at once, grouped by set.
         """
-        num_sets = self.num_sets
-        ways = self._sets[line_address % num_sets]
-        tag = line_address // num_sets
-        stats = self.stats
-        stats.accesses += 1
-        if tag in ways:
-            stats.hits += 1
-            ways.move_to_end(tag)
-            if write and not ways[tag]:
-                ways[tag] = True
-            return True
-        stats.misses += 1
-        if len(ways) >= self._ways_limit:
-            _, evicted_dirty = ways.popitem(last=False)
-            if evicted_dirty:
-                stats.writebacks += 1
-        ways[tag] = write
-        return False
+        lines = np.asarray(line_addrs, dtype=np.int64)
+        count = lines.size
+        self.stats.accesses += count
+        if count == 0:
+            return np.zeros(0, dtype=bool)
+        ways = self.ways
+        sets = lines % self.num_sets
+        if self.num_sets <= 1 << 16:
+            sets = sets.astype(np.uint16)  # radix-sortable
+        # Group by set, keeping program order within each set.
+        by_set = np.argsort(sets, kind="stable")
+        grouped = lines[by_set]
+        # prev[i]: grouped index of the previous touch of line i, or -1.
+        by_line = np.argsort(grouped, kind="stable")
+        ordered = grouped[by_line]
+        repeat = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+        prev = np.full(count, -1, dtype=np.int64)
+        prev[by_line[repeat]] = by_line[repeat - 1]
+        miss = prev < 0
+        # Fewer than ``ways`` accesses since the previous touch is a hit
+        # whatever they were; only longer windows need their distinct
+        # lines counted.  The window (prev[i], i) lies inside one set's
+        # group, and a position x in it holds a line new to the window
+        # iff prev[x] <= prev[i].
+        todo = np.flatnonzero(prev < np.arange(-ways, count - ways))
+        todo = todo[prev[todo] >= 0]
+        if todo.size:
+            last = prev[todo]
+            distinct = np.zeros(todo.size, dtype=np.int64)
+            offset, width = 1, 2 * ways
+            while todo.size:
+                window = last[:, None] + np.arange(offset, offset + width)
+                inside = window < todo[:, None]
+                np.minimum(window, count - 1, out=window)
+                new = prev[window] <= last[:, None]
+                new &= inside
+                distinct += new.sum(axis=1)
+                evicted = distinct >= ways
+                miss[todo[evicted]] = True
+                offset += width
+                open_ = ~evicted & (last + offset < todo)
+                todo, last, distinct = todo[open_], last[open_], distinct[open_]
+                width *= 2
+        out = np.empty(count, dtype=bool)
+        out[by_set] = miss
+        misses = int(np.count_nonzero(out))
+        self.stats.misses += misses
+        self.stats.hits += count - misses
+        return out
 
-    def access_many(self, line_addrs, write: bool = False) -> int:
-        """Access a sequence of line addresses; returns the miss count."""
-        misses = 0
-        for addr in line_addrs:
-            if not self.access(int(addr), write):
-                misses += 1
-        return misses
-
-    def access_run(self, line_addrs, write: bool = False) -> list:
-        """Access a sequence of line addresses in order; returns the list
-        of addresses that missed, in access order.
-
-        Behaviourally identical to calling :meth:`access` per address
-        (same LRU state transitions, same stats), but with the per-call
-        overhead amortized — this is the form the batched raster path
-        drives cache line streams through.
-        """
-        sets = self._sets
-        num_sets = self.num_sets
-        ways_limit = self._ways_limit
-        accesses = hits = writebacks = 0
-        missing = []
-        for addr in line_addrs:
-            addr = int(addr)
-            ways = sets[addr % num_sets]
-            tag = addr // num_sets
-            accesses += 1
-            if tag in ways:
-                hits += 1
-                ways.move_to_end(tag)
-                if write and not ways[tag]:
-                    ways[tag] = True
-                continue
-            missing.append(addr)
-            if len(ways) >= ways_limit:
-                _, evicted_dirty = ways.popitem(last=False)
-                if evicted_dirty:
-                    writebacks += 1
-            ways[tag] = write
-        stats = self.stats
-        stats.accesses += accesses
-        stats.hits += hits
-        stats.misses += accesses - hits
-        stats.writebacks += writebacks
-        return missing
-
-    def flush(self) -> int:
-        """Drop all contents, counting dirty lines as writebacks."""
-        writebacks = 0
-        for ways in self._sets.values():
-            writebacks += sum(1 for dirty in ways.values() if dirty)
-        self._sets.clear()
-        self.stats.writebacks += writebacks
-        return writebacks
-
-    def contents_size(self) -> int:
-        return sum(len(ways) for ways in self._sets.values())
+    def access_many(self, line_addrs) -> int:
+        """:meth:`access_run`, returning only the miss count."""
+        return int(np.count_nonzero(self.access_run(line_addrs)))
 
     def state_dict(self) -> dict:
-        """Cumulative stats only.  Contents are deliberately dropped:
-        every cache is flushed at the next frame boundary, so a restored
-        run re-derives identical per-frame hit/miss behaviour from an
-        empty cache (only the flush's writeback count would differ, and
-        writebacks start from the checkpointed total here)."""
+        """Cumulative stats only: a cache is empty at every frame
+        boundary, so it has no contents to carry."""
         return {"stats": dataclasses.asdict(self.stats)}
 
     def load_state_dict(self, state: dict) -> None:
-        self._sets.clear()
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, int(value))
+        # Checkpoints written before the write path was removed also
+        # carry a ``writebacks`` count; it feeds nothing, so it is skipped.
+        for field in dataclasses.fields(self.stats):
+            setattr(self.stats, field.name, int(state["stats"][field.name]))
 
 
 def line_addresses(byte_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
@@ -170,11 +140,3 @@ def line_addresses(byte_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
     # cache model needs.
     unique = dict.fromkeys(lines.tolist())
     return np.fromiter(unique, dtype=np.int64, count=len(unique))
-
-
-def line_address_list(byte_addresses: np.ndarray, line_bytes: int) -> list:
-    """:func:`line_addresses` returning a plain list — same ordered
-    dedup, no ndarray round-trip, for callers that feed
-    :meth:`Cache.access_run` directly."""
-    lines = np.asarray(byte_addresses, dtype=np.int64) // line_bytes
-    return list(dict.fromkeys(lines.tolist()))

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from ..config import GpuConfig
-from .traffic import TrafficCounters
+from .traffic import ALL_STREAMS, TrafficCounters
 
 
 def latency_overlap(config: GpuConfig) -> float:
@@ -87,50 +89,58 @@ class Dram:
         self.traffic.add(stream, nbytes)
         return stall
 
-    def _transact_run(self, count: int, nbytes: int, stream: str,
-                      is_write: bool) -> int:
-        """``count`` back-to-back transactions of ``nbytes`` each.
+    def charge(self, nbytes, writes, streams) -> np.ndarray:
+        """Charge a run of transactions in order; returns each one's
+        stall cycles.
 
-        Bit-identical to ``count`` sequential :meth:`_transact` calls —
-        the pressure recurrence is iterated, not closed-form, so the
-        float sequence (and every derived latency) matches exactly.
+        ``nbytes`` holds each transaction's size, ``writes`` whether it
+        is a write, and ``streams`` its traffic stream as an index into
+        :data:`~repro.memory.traffic.ALL_STREAMS`.  Bit-identical to one
+        :meth:`read` or :meth:`write` call per transaction: the pressure
+        recurrence is iterated, not closed-form, but only until
+        ``0.95 * p + 1 == p``.  From that floating-point fixed point on,
+        every transaction pays the same latency.
         """
-        if nbytes < 0:
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        stalls = np.zeros(nbytes.size, dtype=np.int64)
+        if nbytes.size and nbytes.min() < 0:
             raise ValueError("transaction size must be non-negative")
-        if count <= 0 or nbytes == 0:
-            return 0
+        live = np.flatnonzero(nbytes)  # 0-byte transactions are free
+        count = live.size
+        if count == 0:
+            return stalls
         low = self.config.dram_latency_min_cycles
         high = self.config.dram_latency_max_cycles
         span = high - low
         hidden = 1.0 - self.latency_overlap
-        transfer = -(-nbytes // self.config.dram_bytes_per_cycle)  # ceil
+        latency = []
         pressure = self._pressure
-        total_stall = 0
         for _ in range(count):
             load = pressure / 32.0
             if load > 1.0:
                 load = 1.0
-            total_stall += int((low + span * load) * hidden) + transfer
-            pressure = pressure * 0.95 + 1.0
+            latency.append(int((low + span * load) * hidden))
+            following = pressure * 0.95 + 1.0
+            if following == pressure:
+                latency.extend(latency[-1:] * (count - len(latency)))
+                break
+            pressure = following
         self._pressure = pressure
+        sizes = nbytes[live]
+        transfer = -(-sizes // self.config.dram_bytes_per_cycle)  # ceil
+        stalls[live] = np.asarray(latency, dtype=np.int64) + transfer
+        is_write = np.asarray(writes, dtype=bool)[live]
         stats = self.stats
         stats.transactions += count
-        stats.transfer_cycles += transfer * count
-        stats.stall_cycles += total_stall
-        if is_write:
-            stats.write_bytes += nbytes * count
-        else:
-            stats.read_bytes += nbytes * count
-        self.traffic.add(stream, nbytes * count)
-        return total_stall
-
-    def read_run(self, count: int, nbytes: int, stream: str) -> int:
-        """``count`` reads of ``nbytes`` each; returns total stall cycles."""
-        return self._transact_run(count, nbytes, stream, is_write=False)
-
-    def write_run(self, count: int, nbytes: int, stream: str) -> int:
-        """``count`` writes of ``nbytes`` each; returns total stall cycles."""
-        return self._transact_run(count, nbytes, stream, is_write=True)
+        stats.transfer_cycles += int(transfer.sum())
+        stats.stall_cycles += int(stalls.sum())
+        stats.write_bytes += int(sizes[is_write].sum())
+        stats.read_bytes += int(sizes[~is_write].sum())
+        by_stream = np.asarray(streams)[live]
+        for index in np.unique(by_stream).tolist():
+            self.traffic.add(ALL_STREAMS[index],
+                             int(sizes[by_stream == index].sum()))
+        return stalls
 
     def read(self, nbytes: int, stream: str) -> int:
         """Read ``nbytes``; returns the pipeline stall cycles charged."""

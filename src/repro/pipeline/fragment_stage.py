@@ -2,10 +2,9 @@
 
 Shading is vectorized per (primitive, tile) batch — functionally one
 shader invocation per fragment, costed as such by the timing model.
-Texture fetches flow through the texture cache, then the L2, then DRAM
-on the "texels" stream; the cache model sees the line-granular address
-stream in fetch order, so texel locality (or its absence) is measured,
-not assumed.
+Texture fetches go to the memory hierarchy (texture cache, L2, DRAM on
+the "texels" stream) as a line-granular address stream in fetch order,
+so texel locality (or its absence) is measured, not assumed.
 
 A technique may install a fragment *memo filter* (Fragment Memoization,
 Section V-A): the filter observes each batch's shading inputs and
@@ -23,8 +22,7 @@ import numpy as np
 
 from ..engine.stage import Stage
 from ..errors import PipelineError
-from ..memory.cache import Cache, line_address_list
-from ..memory.dram import Dram
+from ..memory.hierarchy import MemoryHierarchy
 from ..textures.sampler import sample_nearest
 
 
@@ -45,11 +43,10 @@ class ShadeMemo:
     shader, the bound constants and textures, the primitive's
     post-transform attributes and the masked fragment set; frame-coherent
     workloads resubmit identical batches every frame.  The memo stores
-    the computed colors plus the texel address stream, so on a hit the
-    texture-cache simulation still runs on the identical addresses —
-    every activity counter and cache state stays bit-identical to a
-    recomputation.  Purely an execution-speed cache, bounded by retained
-    fragments with LRU eviction.
+    the computed colors plus the texel line stream, so a hit appends the
+    identical lines to the memory log — every activity counter stays
+    bit-identical to a recomputation.  Purely an execution-speed cache,
+    bounded by retained fragments with LRU eviction.
     """
 
     def __init__(self, fragment_budget: int = 2_000_000) -> None:
@@ -96,17 +93,14 @@ class FragmentStage(Stage):
 
     metrics_group = "fragment"
 
-    def __init__(self, texture_cache: Cache, l2_cache: Cache,
-                 dram: Dram) -> None:
-        self.texture_cache = texture_cache
-        self.l2 = l2_cache
-        self.dram = dram
+    def __init__(self, memory: MemoryHierarchy) -> None:
+        self.memory = memory
         self.stats = FragmentStats()
         self.memo_filter = None  # optional technique hook
         self.shade_memo = None   # optional cross-frame ShadeMemo
-        # When a list, every texture line stream driven through the
-        # hierarchy is also appended as ``(raw_access_count, lines)`` so
-        # the tile scheduler's TileMemo can replay it verbatim later.
+        # When a list, every texel line stream sent to the hierarchy is
+        # also appended as ``(raw_access_count, lines)`` so the tile
+        # scheduler's TileMemo can replay it verbatim later.
         self.traffic_log = None
 
     def begin_frame(self, ctx=None) -> None:
@@ -148,14 +142,14 @@ class FragmentStage(Stage):
             )
             entry = memo.get(key)
             if entry is not None:
-                colors, addresses, fetch_count = entry[:3]
+                colors, texels, fetch_count = entry[:3]
                 self.stats.texture_fetches += fetch_count
                 self.stats.fragments_shaded += count
                 self.stats.shader_instructions += (
                     count * state.shader.fragment_instructions
                 )
-                if addresses is not None:
-                    self._simulate_texture_traffic(addresses)
+                if texels is not None:
+                    self.fetch_texels(*texels)
                 return colors
 
         fetches_before = self.stats.texture_fetches
@@ -201,43 +195,29 @@ class FragmentStage(Stage):
 
         # Texture traffic: memoized fragments skip their fetches too; we
         # scale the simulated address stream by the shaded fraction.
-        addresses = None
+        texels = None
         if fetch_addresses:
             addresses = np.concatenate(fetch_addresses)
             if memoized and count:
                 keep = max(0, int(round(len(addresses) * shaded / count)))
                 addresses = addresses[:keep]
-            self._simulate_texture_traffic(addresses)
+            texels = (len(addresses), self.memory.texel_lines(addresses))
+            self.fetch_texels(*texels)
         if memo is not None:
             # The entry pins the shader object so its id (part of the
             # key) cannot be recycled for a different shader.
             memo.put(
                 key,
-                (colors, addresses,
+                (colors, texels,
                  self.stats.texture_fetches - fetches_before, state.shader),
                 count,
             )
         return colors
 
-    def _simulate_texture_traffic(self, addresses: np.ndarray) -> None:
-        """Drive a texel byte-address stream through texture cache, L2
-        and DRAM.  Batched run per cache level: each cache sees the same
-        access sequence as a per-line loop, so state and stats are
-        identical."""
-        lines = line_address_list(addresses, self.texture_cache.line_bytes)
-        if self.traffic_log is not None:
-            self.traffic_log.append((len(addresses), lines))
-        self.replay_texture_lines(len(addresses), lines)
-
-    def replay_texture_lines(self, raw_count: int, lines: list) -> None:
-        """Run one recorded (or fresh) line stream through texture cache,
-        L2 and DRAM — the state- and stats-mutating tail of
-        :meth:`_simulate_texture_traffic`."""
+    def fetch_texels(self, raw_count: int, lines: np.ndarray) -> None:
+        """Send one texel line stream (fresh, or replayed from a memo)
+        to the memory hierarchy; ``raw_count`` texel fetches made it."""
         self.stats.texture_cache_accesses += raw_count
-        tex_misses = self.texture_cache.access_run(lines)
-        if tex_misses:
-            l2_misses = self.l2.access_run(tex_misses)
-            if l2_misses:
-                self.stats.stall_cycles += self.dram.read_run(
-                    len(l2_misses), self.l2.line_bytes, "texels"
-                )
+        if self.traffic_log is not None:
+            self.traffic_log.append((raw_count, lines))
+        self.memory.fetch_texels(lines, self.stats)

@@ -30,9 +30,8 @@ import numpy as np
 from ..config import GpuConfig
 from ..engine.stage import FrameContext
 from ..engine.stats import StatsRegistry
-from ..memory.cache import Cache
-from ..memory.dram import Dram
-from ..memory.traffic import ALL_STREAMS, TrafficCounters
+from ..memory.hierarchy import MemoryHierarchy
+from ..memory.traffic import ALL_STREAMS
 from ..techniques.base import Technique
 from .blending import BlendStats
 from .command_processor import CommandProcessor
@@ -130,18 +129,7 @@ class Gpu:
                  batched: bool = True) -> None:
         self.config = config
         self.technique = technique if technique is not None else Technique()
-        self.traffic = TrafficCounters()
-        self.dram = Dram(config, self.traffic)
-        self.vertex_cache = Cache(config.vertex_cache)
-        self.texture_cache = Cache(config.texture_cache)
-        self.tile_cache = Cache(config.tile_cache)
-        self.l2_cache = Cache(config.l2_cache)
-        self.caches = {
-            "vertex": self.vertex_cache,
-            "texture": self.texture_cache,
-            "tile": self.tile_cache,
-            "l2": self.l2_cache,
-        }
+        self.memory = MemoryHierarchy(config)
         self.framebuffer = FrameBuffer(config)
         self.frame_index = 0
         # Batched raster path: full-screen rasterization sliced per tile,
@@ -158,23 +146,21 @@ class Gpu:
 
         # --- Persistent stage graph (constructed once, reused) --------
         self.command_processor = CommandProcessor()
-        self.vertex_stage = VertexStage(self.vertex_cache, self.dram)
+        self.vertex_stage = VertexStage(self.memory)
         self.assembly = PrimitiveAssembly(
             config.screen_width, config.screen_height
         )
         self.plb = PolygonListBuilder(
-            config, self.dram, listeners=(self.technique,)
+            config, self.memory, listeners=(self.technique,)
         )
-        self.fragment_stage = FragmentStage(
-            self.texture_cache, self.l2_cache, self.dram
-        )
+        self.fragment_stage = FragmentStage(self.memory)
         self.fragment_stage.shade_memo = self._shade_memo
         memo_filter = getattr(self.technique, "memo_filter", None)
         if callable(memo_filter):
             self.fragment_stage.memo_filter = memo_filter
         self.raster = RasterPipeline(
-            config, self.tile_cache, self.l2_cache, self.dram,
-            self.framebuffer, self.fragment_stage, batched=batched,
+            config, self.memory, self.framebuffer, self.fragment_stage,
+            batched=batched,
             raster_memo=self._raster_memo, tile_memo=self._tile_memo,
         )
         self.stages = (
@@ -186,20 +172,7 @@ class Gpu:
         self.stats_registry = StatsRegistry()
         for stage in self.stages:
             stage.register_metrics(self.stats_registry)
-        for stream in ALL_STREAMS:
-            self.stats_registry.register(
-                f"traffic.{stream}",
-                (lambda counters=self.traffic, s=stream: counters.bytes(s)),
-            )
-        for name, cache in self.caches.items():
-            self.stats_registry.register(
-                f"cache.{name}.accesses",
-                (lambda stats=cache.stats: stats.accesses),
-            )
-            self.stats_registry.register(
-                f"cache.{name}.misses",
-                (lambda stats=cache.stats: stats.misses),
-            )
+        self.memory.register_metrics(self.stats_registry)
 
         # Optional repro.obs.Tracer; None (or the falsy null tracer)
         # keeps the hot path at one truthiness check per decision.
@@ -228,11 +201,10 @@ class Gpu:
         # the reuse distance of vertex/texel data between frames is an
         # entire frame -- far beyond on-chip capacity for real content
         # (Section III's premise).  On-chip buffers therefore start each
-        # frame cold, as they would on hardware rendering real scenes.
-        self.tile_cache.flush()
-        self.l2_cache.flush()
-        self.texture_cache.flush()
-        self.vertex_cache.flush()
+        # frame cold, as they would on hardware rendering real scenes,
+        # which is what lets the memory log be resolved once per frame.
+        # A frame that raised may have left accesses in the log.
+        self.memory.clear()
 
         before = self.stats_registry.snapshot()
         for stage in self.stages:
@@ -311,6 +283,7 @@ class Gpu:
             tracer.end("raster")
         for stage in self.stages:
             stage.end_frame(ctx)
+        self.memory.resolve()
 
         # --- Collect: generic snapshot-delta over the registry ---------
         stats = self._assemble_stats(ctx, before)
@@ -342,7 +315,7 @@ class Gpu:
         stats.traffic = {
             stream: delta[f"traffic.{stream}"] for stream in ALL_STREAMS
         }
-        for name in self.caches:
+        for name in self.memory.caches:
             stats.cache_accesses[name] = delta[f"cache.{name}.accesses"]
             stats.cache_misses[name] = delta[f"cache.{name}.misses"]
         stats.technique_geometry_stall_cycles = (
@@ -365,32 +338,23 @@ class Gpu:
         Stage counters are deliberately absent: per-frame stats are
         registry snapshot-*deltas*, so absolute counter values never
         influence a future frame.  Cache contents are likewise absent —
-        every cache is flushed at the next frame boundary anyway (only
-        the flush's writeback count differs, which no FrameStats field
-        records).  What does carry across frames: the framebuffer banks,
-        the DRAM pressure recurrence, traffic totals, cache hit/miss
-        totals, and the technique's signature/memo state.
+        every cache starts each frame empty.  What does carry across
+        frames: the framebuffer banks, the DRAM pressure recurrence,
+        traffic totals, cache hit/miss totals, and the technique's
+        signature/memo state.
         """
         return {
             "frame_index": self.frame_index,
             "batched": self.batched,
             "framebuffer": self.framebuffer.state_dict(),
-            "dram": self.dram.state_dict(),
-            "traffic": self.traffic.state_dict(),
-            "caches": {
-                name: cache.state_dict()
-                for name, cache in self.caches.items()
-            },
+            **self.memory.state_dict(),
             "technique": self.technique.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.frame_index = int(state["frame_index"])
         self.framebuffer.load_state_dict(state["framebuffer"])
-        self.dram.load_state_dict(state["dram"])
-        self.traffic.load_state_dict(state["traffic"])
-        for name, cache in self.caches.items():
-            cache.load_state_dict(state["caches"][name])
+        self.memory.load_state_dict(state)
         self.technique.load_state_dict(state["technique"])
 
     # ------------------------------------------------------------------

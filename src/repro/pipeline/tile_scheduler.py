@@ -25,17 +25,13 @@ import numpy as np
 
 from ..config import GpuConfig
 from ..engine.stage import Stage
-from ..memory.cache import Cache
-from ..memory.dram import Dram
+from ..memory.hierarchy import MemoryHierarchy
 from .blending import BlendStage
 from .depth import DepthStage
 from .fragment_stage import FragmentStage
 from .framebuffer import FrameBuffer, TileBuffers
 from .rasterizer import RasterMemo, TiledRaster, rasterize
 from .tiling import TILE_POINTER_BYTES, ParameterBuffer
-
-#: Parameter-Buffer lines live in their own L2 address region.
-_PB_L2_OFFSET = 1 << 40
 
 
 class TileMemo:
@@ -45,8 +41,8 @@ class TileMemo:
     function of its primitive list (screen positions, depths, attributes,
     bound state), the tile rect and the clear color.  Frame-coherent
     workloads re-render identical tiles every frame; on a hit the memo
-    re-applies the recorded stat deltas and replays the recorded texture
-    line streams through the live cache hierarchy, so cache state, DRAM
+    re-applies the recorded stat deltas and appends the recorded texel
+    line streams to the frame's memory log, so cache behaviour, DRAM
     pressure and all counters evolve exactly as a recomputation.  Purely
     an execution-speed cache — the scalar reference path never uses it —
     bounded by retained colors + replay lines with LRU eviction.
@@ -111,15 +107,12 @@ class RasterPipeline(Stage):
 
     metrics_group = "raster"
 
-    def __init__(self, config: GpuConfig, tile_cache: Cache, l2_cache: Cache,
-                 dram: Dram, framebuffer: FrameBuffer,
-                 fragment_stage: FragmentStage, batched: bool = True,
-                 raster_memo: RasterMemo = None,
+    def __init__(self, config: GpuConfig, memory: MemoryHierarchy,
+                 framebuffer: FrameBuffer, fragment_stage: FragmentStage,
+                 batched: bool = True, raster_memo: RasterMemo = None,
                  tile_memo: TileMemo = None) -> None:
         self.config = config
-        self.tile_cache = tile_cache
-        self.l2 = l2_cache
-        self.dram = dram
+        self.memory = memory
         self.framebuffer = framebuffer
         self.fragment_stage = fragment_stage
         self.depth_stage = DepthStage()
@@ -178,28 +171,13 @@ class RasterPipeline(Stage):
                                parameter_buffer: ParameterBuffer) -> list:
         """Simulate Parameter-Buffer reads for one tile's polygon list."""
         prims = parameter_buffer.tile_primitives(tile_id)
-        line_bytes = self.tile_cache.line_bytes
-        lines = []
-        nbytes = 0
-        for prim in prims:
-            pb_bytes = prim.parameter_buffer_bytes()
-            nbytes += pb_bytes + TILE_POINTER_BYTES
-            start_line = prim.pb_offset // line_bytes
-            end_line = (prim.pb_offset + pb_bytes - 1) // line_bytes
-            lines.extend(range(start_line, end_line + 1))
-        # Drive the whole tile's line stream through the hierarchy in
-        # one run per cache: each cache still sees the identical access
-        # sequence, so hit/miss state and counts match the per-line loop.
-        tile_misses = self.tile_cache.access_run(lines)
-        if tile_misses:
-            l2_misses = self.l2.access_run(
-                [line + _PB_L2_OFFSET for line in tile_misses]
-            )
-            if l2_misses:
-                self.stats.stall_cycles += self.dram.read_run(
-                    len(l2_misses), line_bytes, "primitives"
-                )
-        self.stats.pb_bytes_fetched += nbytes
+        sizes = [prim.parameter_buffer_bytes() for prim in prims]
+        self.memory.fetch_parameters(
+            [prim.pb_offset for prim in prims], sizes, self.stats
+        )
+        self.stats.pb_bytes_fetched += (
+            sum(sizes) + TILE_POINTER_BYTES * len(prims)
+        )
         return prims
 
     def _state_key(self, state) -> tuple:
@@ -230,8 +208,8 @@ class RasterPipeline(Stage):
 
     #: Counter fields snapshotted around a tile render; the delta is what
     #: a TileMemo hit re-applies.  Texture cache accesses and texture
-    #: stall cycles are excluded — those come from replaying the recorded
-    #: line streams through the live caches.
+    #: stall cycles are excluded — those come from appending the recorded
+    #: line streams to the memory log.
     def _stats_snapshot(self) -> tuple:
         rs, ds = self.stats, self.depth_stage.stats
         fs, bs = self.fragment_stage.stats, self.blend_stage.stats
@@ -281,9 +259,9 @@ class RasterPipeline(Stage):
             if entry is not None:
                 colors, delta, traffic, _pins, _cost = entry
                 self._apply_stats_delta(delta)
-                replay = self.fragment_stage.replay_texture_lines
+                fetch = self.fragment_stage.fetch_texels
                 for raw_count, lines in traffic:
-                    replay(raw_count, lines)
+                    fetch(raw_count, lines)
                 self.stats.tiles_rendered += 1
                 return colors
             self.fragment_stage.traffic_log = []
@@ -336,4 +314,4 @@ class RasterPipeline(Stage):
     def flush_tile(self, tile_id: int, tile_colors: np.ndarray) -> None:
         nbytes = self.framebuffer.write_tile(tile_id, tile_colors)
         self.stats.flush_bytes += nbytes
-        self.stats.stall_cycles += self.dram.write(nbytes, "colors")
+        self.memory.write_colors(nbytes, self.stats)

@@ -55,7 +55,7 @@ import numpy as np
 from ..config import GpuConfig
 from ..engine.stage import Stage
 from ..geometry.primitives import Primitive
-from ..memory.dram import Dram
+from ..memory.hierarchy import MemoryHierarchy
 from .framebuffer import DEFAULT_CLEAR_DEPTH
 from .rasterizer import coverage_mask, covers_rect, iteration_bounds
 
@@ -131,9 +131,10 @@ class PolygonListBuilder(Stage):
 
     metrics_group = "tiling"
 
-    def __init__(self, config: GpuConfig, dram: Dram, listeners=()) -> None:
+    def __init__(self, config: GpuConfig, memory: MemoryHierarchy,
+                 listeners=()) -> None:
         self.config = config
-        self.dram = dram
+        self.memory = memory
         self.listeners = list(listeners)
         self.parameter_buffer = ParameterBuffer(config.num_tiles)
         self.stats = TilingStats()
@@ -223,6 +224,7 @@ class PolygonListBuilder(Stage):
         tile_lists = [self.overlapped_tiles(prim) for prim in primitives]
         occlusion = (self._occlusion_pass(primitives, tile_lists)
                      if self.occlusion_culling else None)
+        written = []
         for index, prim in enumerate(primitives):
             tile_ids = tile_lists[index]
             if not tile_ids:
@@ -234,7 +236,7 @@ class PolygonListBuilder(Stage):
                 prim.parameter_buffer_bytes()
                 + TILE_POINTER_BYTES * len(tile_ids)
             )
-            self.stats.stall_cycles += self.dram.write(nbytes, "parameter_write")
+            written.append(nbytes)
             self.stats.primitives_binned += 1
             self.stats.tile_entries += len(tile_ids)
             self.stats.parameter_bytes_written += nbytes
@@ -242,6 +244,7 @@ class PolygonListBuilder(Stage):
                 listener.on_primitive(prim, tile_ids)
             if occlusion is not None:
                 self._occlusion_update(prim, tile_ids, occlusion, index)
+        self.memory.write_parameters(written, self.stats)
 
     def _tile_rect(self, tile_id: int) -> tuple:
         """Pixel rect (x0, y0, x1, y1) of a tile, clipped to the screen

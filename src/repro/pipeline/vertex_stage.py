@@ -1,7 +1,7 @@
 """Vertex Fetcher + Vertex Processors.
 
-Fetches the drawcall's vertex attributes through the vertex cache
-(misses go to DRAM on the "vertices" stream) and runs the bound vertex
+Fetches the drawcall's vertex attributes through the memory hierarchy
+(vertex cache, then DRAM on the "vertices" stream) and runs the bound vertex
 shader over the whole vertex buffer in one vectorized call — one
 invocation per vertex, as the hardware's single vertex processor would
 issue them.
@@ -15,8 +15,7 @@ import numpy as np
 
 from ..engine.stage import Stage
 from ..geometry.vec import homogenize
-from ..memory.cache import Cache, line_addresses
-from ..memory.dram import Dram
+from ..memory.hierarchy import MemoryHierarchy
 
 
 @dataclasses.dataclass
@@ -48,28 +47,22 @@ class VertexStage(Stage):
 
     metrics_group = "vertex"
 
-    def __init__(self, vertex_cache: Cache, dram: Dram) -> None:
-        self.cache = vertex_cache
-        self.dram = dram
+    def __init__(self, memory: MemoryHierarchy) -> None:
+        self.memory = memory
         self.stats = VertexStageStats()
 
     def run(self, invocation) -> ShadedVertices:
         buffer = invocation.buffer
         state = invocation.state
 
-        # Fetch: every referenced vertex is read once per drawcall; the
-        # cache model sees the line-granular address stream.
+        # Fetch: every referenced vertex is read once per drawcall, in
+        # address order.
         used = np.unique(invocation.buffer.indices)
         addresses = buffer.vertex_addresses(used)
         per_vertex = buffer.vertex_bytes()
         # A vertex may straddle cache lines; touch both end lines.
         all_addrs = np.concatenate([addresses, addresses + per_vertex - 1])
-        misses = self.cache.access_many(
-            line_addresses(np.sort(all_addrs), self.cache.line_bytes)
-        )
-        self.stats.stall_cycles += self.dram.read(
-            misses * self.cache.line_bytes, "vertices"
-        )
+        self.memory.fetch_vertices(np.sort(all_addrs), self.stats)
 
         self.stats.vertices_fetched += len(used)
         self.stats.fetch_bytes += len(used) * per_vertex

@@ -21,6 +21,8 @@ each technique saves for a redundant tile/fragment.
 
 from __future__ import annotations
 
+import weakref
+
 #: The Raster Pipeline stages of Fig. 3, in order.
 RASTER_STAGES = (
     "tile_scheduler",
@@ -38,12 +40,21 @@ class Technique:
     name = "baseline"
 
     def __init__(self) -> None:
-        self.gpu = None
+        self._gpu = None
+
+    @property
+    def gpu(self):
+        """The GPU this technique is installed on, or None.
+
+        Held weakly: the GPU owns its technique, and a strong reference
+        back would make a cycle, leaving a finished engine for the
+        cyclic garbage collector instead of freeing it at once."""
+        return self._gpu() if self._gpu is not None else None
 
     # Lifecycle --------------------------------------------------------
     def attach(self, gpu) -> None:
         """Called once when the technique is installed on a GPU."""
-        self.gpu = gpu
+        self._gpu = weakref.ref(gpu)
 
     def begin_frame(self, frame_index: int, has_uploads: bool) -> None:
         """Called before the frame's command stream is processed."""

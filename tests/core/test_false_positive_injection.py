@@ -81,15 +81,14 @@ def craft_collision(config):
     # Reconstruct the exact tile message the Signature Unit will sign,
     # by replaying the pipeline front end for each candidate frame.
     def tile_message(tint, aux):
-        from repro.memory.cache import Cache
-        from repro.memory.dram import Dram
+        from repro.memory.hierarchy import MemoryHierarchy
         from repro.pipeline.command_processor import CommandProcessor
         from repro.pipeline.primitive_assembly import PrimitiveAssembly
         from repro.pipeline.vertex_stage import VertexStage
 
         compute = ComputeCrcUnit(config.crc_block_bytes)
         processor = CommandProcessor()
-        vertex = VertexStage(Cache(config.vertex_cache), Dram(config))
+        vertex = VertexStage(MemoryHierarchy(config))
         assembly = PrimitiveAssembly(
             config.screen_width, config.screen_height
         )

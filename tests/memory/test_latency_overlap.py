@@ -40,6 +40,6 @@ class TestLatencyOverlap:
     def test_shallow_queue_stalls_more(self):
         deep = Dram(config_with_queue(64))
         shallow = Dram(config_with_queue(4))
-        deep_stall = deep.read_run(50, 64, "texels")
-        shallow_stall = shallow.read_run(50, 64, "texels")
+        deep_stall = sum(deep.read(64, "texels") for _ in range(50))
+        shallow_stall = sum(shallow.read(64, "texels") for _ in range(50))
         assert shallow_stall > deep_stall

@@ -6,8 +6,7 @@ import pytest
 from repro.config import GpuConfig
 from repro.errors import PipelineError
 from repro.geometry import DrawState, Primitive, mat4
-from repro.memory.cache import Cache
-from repro.memory.dram import Dram
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.fragment_stage import FragmentStage
 from repro.pipeline.rasterizer import FragmentBatch
 from repro.shaders import FLAT_COLOR, TEXTURED, pack_constants
@@ -17,10 +16,8 @@ CONFIG = GpuConfig.small()
 
 
 def make_stage():
-    dram = Dram(CONFIG)
-    return FragmentStage(
-        Cache(CONFIG.texture_cache), Cache(CONFIG.l2_cache), dram
-    ), dram
+    memory = MemoryHierarchy(CONFIG)
+    return FragmentStage(memory), memory
 
 
 def make_batch(shader=FLAT_COLOR, textures=(), count=4, varyings=None):
@@ -74,7 +71,7 @@ class TestShading:
         assert stage.stats.fragments_shaded == 0
 
     def test_textured_batch_generates_texel_traffic(self):
-        stage, dram = make_stage()
+        stage, memory = make_stage()
         texture = flat_texture((1, 0, 0, 1), texture_id=5)
         uv = np.array([[0, 0], [0.5, 0], [1, 0.5]], dtype=np.float32)
         batch = make_batch(
@@ -82,8 +79,10 @@ class TestShading:
             varyings={"uv": uv},
         )
         stage.shade(batch, np.ones(3, dtype=bool))
+        memory.resolve()
         assert stage.stats.texture_fetches == 3
-        assert dram.traffic.bytes("texels") > 0
+        assert memory.traffic.bytes("texels") > 0
+        assert stage.stats.stall_cycles > 0
 
     def test_unbound_texture_unit_raises(self):
         stage, _ = make_stage()
@@ -108,12 +107,13 @@ class TestMemoHook:
         uv = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.float32)
 
         def run(memoized):
-            stage, dram = make_stage()
+            stage, memory = make_stage()
             if memoized:
                 stage.memo_filter = lambda prim, varyings: 4
             batch = make_batch(shader=TEXTURED, textures=(texture,),
                                count=4, varyings={"uv": uv})
             stage.shade(batch, np.ones(4, dtype=bool))
+            memory.resolve()
             return stage.stats.texture_cache_accesses
 
         assert run(memoized=True) < run(memoized=False) or run(True) == 0

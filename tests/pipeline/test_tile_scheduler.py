@@ -4,8 +4,7 @@ import numpy as np
 
 from repro.config import GpuConfig
 from repro.geometry import DrawState, Primitive, mat4
-from repro.memory.cache import Cache
-from repro.memory.dram import Dram
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.fragment_stage import FragmentStage
 from repro.pipeline.framebuffer import FrameBuffer
 from repro.pipeline.tile_scheduler import RasterPipeline
@@ -16,12 +15,10 @@ CONFIG = GpuConfig.small()
 
 
 def make_raster():
-    dram = Dram(CONFIG)
-    tile_cache = Cache(CONFIG.tile_cache)
-    l2 = Cache(CONFIG.l2_cache)
-    fragment_stage = FragmentStage(Cache(CONFIG.texture_cache), l2, dram)
+    memory = MemoryHierarchy(CONFIG)
+    fragment_stage = FragmentStage(memory)
     fb = FrameBuffer(CONFIG)
-    return RasterPipeline(CONFIG, tile_cache, l2, dram, fb, fragment_stage), dram
+    return RasterPipeline(CONFIG, memory, fb, fragment_stage), memory
 
 
 def full_tile_prim(tint=(1, 0, 0, 1), z=0.5, pb_offset=0):
@@ -56,33 +53,41 @@ class TestRenderTile:
         assert raster.stats.fragments_rasterized > 100
 
     def test_pb_fetch_counts_bytes_and_traffic(self):
-        raster, dram = make_raster()
+        raster, memory = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
         prim = full_tile_prim()
         pb.insert(prim, [0])
         raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
+        memory.resolve()
         assert raster.stats.pb_bytes_fetched > prim.parameter_buffer_bytes() - 1
-        assert dram.traffic.bytes("primitives") > 0
+        assert memory.traffic.bytes("primitives") > 0
+        assert raster.stats.stall_cycles > 0
 
     def test_shared_primitive_refetch_hits_tile_cache(self):
-        raster, dram = make_raster()
-        pb = ParameterBuffer(CONFIG.num_tiles)
-        prim = full_tile_prim()
-        pb.insert(prim, [0, 1])
-        raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
-        first = dram.traffic.bytes("primitives")
-        raster.render_tile(1, pb, clear_color=(0, 0, 0, 1))
-        # Second tile re-reads the same PB lines: cache hits, no DRAM.
-        assert dram.traffic.bytes("primitives") == first
+        def primitive_traffic(tiles):
+            raster, memory = make_raster()
+            pb = ParameterBuffer(CONFIG.num_tiles)
+            pb.insert(full_tile_prim(), [0, 1])
+            for tile_id in tiles:
+                raster.render_tile(tile_id, pb, clear_color=(0, 0, 0, 1))
+            memory.resolve()
+            return memory.traffic.bytes("primitives")
+
+        first = primitive_traffic([0])
+        # Second tile re-reads the same PB lines in the same frame:
+        # cache hits, no DRAM.
+        assert first > 0
+        assert primitive_traffic([0, 1]) == first
 
     def test_flush_writes_framebuffer_and_traffic(self):
-        raster, dram = make_raster()
+        raster, memory = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
         pb.insert(full_tile_prim(tint=(0, 1, 0, 1)), [0])
         colors = raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
         raster.flush_tile(0, colors)
+        memory.resolve()
         assert raster.stats.flush_bytes == 16 * 16 * 4
-        assert dram.traffic.bytes("colors") == 16 * 16 * 4
+        assert memory.traffic.bytes("colors") == 16 * 16 * 4
         assert np.allclose(raster.framebuffer.back[0, 0], [0, 1, 0, 1])
 
     def test_depth_between_primitives_in_one_tile(self):

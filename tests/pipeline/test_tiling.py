@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.config import GpuConfig
 from repro.geometry import DrawState, Primitive, mat4
-from repro.memory.dram import Dram
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import Gpu, tiling
 from repro.pipeline.framebuffer import DEFAULT_CLEAR_DEPTH
 from repro.pipeline.rasterizer import iteration_bounds, rasterize
@@ -54,7 +54,8 @@ class RecordingListener:
 
 def make_plb(listener=None):
     listeners = (listener,) if listener else ()
-    return PolygonListBuilder(CONFIG, Dram(CONFIG), listeners=listeners)
+    return PolygonListBuilder(CONFIG, MemoryHierarchy(CONFIG),
+                              listeners=listeners)
 
 
 class TestOverlappedTiles:
@@ -115,7 +116,9 @@ class TestBinning:
         expected = prim.parameter_buffer_bytes() + 2 * TILE_POINTER_BYTES
         assert plb.stats.parameter_bytes_written == expected
         assert plb.stats.tile_entries == 2
-        assert plb.dram.traffic.bytes("parameter_write") == expected
+        plb.memory.resolve()
+        assert plb.memory.traffic.bytes("parameter_write") == expected
+        assert plb.stats.stall_cycles > 0
 
     def test_listeners_see_state_then_primitives(self):
         listener = RecordingListener()
@@ -182,7 +185,7 @@ HALF_B = [[0, 0], [16, 16], [0, 16]]
 
 
 def make_cull_plb():
-    return PolygonListBuilder(CULL_CONFIG, Dram(CULL_CONFIG))
+    return PolygonListBuilder(CULL_CONFIG, MemoryHierarchy(CULL_CONFIG))
 
 
 def bin_all(plb, prims):
@@ -536,7 +539,7 @@ def occluder_drawcalls(draw):
 @given(occluder_drawcalls())
 def test_batched_pass_matches_pair_at_a_time_reference(drawcalls):
     config = dataclasses.replace(ODD_CONFIG, occlusion_culling=True)
-    plb = PolygonListBuilder(config, Dram(config))
+    plb = PolygonListBuilder(config, MemoryHierarchy(config))
     reference = ReferenceOcclusion(plb)
     plb.begin_frame()
     for prims in drawcalls:

@@ -21,6 +21,7 @@ from repro.harness.goldens import (
     golden_config,
 )
 from repro.harness.runner import run_workload
+from repro.memory import dram
 from repro.obs.store import RunRegistry
 from repro.workloads import all_workload_aliases
 from repro.workloads.dsl import PACK_DIR, load_path
@@ -78,6 +79,18 @@ def test_every_pack_alias_has_goldens_for_both_techniques(goldens):
 def test_alias_conforms_to_committed_goldens(goldens, alias):
     report = check_goldens(goldens, aliases=[alias])
     assert report.ok, report.summary()
+
+
+def test_memory_model_drift_fails_with_exact_output(goldens, monkeypatch):
+    # Hiding less DRAM latency changes stall cycles and nothing a tile's
+    # colors or RE's skips depend on: only the pinned model values catch it.
+    monkeypatch.setattr(dram, "latency_overlap", lambda config: 0.5)
+    report = check_goldens(goldens, aliases=["ccs"])
+    assert [check.status for check in report.checks] == [
+        "model-drift", "model-drift",
+    ], report.summary()
+    assert "stall_cycles" in report.checks[0].detail
+    assert " -> " in report.checks[0].detail
 
 
 @pytest.mark.slow
