@@ -54,9 +54,8 @@ PB_L2_OFFSET = 1 << 40
 class MemoryHierarchy:
     """The vertex, texture, tile and L2 caches, DRAM, and the frame log."""
 
-    def __init__(self, config: GpuConfig,
-                 traffic: TrafficCounters = None) -> None:
-        self.traffic = traffic if traffic is not None else TrafficCounters()
+    def __init__(self, config: GpuConfig) -> None:
+        self.traffic = TrafficCounters()
         self.dram = Dram(config, self.traffic)
         self.caches = {
             "vertex": Cache(config.vertex_cache),

@@ -9,7 +9,9 @@ silent drift.  After an *intentional* output change, refresh with
 ``python -m repro goldens record``.
 """
 
+import math
 import os
+import types
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.config import GpuConfig
 from repro.harness.goldens import (
     GOLDEN_FRAMES,
     GOLDEN_TECHNIQUES,
+    _model_drift_detail,
     check_goldens,
     golden_config,
 )
@@ -91,6 +94,38 @@ def test_memory_model_drift_fails_with_exact_output(goldens, monkeypatch):
     ], report.summary()
     assert "stall_cycles" in report.checks[0].detail
     assert " -> " in report.checks[0].detail
+
+
+def test_float_totals_tolerate_rounding_but_not_a_cycle(goldens):
+    # The float totals' last bits depend on the interpreter's summation
+    # (Python 3.12 compensates ``sum`` over floats); one modelled cycle,
+    # nanojoule or traffic byte of drift must still fail.
+    entry = goldens.find_golden("ccs", "baseline", golden_config().digest(),
+                                GOLDEN_FRAMES)
+    summary = goldens.manifest(entry.run_id)["summary"]
+
+    def fresh(**totals):
+        values = {key: summary[key] for key in (
+            "total_cycles", "total_energy_nj", "total_traffic_bytes")}
+        values.update(totals)
+        return types.SimpleNamespace(counters=dict(summary["counters"]),
+                                     **values)
+
+    def ulps_up(value, count=4):
+        for _ in range(count):
+            value = math.nextafter(value, math.inf)
+        return value
+
+    assert _model_drift_detail(summary, fresh()) == ""
+    assert _model_drift_detail(summary, fresh(
+        total_cycles=ulps_up(summary["total_cycles"]),
+        total_energy_nj=ulps_up(summary["total_energy_nj"]),
+    )) == ""
+    for key, delta in (("total_cycles", 1.0), ("total_energy_nj", 1.0),
+                       ("total_traffic_bytes", 1)):
+        detail = _model_drift_detail(
+            summary, fresh(**{key: summary[key] + delta}))
+        assert detail.startswith("1/") and key in detail, detail
 
 
 @pytest.mark.slow
