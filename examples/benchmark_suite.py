@@ -3,11 +3,10 @@
 paper's headline comparison (speedup and energy saving per game).
 
 Run:  python examples/benchmark_suite.py [--frames N] [--scale small|benchmark]
-                                         [--jobs N] [--occlusion-culling]
+                                         [--jobs N]
 
 ``--jobs N`` fans the independent (game, technique) cells across N
-worker processes (see repro.harness.parallel).  ``--occlusion-culling``
-exercises the binning-time occlusion pass (bit-identical output).
+worker processes (see repro.harness.parallel).
 
 This is the long-form version of what benchmarks/ automates; expect a
 few minutes at benchmark scale.  Host performance is measured by the
@@ -34,18 +33,11 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=0,
                         help="worker processes for the run matrix "
                              "(0/1 = serial)")
-    parser.add_argument("--occlusion-culling", action="store_true",
-                        help="enable the binning-time opaque-tile "
-                             "occlusion pass (bit-identical output)")
     args = parser.parse_args()
 
     config = (
         GpuConfig.small() if args.scale == "small" else GpuConfig.benchmark()
     )
-    if args.occlusion_culling:
-        import dataclasses
-
-        config = dataclasses.replace(config, occlusion_culling=True)
     start = time.perf_counter()
     if args.jobs > 1:
         matrix = run_matrix(

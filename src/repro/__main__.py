@@ -120,9 +120,7 @@ def _config_from(args) -> GpuConfig:
         "mali450": GpuConfig.mali450,
     }
     config = presets[args.scale]()
-    overrides = dict(getattr(args, "native_overrides", None) or {})
-    if getattr(args, "occlusion_culling", False):
-        overrides["occlusion_culling"] = True
+    overrides = getattr(args, "native_overrides", None)
     if overrides:
         import dataclasses
 
@@ -418,6 +416,11 @@ def _validate_run(args) -> int:
     problem = None
     if args.frames < 1:
         problem = f"--frames must be at least 1, got {args.frames}"
+    elif args.resume and _supervision_requested(args):
+        problem = ("--resume continues a checkpoint in this process, but "
+                   "--timeout/--retries/--journal/--inject-fault/"
+                   "--checkpoint-stride render the cell in a child "
+                   "process; drop one")
     elif args.profile and _supervision_requested(args):
         problem = ("--profile reads this process's spans, but --timeout/"
                    "--retries/--journal/--inject-fault/--checkpoint-stride "
@@ -435,12 +438,35 @@ def _validate_run(args) -> int:
     return 2
 
 
+def _resumed_session(args):
+    """The session ``--resume`` continues under this invocation's config,
+    or ``None`` after printing why the checkpoint cannot be resumed."""
+    from .engine.session import RenderSession
+    from .errors import CheckpointError, ConfigError
+
+    try:
+        return RenderSession.from_checkpoint(
+            args.resume, config=_config_from(args))
+    except OSError as exc:
+        problem = (f"cannot read checkpoint {args.resume!r}: "
+                   f"{exc.strerror or exc}")
+    except (ValueError, CheckpointError, ConfigError) as exc:
+        problem = f"cannot resume from checkpoint {args.resume!r}: {exc}"
+    print(f"run failed: {problem}", file=sys.stderr)
+    return None
+
+
 def _cmd_run(args) -> int:
     failed = _resolve_run_workload(args) or _validate_run(args)
     if failed:
         return failed
     if _supervision_requested(args):
         return _cmd_run_supervised(args)
+    session = None
+    if args.resume:
+        session = _resumed_session(args)
+        if session is None:
+            return 2
     tracer = None
     if args.profile:
         from .obs import TraceRecorder
@@ -456,7 +482,7 @@ def _cmd_run(args) -> int:
         run = run_workload(
             args.game, args.technique, _config_from(args),
             num_frames=args.frames,
-            resume_from=args.resume,
+            session=session,
             checkpoint_at=args.checkpoint_at,
             checkpoint_path=args.checkpoint_out,
             manifest_path=args.manifest,
@@ -563,8 +589,6 @@ def _cmd_submit(args) -> int:
         payload["id"] = args.what
     else:
         payload["game"] = args.what
-    if args.occlusion_culling:
-        payload["overrides"] = {"occlusion_culling": True}
     if args.set:
         parameters = {}
         for spec in args.set:
@@ -841,13 +865,6 @@ def _parse_set_specs(specs) -> dict:
     return parameters
 
 
-def _fleet_overrides(args) -> dict:
-    overrides = dict(getattr(args, "native_overrides", None) or {})
-    if getattr(args, "occlusion_culling", False):
-        overrides["occlusion_culling"] = True
-    return overrides
-
-
 def _cmd_fleet(args) -> int:
     import json
     import time as time_module
@@ -883,8 +900,7 @@ def _cmd_fleet(args) -> int:
             spec = FleetSpec(
                 fleet_id=fleet_id, alias=args.game,
                 technique=args.technique, num_frames=args.frames,
-                parameters=parameters, scale=args.scale,
-                overrides=_fleet_overrides(args), lease_s=args.lease,
+                parameters=parameters, scale=args.scale, lease_s=args.lease,
             )
             print(f"launching fleet {fleet_id}: {args.workers} worker(s) "
                   f"over {len(spec.point_ids())} point(s) "
@@ -1409,10 +1425,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="print run's host seconds and calls per "
                              "span (frame, geometry, raster, ...)")
-    parser.add_argument("--occlusion-culling", action="store_true",
-                        help="truncate each tile's polygon list at the "
-                             "last full-cover opaque primitive during "
-                             "binning (bit-identical output; see DESIGN)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-attempt wall-clock limit; exceeding it "

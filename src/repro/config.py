@@ -115,13 +115,6 @@ class GpuConfig:
     # of warm-up frames that cannot match (no reference bank yet).
     signature_compare_distance: int = 2
 
-    # Opaque-tile occlusion culling: truncate each tile's polygon list
-    # at the last full-cover opaque primitive during binning, so buried
-    # geometry is never rasterized, depth-tested or shaded.  Output is
-    # bit-identical either way (see DESIGN); off by default so the
-    # committed bench-guard counters keep their exact values.
-    occlusion_culling: bool = False
-
     # Transaction Elimination / Fragment Memoization models
     memo_lut_entries: int = 2048
     memo_lut_ways: int = 4
@@ -157,8 +150,18 @@ class GpuConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GpuConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Manifests and checkpoints written before the binning-time
+        occlusion pass was removed carry ``occlusion_culling``; ``False``
+        is dropped, ``True`` is refused, since nothing can honour it.
+        """
         data = dict(data)
+        if data.pop("occlusion_culling", False):
+            raise ConfigError(
+                "occlusion_culling was removed; this config enables it "
+                "and cannot be reproduced"
+            )
         for field in dataclasses.fields(cls):
             value = data.get(field.name)
             if not isinstance(value, dict):

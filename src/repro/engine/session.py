@@ -456,14 +456,28 @@ class RenderSession:
         """Rebuild a session from a checkpoint file path or state dict.
 
         ``config`` defaults to the configuration stored in the
-        checkpoint, so a resumed run simulates the same hardware.
+        checkpoint, so a resumed run simulates the same hardware; a
+        given ``config`` that differs from the stored one raises
+        :class:`CheckpointError` naming the first differing fields.
         Observability sinks are host-side and never checkpointed; attach
         them with :meth:`attach_observability`.
         """
         state = source if isinstance(source, dict) else load_checkpoint(source)
         meta = state["session"]
+        stored = GpuConfig.from_dict(meta["config"])
         if config is None:
-            config = GpuConfig.from_dict(meta["config"])
+            config = stored
+        elif config != stored:
+            differing = [
+                f"{field.name} {getattr(stored, field.name)!r} -> "
+                f"{getattr(config, field.name)!r}"
+                for field in dataclasses.fields(GpuConfig)
+                if getattr(stored, field.name) != getattr(config, field.name)
+            ]
+            raise CheckpointError(
+                f"checkpoint was written under another config "
+                f"({', '.join(differing[:3])})"
+            )
         session = cls(
             meta["alias"], meta["technique"], config=config,
             num_frames=int(meta["num_frames"]),

@@ -106,9 +106,9 @@ class FleetSpec:
 
     ``parameters`` maps GpuConfig field name -> list of values (the
     sweep grid); ``overrides`` are scalar GpuConfig replacements applied
-    on top of the ``scale`` preset *before* the grid (mirroring the CLI
-    ``--native``/``--occlusion-culling`` path), so a fleet reproduces
-    exactly what ``repro sweep --scale S --set k=v,...`` would run.
+    on top of the ``scale`` preset *before* the grid (mirroring ``repro
+    run --native``), so a fleet reproduces exactly what ``repro sweep
+    --scale S --set k=v,...`` would run.
     """
 
     fleet_id: str

@@ -239,11 +239,6 @@ class Gpu:
             stall = self.technique.geometry_stall_cycles()
             if stall:
                 tracer.instant("ot_queue_stall", cycles=stall)
-            for tile_id, dropped, avoided in self.plb.occlusion_events:
-                tracer.instant(
-                    "tile_occluded", tile=tile_id,
-                    prims_culled=dropped, fragments_avoided=avoided,
-                )
             tracer.end("geometry")
 
         # --- Raster Pipeline ------------------------------------------

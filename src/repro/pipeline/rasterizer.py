@@ -21,8 +21,8 @@ from ..geometry.primitives import Primitive
 #: Strict margin for the full-tile coverage test: an edge function must
 #: clear every corner pixel center by at least this much before a
 #: primitive counts as covering the tile.  Coverage then holds at every
-#: interior center under *either* fill-rule inclusivity, so occlusion
-#: culling never depends on top-left tie-breaking.
+#: interior center under *either* fill-rule inclusivity, so the answer
+#: never depends on top-left tie-breaking.
 _COVER_EPS = 1e-6
 
 
@@ -143,10 +143,7 @@ def coverage_mask(screen: np.ndarray, rects: np.ndarray,
     clipped by the screen edge pads its mask.  Evaluates the *same*
     oriented edge functions, fill rule and :func:`iteration_bounds`
     clipping as :func:`rasterize` at the same absolute pixel centers, so
-    each mask is bit-exact with the fragments the rasterizer would emit
-    — the occlusion pass ORs these masks across a tile to prove that a
-    set of tessellated opaque primitives jointly covers every pixel
-    center.
+    each mask is bit-exact with the fragments the rasterizer would emit.
     """
     screen = np.asarray(screen, dtype=np.float64)
     rects = np.asarray(rects, dtype=np.int64)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.engine import RenderSession
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigError
 
 CONFIG = GpuConfig.small()
 NUM_FRAMES = 8
@@ -90,6 +90,13 @@ class TestCheckpointRestore:
         assert energy(resumed) == energy(full)
 
 
+def ccs_re_state_at_frame_2():
+    """Checkpoint state of a 4-frame ccs/re run after 2 frames."""
+    session = RenderSession("ccs", "re", config=CONFIG, num_frames=4)
+    session.run(until=2)
+    return session.checkpoint()
+
+
 class TestCheckpointGuards:
     def test_mismatched_session_rejected(self, tmp_path):
         session = RenderSession("ccs", "re", config=CONFIG, num_frames=4)
@@ -98,6 +105,36 @@ class TestCheckpointGuards:
         other = RenderSession("ccs", "te", config=CONFIG, num_frames=4)
         with pytest.raises(CheckpointError):
             other.restore(state)
+
+    def test_resume_under_another_config_refused(self):
+        state = ccs_re_state_at_frame_2()
+        other = dataclasses.replace(CONFIG, num_fragment_processors=1)
+        with pytest.raises(CheckpointError,
+                           match="num_fragment_processors 4 -> 1"):
+            RenderSession.from_checkpoint(state, config=other)
+        resumed = RenderSession.from_checkpoint(state, config=CONFIG)
+        assert resumed.frames_rendered == 2
+
+    def test_config_stored_before_culling_removal_resumes(self):
+        # Checkpoints written while GpuConfig had occlusion_culling
+        # store it; off, it changed nothing, so the run continues.
+        full = RenderSession("ccs", "re", config=CONFIG, num_frames=4)
+        full.run()
+        state = ccs_re_state_at_frame_2()
+        state["session"]["config"]["occlusion_culling"] = False
+        resumed = RenderSession.from_checkpoint(state)
+        assert resumed.config == CONFIG
+        resumed.run()
+        assert np.array_equal(resumed.color_crcs, full.color_crcs)
+        assert resumed.final_frame_crc == full.final_frame_crc
+        assert [dataclasses.asdict(f) for f in resumed.frames] == \
+            [dataclasses.asdict(f) for f in full.frames]
+
+    def test_config_stored_with_culling_enabled_refused(self):
+        state = ccs_re_state_at_frame_2()
+        state["session"]["config"]["occlusion_culling"] = True
+        with pytest.raises(ConfigError, match="occlusion_culling"):
+            RenderSession.from_checkpoint(state)
 
     def test_run_until_is_clamped_and_idempotent(self):
         session = RenderSession("ccs", "baseline", config=CONFIG, num_frames=3)

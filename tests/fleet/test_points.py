@@ -78,11 +78,14 @@ class TestFleetSpec:
         # Override a field the grid does not sweep: it survives
         # expansion and shifts every point's identity.
         assert make_spec().point_ids() != \
-            make_spec(overrides={"occlusion_culling": True}).point_ids()
+            make_spec(overrides={"signature_compare_distance": 1}).point_ids()
 
     def test_bad_override_rejected(self):
         with pytest.raises(FleetError, match="bad config override"):
             make_spec(overrides={"no_such_field": 1}).base_config()
+        # A field GpuConfig no longer has: refused, not run without it.
+        with pytest.raises(FleetError, match="occlusion_culling"):
+            make_spec(overrides={"occlusion_culling": True}).base_config()
 
     def test_validation(self):
         with pytest.raises(FleetError, match="invalid fleet id"):

@@ -8,16 +8,7 @@ per-frame per-tile CRCs must match bit for bit — and pins each
 workload's skip count against goldens so a silent behavior change in the
 signature path (hashing, comparison distance, skip decision) fails
 loudly rather than shifting a figure.
-
-Occlusion culling (``GpuConfig.occlusion_culling``) makes the same
-promise from the other side: truncating tile bins behind an opaque
-cover must change *no* pixel of any frame and — because the Signature
-Unit observes primitives before truncation — no skip decision either.
-The culled fixtures pin both, plus the fact that culling actually fires
-on every workload (a pass that never triggers proves nothing).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -56,9 +47,6 @@ GOLDEN_TILES_SKIPPED = {
 }
 
 
-CULL_CONFIG = dataclasses.replace(CONFIG, occlusion_culling=True)
-
-
 @pytest.fixture(scope="module", params=FIGURE_ORDER)
 def pair(request):
     """(baseline run, re run) of one workload alias."""
@@ -66,16 +54,6 @@ def pair(request):
     baseline = run_workload(alias, "baseline", CONFIG, num_frames=FRAMES)
     re_run = run_workload(alias, "re", CONFIG, num_frames=FRAMES)
     return baseline, re_run
-
-
-@pytest.fixture(scope="module", params=FIGURE_ORDER)
-def culled_pair(request):
-    """(plain baseline run, culled baseline run, culled re run)."""
-    alias = request.param
-    plain = run_workload(alias, "baseline", CONFIG, num_frames=FRAMES)
-    culled = run_workload(alias, "baseline", CULL_CONFIG, num_frames=FRAMES)
-    culled_re = run_workload(alias, "re", CULL_CONFIG, num_frames=FRAMES)
-    return plain, culled, culled_re
 
 
 class TestLossless:
@@ -114,36 +92,3 @@ class TestGoldenSkips:
         assert GOLDEN_TILES_SKIPPED["mst"] == 0
         assert GOLDEN_TILES_SKIPPED["abi"] > GOLDEN_TILES_SKIPPED["csn"]
 
-
-class TestOcclusionLossless:
-    def test_culled_baseline_bit_identical_to_plain(self, culled_pair):
-        plain, culled, _ = culled_pair
-        assert np.array_equal(
-            culled.tile_color_crcs, plain.tile_color_crcs
-        ), plain.alias
-        assert culled.final_frame_crc == plain.final_frame_crc
-
-    def test_culled_re_bit_identical_and_skips_unchanged(self, culled_pair):
-        plain, _, culled_re = culled_pair
-        # Signatures are computed before bins are truncated, so RE under
-        # culling must reproduce both the pixels and the golden skip
-        # decisions exactly.
-        assert np.array_equal(
-            culled_re.tile_color_crcs, plain.tile_color_crcs
-        ), plain.alias
-        assert culled_re.tiles_skipped == \
-            GOLDEN_TILES_SKIPPED[culled_re.alias]
-
-    def test_culling_fires_on_every_workload(self, culled_pair):
-        _, culled, _ = culled_pair
-        counters = dict(culled.counters)
-        assert counters["tiling.prims_occlusion_culled"] > 0, culled.alias
-        assert counters["tiling.tiles_fully_covered"] > 0, culled.alias
-
-    def test_translucent_prims_never_occlude(self, culled_pair):
-        # Every culled primitive was buried beneath *opaque* cover; the
-        # raster side must therefore do no more work than the plain run
-        # and no fewer tiles may be rendered.
-        plain, culled, _ = culled_pair
-        assert culled.fragments_rasterized <= plain.fragments_rasterized
-        assert culled.fragments_shaded <= plain.fragments_shaded

@@ -3,12 +3,26 @@
 import pytest
 
 from repro.__main__ import main
+from repro.config import GpuConfig
 from repro.engine.session import RenderSession
 from repro.obs.live import LiveAggregator
 from repro.service.daemon import EngineDaemon, ServiceConfig
 from repro.service.server import ServiceServer
 
 FRAMES = 2
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """A directory holding a small ccs/re checkpoint at frame 2 of 4 and
+    a file that is not a checkpoint."""
+    root = tmp_path_factory.mktemp("checkpoints")
+    session = RenderSession("ccs", "re", config=GpuConfig.small(),
+                            num_frames=4)
+    session.run(until=2)
+    session.save(root / "small.ckpt")
+    (root / "junk.ckpt").write_text("not a checkpoint")
+    return root
 
 
 class TestRunRoutesThroughService:
@@ -22,17 +36,25 @@ class TestRunRoutesThroughService:
         ("4", [], ["--checkpoint-at", "2"], "--checkpoint-out"),
         ("4", [], ["--tenant", "a/b"], "tenant"),
         ("4", ["--profile", "--retries", "1"], [], "--profile"),
+        ("4", [], ["--resume", "{ckpt}/missing.ckpt"], "missing.ckpt"),
+        ("4", [], ["--resume", "{ckpt}/junk.ckpt"], "junk.ckpt"),
+        ("4", ["--scale", "benchmark"], ["--resume", "{ckpt}/small.ckpt"],
+         "screen_width 96 -> 384"),
+        ("4", ["--retries", "1"], ["--resume", "{ckpt}/small.ckpt"],
+         "--resume"),
     ], ids=["zero-frames", "checkpoint-without-path", "bad-tenant",
-            "profile-supervised"])
+            "profile-supervised", "resume-missing", "resume-unreadable",
+            "resume-other-config", "resume-supervised"])
     def test_run_refuses_bad_input_before_rendering(
             self, frames, bad_globals, bad_flags, message, global_flags,
-            run_flags, tmp_path, monkeypatch, capsys):
+            run_flags, checkpoints, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
 
         def render_one(*_args, **_kwargs):
             raise AssertionError("a frame rendered before validation")
 
         monkeypatch.setattr(RenderSession, "_render_one", render_one)
+        bad_flags = [flag.format(ckpt=checkpoints) for flag in bad_flags]
         argv = (["--frames", frames] + global_flags + bad_globals
                 + ["run", "ccs", "--no-registry"] + bad_flags + run_flags)
         assert main(argv) == 2

@@ -35,6 +35,12 @@ class TestValidation:
         spec = JobSpec("ccs", overrides=(("no_such_field", 1),))
         with pytest.raises(ServiceError):
             spec.validated()
+        # What older clients sent to turn occlusion culling on: the
+        # field is gone, so the job is refused, not run without it.
+        spec = JobSpec.from_dict(
+            {"game": "ccs", "overrides": {"occlusion_culling": True}})
+        with pytest.raises(ServiceError, match="occlusion_culling"):
+            spec.validated()
 
     def test_bad_override_value_raises(self):
         spec = JobSpec("ccs", overrides=(("tile_size", -4),))
