@@ -112,6 +112,11 @@ from .workloads.games import (
     unknown_workload_message,
 )
 
+#: Frames rendered when ``--frames`` is not given.
+DEFAULT_FRAMES = 12
+#: Technique ``run`` uses when ``--technique`` is not given.
+DEFAULT_TECHNIQUE = "re"
+
 
 def _config_from(args) -> GpuConfig:
     presets = {
@@ -445,18 +450,34 @@ def _resumed_session(args):
     from .errors import CheckpointError, ConfigError
 
     try:
-        return RenderSession.from_checkpoint(
+        session = RenderSession.from_checkpoint(
             args.resume, config=_config_from(args))
     except OSError as exc:
         problem = (f"cannot read checkpoint {args.resume!r}: "
                    f"{exc.strerror or exc}")
     except (ValueError, CheckpointError, ConfigError) as exc:
         problem = f"cannot resume from checkpoint {args.resume!r}: {exc}"
+    else:
+        # The checkpoint fixes the cell; a flag that names another one
+        # would otherwise be ignored without a word.
+        asked = [f"game {args.game}"] if args.game != session.alias else []
+        if args.technique_given and args.technique != session.technique_name:
+            asked.append(f"--technique {args.technique}")
+        if args.frames_given and args.frames != session.num_frames:
+            asked.append(f"--frames {args.frames}")
+        if not asked:
+            return session
+        problem = (f"checkpoint {args.resume!r} holds {session.alias} under "
+                   f"{session.technique_name} for {session.num_frames} "
+                   f"frames, not {', '.join(asked)}")
     print(f"run failed: {problem}", file=sys.stderr)
     return None
 
 
 def _cmd_run(args) -> int:
+    args.technique_given = args.technique is not None
+    if args.technique is None:
+        args.technique = DEFAULT_TECHNIQUE
     failed = _resolve_run_workload(args) or _validate_run(args)
     if failed:
         return failed
@@ -1418,7 +1439,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("--scale", choices=("small", "benchmark", "mali450"),
                         default="small")
-    parser.add_argument("--frames", type=int, default=12)
+    parser.add_argument("--frames", type=int, default=None,
+                        help=f"frames to render (default {DEFAULT_FRAMES})")
     parser.add_argument("--jobs", type=int, default=0,
                         help="fan independent cells across N worker "
                              "processes (0/1 = serial)")
@@ -1454,7 +1476,8 @@ def main(argv=None) -> int:
     run.add_argument("game", nargs="?", default=None,
                      help="workload alias (builtin or DSL-registered); "
                           "optional when --workload-file is given")
-    run.add_argument("--technique", choices=TECHNIQUES, default="re")
+    run.add_argument("--technique", choices=TECHNIQUES, default=None,
+                     help=f"default {DEFAULT_TECHNIQUE}")
     run.add_argument("--workload-file", default=None, metavar="SCENE",
                      help="run a DSL scene file directly: validate it, "
                           "register its directory on the workload search "
@@ -1820,6 +1843,11 @@ def main(argv=None) -> int:
                              "screen between redraws")
 
     args = parser.parse_args(argv)
+    # ``run --resume`` refuses a --frames that differs from the
+    # checkpoint's, so it must know whether --frames was given.
+    args.frames_given = args.frames is not None
+    if args.frames is None:
+        args.frames = DEFAULT_FRAMES
     handlers = {
         "list": _cmd_list,
         "experiment": _cmd_experiment,

@@ -121,6 +121,9 @@ class Primitive:
     _attr_bytes: typing.Optional[bytes] = dataclasses.field(
         default=None, repr=False, compare=False
     )
+    _geometry_bytes: typing.Optional[bytes] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
     _bounds: typing.Optional[tuple] = dataclasses.field(
         default=None, repr=False, compare=False
     )
@@ -157,6 +160,17 @@ class Primitive:
             parts.append(np.ascontiguousarray(values, dtype=np.float32).tobytes())
         self._attr_bytes = b"".join(parts)
         return self._attr_bytes
+
+    def geometry_bytes(self) -> bytes:
+        """Screen positions then vertex depths, the bytes that decide
+        which pixels the primitive covers and their barycentrics.
+
+        Cached like :meth:`attribute_bytes`: the raster and tile memos
+        key on these bytes once per primitive, or once per tile it
+        overlaps."""
+        if self._geometry_bytes is None:
+            self._geometry_bytes = self.screen.tobytes() + self.depth.tobytes()
+        return self._geometry_bytes
 
     def parameter_buffer_bytes(self) -> int:
         """Bytes this primitive occupies in the Parameter Buffer."""

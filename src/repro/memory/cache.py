@@ -140,3 +140,36 @@ def line_addresses(byte_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
     # cache model needs.
     unique = dict.fromkeys(lines.tolist())
     return np.fromiter(unique, dtype=np.int64, count=len(unique))
+
+
+def segment_line_addresses(byte_addresses: np.ndarray, segments: np.ndarray,
+                           line_bytes: int) -> tuple:
+    """:func:`line_addresses` of every segment of a stream at once.
+
+    ``segments`` labels each address with its segment and never
+    decreases along the stream.  Returns ``(lines, labels)``: each
+    segment's ordered unique line addresses, segment after segment, and
+    the segment label of each line.  An access that repeats the line
+    just before it in its segment is dropped first; that keeps every
+    first occurrence and leaves far fewer accesses to sort.
+    """
+    lines = np.asarray(byte_addresses, dtype=np.int64) // line_bytes
+    segments = np.asarray(segments)
+    if lines.size == 0:
+        return lines, segments
+    fresh = np.empty(lines.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=fresh[1:])
+    fresh[1:] |= segments[1:] != segments[:-1]
+    lines, segments = lines[fresh], segments[fresh]
+    # Group equal (segment, line) pairs; each group's first access, the
+    # smallest position in it, is the one kept.
+    order = np.lexsort((lines, segments))
+    grouped_lines, grouped_segments = lines[order], segments[order]
+    starts = np.flatnonzero(np.concatenate((
+        [True],
+        (grouped_lines[1:] != grouped_lines[:-1])
+        | (grouped_segments[1:] != grouped_segments[:-1]),
+    )))
+    first = np.sort(np.minimum.reduceat(order, starts))
+    return lines[first], segments[first]

@@ -31,7 +31,7 @@ import itertools
 import numpy as np
 
 from ..config import GpuConfig
-from .cache import Cache, line_addresses
+from .cache import Cache, line_addresses, segment_line_addresses
 from .dram import Dram
 from .traffic import ALL_STREAMS, TrafficCounters
 
@@ -99,6 +99,14 @@ class MemoryHierarchy:
     def texel_lines(self, addresses: np.ndarray) -> np.ndarray:
         """Texel byte addresses as the texture cache's line stream."""
         return line_addresses(addresses, self.caches["texture"].line_bytes)
+
+    def texel_segment_lines(self, addresses: np.ndarray,
+                            segments: np.ndarray) -> tuple:
+        """:meth:`texel_lines` of each segment of a labelled stream, as
+        ``(lines, labels)`` (see :func:`~.cache.segment_line_addresses`)."""
+        return segment_line_addresses(
+            addresses, segments, self.caches["texture"].line_bytes
+        )
 
     def fetch_texels(self, lines: np.ndarray, stats) -> None:
         """A batch's texel reads, as a :meth:`texel_lines` stream."""

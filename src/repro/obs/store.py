@@ -191,11 +191,13 @@ def validate_tenant(tenant) -> str:
 def git_revision(cwd=None) -> str:
     """Current git commit (short hash), or ``None`` outside a checkout.
 
-    ``REPRO_GIT_REV`` overrides (CI can stamp the exact rev without a
-    work tree); failures of any kind degrade to ``None`` — a manifest
-    without provenance beats no manifest.  ``git`` runs once per
-    process and directory, so a long-lived service keeps reporting the
-    revision of its first manifest.
+    The hash gets a ``-dirty`` suffix when tracked files differ from
+    that commit, so a manifest never claims a revision that did not
+    render it.  ``REPRO_GIT_REV`` overrides (CI can stamp the exact rev
+    without a work tree); failures of any kind degrade to ``None`` — a
+    manifest without provenance beats no manifest.  ``git`` runs once
+    per process and directory, so a long-lived service keeps reporting
+    the revision of its first manifest.
     """
     override = os.environ.get("REPRO_GIT_REV")
     if override:
@@ -209,15 +211,25 @@ def git_revision(cwd=None) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _rev_parse(cwd: str) -> str:
+    # One ``git status`` answers both questions: its ``branch.oid``
+    # header is the commit, and any entry line is a tracked change.
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
+            ["git", "--no-optional-locks", "status", "--porcelain=v2",
+             "--branch", "--untracked-files=no"],
             capture_output=True, text=True, timeout=5, cwd=cwd,
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+    if out.returncode != 0:
+        return None
+    lines = out.stdout.splitlines()
+    oid = next((line.split()[2] for line in lines
+                if line.startswith("# branch.oid ")), None)
+    if oid is None or oid == "(initial)":
+        return None
+    dirty = any(not line.startswith("#") for line in lines)
+    return oid[:12] + ("-dirty" if dirty else "")
 
 
 def _aggregate_cycle_parts(frames) -> dict:

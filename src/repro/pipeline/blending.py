@@ -16,7 +16,8 @@ class BlendStats:
 
 
 class BlendStage(Stage):
-    """Writes fragment colors into a tile-local color array."""
+    """Writes fragment colors into a color array: one tile's, or the
+    whole screen's."""
 
     metrics_group = "blend"
 
@@ -28,9 +29,12 @@ class BlendStage(Stage):
               alpha: bool = False) -> None:
         """REPLACE or SRC_ALPHA/ONE_MINUS_SRC_ALPHA blending.
 
-        Within one fragment batch each pixel appears at most once (the
-        rasterizer's fill rule guarantees it), so vectorized writes are
-        race-free.
+        No pixel may repeat within one call, so the vectorized writes
+        are race-free: a per-tile batch is one primitive's fragments,
+        which the rasterizer's fill rule keeps distinct, and a
+        per-drawcall batch is one ordered pass, which holds each pixel's
+        fragments of the same rank, so program order is kept across
+        passes.
         """
         count = len(local_xs)
         self.stats.fragments_blended += count

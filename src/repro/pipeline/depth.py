@@ -1,6 +1,6 @@
 """Early Depth Test stage.
 
-Operates on the per-tile on-chip depth buffer before fragment shading,
+Operates on the on-chip depth buffer before fragment shading,
 discarding fragments occluded by previously processed geometry (LESS
 comparison).  Fragments culled here never reach the fragment processors
 — the effect that produces the paper's "equal colors, different inputs"
@@ -24,7 +24,7 @@ class DepthStats:
 
 
 class DepthStage(Stage):
-    """Early-Z over one tile's depth buffer."""
+    """Early-Z over a depth buffer: one tile's, or the whole screen's."""
 
     metrics_group = "depth"
 
@@ -36,8 +36,14 @@ class DepthStage(Stage):
              depth_test: bool = True, depth_write: bool = True) -> np.ndarray:
         """Run the early-Z test; returns the pass mask.
 
-        ``depth_tile`` is the tile-local depth array, updated in place
-        for passing fragments when ``depth_write`` is set.
+        ``depth_tile`` is the depth array the coordinates index (a
+        tile's, with tile-local coordinates, or the screen's, with
+        absolute ones), updated in place for passing fragments when
+        ``depth_write`` is set.  No pixel may repeat within one call: the
+        per-tile path passes one primitive's fragments, which the fill
+        rule keeps distinct, and the per-drawcall path passes one ordered
+        pass, which holds at most one fragment per pixel.  The vectorized
+        compare-then-scatter is then the sequential test.
         """
         count = len(local_xs)
         self.stats.fragments_tested += count
@@ -48,9 +54,7 @@ class DepthStage(Stage):
             self.stats.fragments_passed += count
             return mask
 
-        # Strict LESS.  A batch is one primitive's fragments in one
-        # tile, so under the fill rule no pixel repeats within it and
-        # the vectorized compare-then-scatter is the sequential test.
+        # Strict LESS.
         mask = depth < depth_tile[local_ys, local_xs]
         if depth_write and mask.any():
             depth_tile[local_ys[mask], local_xs[mask]] = depth[mask]

@@ -1,10 +1,12 @@
 """Fragment Processors: shade surviving fragments and fetch textures.
 
-Shading is vectorized per (primitive, tile) batch — functionally one
-shader invocation per fragment, costed as such by the timing model.
-Texture fetches go to the memory hierarchy (texture cache, L2, DRAM on
-the "texels" stream) as a line-granular address stream in fetch order,
-so texel locality (or its absence) is measured, not assumed.
+Shading is vectorized per batch — one (primitive, tile) batch on the
+per-tile path, one ordered pass of a drawcall on the per-drawcall path —
+and is functionally one shader invocation per fragment, costed as such
+by the timing model.  Texture fetches go to the memory hierarchy
+(texture cache, L2, DRAM on the "texels" stream) as a line-granular
+address stream in fetch order, so texel locality (or its absence) is
+measured, not assumed.
 
 A technique may install a fragment *memo filter* (Fragment Memoization,
 Section V-A): the filter observes each batch's shading inputs and
@@ -37,54 +39,25 @@ class FragmentStats:
 
 
 class ShadeMemo:
-    """Cross-frame memo of exact shade results, keyed by content.
+    """Hit and miss counters of the retired cross-frame shade memo.
 
-    Shading one (primitive, tile) batch is a pure function of the
-    shader, the bound constants and textures, the primitive's
-    post-transform attributes and the masked fragment set; frame-coherent
-    workloads resubmit identical batches every frame.  The memo stores
-    the computed colors plus the texel line stream, so a hit appends the
-    identical lines to the memory log — every activity counter stays
-    bit-identical to a recomputation.  Purely an execution-speed cache,
-    bounded by retained fragments with LRU eviction.
+    The per-drawcall path shades each drawcall once per pass, which
+    leaves a per-batch shade memo little to save, and the per-tile path
+    never used it; so nothing consults it.  The class remains only
+    because the benchmark reads :func:`shared_shade_memo`'s counters,
+    which stay 0.
     """
 
-    def __init__(self, fragment_budget: int = 2_000_000) -> None:
-        self.fragment_budget = fragment_budget
-        self._entries: dict = {}
-        self._retained_fragments = 0
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            # Re-insert to mark as most recently used.
-            del self._entries[key]
-            self._entries[key] = entry
-        else:
-            self.misses += 1
-        return entry
 
-    def put(self, key: tuple, entry: tuple, count: int) -> None:
-        entries = self._entries
-        entries[key] = entry
-        self._retained_fragments += count
-        while (self._retained_fragments > self.fragment_budget
-               and len(entries) > 1):
-            evicted_colors = entries.pop(next(iter(entries)))[0]
-            self._retained_fragments -= len(evicted_colors)
-
-
-#: Process-wide shade memo: keys are content-stable, so hits are exact
-#: even across independent Gpu instances (the suite renders the same
-#: frames once per technique).
 _SHARED_SHADE_MEMO = ShadeMemo()
 
 
 def shared_shade_memo() -> ShadeMemo:
-    """The process-wide :class:`ShadeMemo` used by batched-mode GPUs."""
+    """The process-wide :class:`ShadeMemo`, which nothing fills."""
     return _SHARED_SHADE_MEMO
 
 
@@ -97,66 +70,42 @@ class FragmentStage(Stage):
         self.memory = memory
         self.stats = FragmentStats()
         self.memo_filter = None  # optional technique hook
-        self.shade_memo = None   # optional cross-frame ShadeMemo
-        # When a list, every texel line stream sent to the hierarchy is
-        # also appended as ``(raw_access_count, lines)`` so the tile
-        # scheduler's TileMemo can replay it verbatim later.
-        self.traffic_log = None
 
-    def begin_frame(self, ctx=None) -> None:
-        self.traffic_log = None
+    def shade(self, state, prims, counts, xs: np.ndarray, ys: np.ndarray,
+              bary: np.ndarray) -> tuple:
+        """Shade fragments of one draw state.
 
-    def shade(self, batch, pass_mask: np.ndarray) -> tuple:
-        """Shade the fragments of ``batch`` selected by ``pass_mask``.
+        ``prims[i]`` produced the next ``counts[i]`` rows of ``xs``,
+        ``ys`` and ``bary``.  The per-tile path passes one primitive's
+        fragments in one tile; the per-drawcall path passes one ordered
+        pass of a drawcall.  Each primitive's varyings are interpolated
+        by its own ``bary @ values`` product, which gives a row the same
+        bits whatever rows share the product with it, and the shader then
+        runs once over every row.
 
-        Returns ``(local_xs_unused, colors)`` where colors has one row
-        per passing fragment, in batch order.
+        Returns ``(colors, texels)``: one color row per fragment, and the
+        texel byte addresses the fetches made, in fetch order (every
+        fragment's address for the first fetch, then for the second, and
+        so on).  The caller sends ``texels`` to the memory hierarchy.
         """
-        prim = batch.prim
-        state = prim.state
-        count = int(np.count_nonzero(pass_mask))
+        count = len(xs)
         if count == 0:
-            return np.empty((0, 4), dtype=np.float32)
+            return np.empty((0, 4), dtype=np.float32), _NO_TEXELS
 
-        bary = batch.bary[pass_mask]
-        xs = batch.xs[pass_mask]
-        ys = batch.ys[pass_mask]
-
-        # Cross-frame shade memo (exact): disabled whenever a technique's
-        # memo filter is installed, since the filter is stateful and must
-        # observe every batch.
-        memo = self.shade_memo if self.memo_filter is None else None
-        key = None
-        if memo is not None:
-            key = (
-                id(state.shader),
-                tuple(
-                    t.content_token if t is not None else None
-                    for t in state.textures
-                ),
-                state.constants_bytes(),
-                prim.attribute_bytes(),
-                bary.tobytes(),
-                xs.tobytes(),
-                ys.tobytes(),
-            )
-            entry = memo.get(key)
-            if entry is not None:
-                colors, texels, fetch_count = entry[:3]
-                self.stats.texture_fetches += fetch_count
-                self.stats.fragments_shaded += count
-                self.stats.shader_instructions += (
-                    count * state.shader.fragment_instructions
-                )
-                if texels is not None:
-                    self.fetch_texels(*texels)
-                return colors
-
-        fetches_before = self.stats.texture_fetches
-        varyings = {
-            name: (bary @ values.astype(np.float32)).astype(np.float32)
-            for name, values in prim.varyings.items()
-        }
+        bounds = np.cumsum(counts).tolist()
+        runs = [
+            (prim, lo, hi)
+            for prim, lo, hi in zip(prims, [0] + bounds, bounds) if hi > lo
+        ]
+        varyings = {}
+        for name in runs[0][0].varyings:
+            parts = [
+                bary[lo:hi] @ prim.varyings[name].astype(np.float32)
+                for prim, lo, hi in runs
+            ]
+            varyings[name] = (
+                parts[0] if len(parts) == 1 else np.concatenate(parts)
+            ).astype(np.float32)
         screen = np.empty((count, 2), dtype=np.float32)
         screen[:, 0] = xs
         screen[:, 1] = ys
@@ -168,6 +117,11 @@ class FragmentStage(Stage):
             if unit >= len(state.textures) or state.textures[unit] is None:
                 raise PipelineError(
                     f"shader {state.shader.name!r} fetched unbound unit {unit}"
+                )
+            if len(uv) != count:
+                raise PipelineError(
+                    f"shader {state.shader.name!r} fetched {len(uv)} texels "
+                    f"for {count} fragments; a fetch samples one per fragment"
                 )
             result = sample_nearest(state.textures[unit], uv)
             fetch_addresses.append(result.addresses)
@@ -182,10 +136,11 @@ class FragmentStage(Stage):
             )
 
         # Memoization hook: decides how many of these fragments would
-        # have been reused instead of shaded.
+        # have been reused instead of shaded.  It runs on the per-tile
+        # path only, where a batch is one primitive's fragments.
         memoized = 0
         if self.memo_filter is not None:
-            memoized = self.memo_filter(prim, varyings)
+            memoized = self.memo_filter(runs[0][0], varyings)
         shaded = count - memoized
         self.stats.fragments_shaded += shaded
         self.stats.fragments_memoized += memoized
@@ -195,29 +150,19 @@ class FragmentStage(Stage):
 
         # Texture traffic: memoized fragments skip their fetches too; we
         # scale the simulated address stream by the shaded fraction.
-        texels = None
-        if fetch_addresses:
-            addresses = np.concatenate(fetch_addresses)
-            if memoized and count:
-                keep = max(0, int(round(len(addresses) * shaded / count)))
-                addresses = addresses[:keep]
-            texels = (len(addresses), self.memory.texel_lines(addresses))
-            self.fetch_texels(*texels)
-        if memo is not None:
-            # The entry pins the shader object so its id (part of the
-            # key) cannot be recycled for a different shader.
-            memo.put(
-                key,
-                (colors, texels,
-                 self.stats.texture_fetches - fetches_before, state.shader),
-                count,
-            )
-        return colors
+        if not fetch_addresses:
+            return colors, _NO_TEXELS
+        texels = np.concatenate(fetch_addresses)
+        if memoized:
+            texels = texels[:max(0, int(round(len(texels) * shaded / count)))]
+        return colors, texels
 
     def fetch_texels(self, raw_count: int, lines: np.ndarray) -> None:
         """Send one texel line stream (fresh, or replayed from a memo)
         to the memory hierarchy; ``raw_count`` texel fetches made it."""
         self.stats.texture_cache_accesses += raw_count
-        if self.traffic_log is not None:
-            self.traffic_log.append((raw_count, lines))
         self.memory.fetch_texels(lines, self.stats)
+
+
+#: The texel stream of a batch that fetched nothing.
+_NO_TEXELS = np.zeros(0, dtype=np.int64)

@@ -43,6 +43,15 @@ class FrameBuffer:
             np.zeros(shape, dtype=np.float32),
         ]
         self._back = 0
+        size, tiles_x = config.tile_size, config.tiles_x
+        self._rects = []
+        for tile_id in range(config.num_tiles):
+            x0 = tile_id % tiles_x * size
+            y0 = tile_id // tiles_x * size
+            self._rects.append((
+                x0, y0, min(x0 + size, config.screen_width),
+                min(y0 + size, config.screen_height),
+            ))
 
     @property
     def back(self) -> np.ndarray:
@@ -60,15 +69,9 @@ class FrameBuffer:
     def tile_rect(self, tile_id: int) -> tuple:
         """Pixel rect (x0, y0, x1, y1) of a tile, clipped to the screen
         (edge tiles may be partial)."""
-        if not (0 <= tile_id < self.config.num_tiles):
+        if not 0 <= tile_id < len(self._rects):
             raise PipelineError(f"tile id {tile_id} out of range")
-        size = self.config.tile_size
-        tx = tile_id % self.config.tiles_x
-        ty = tile_id // self.config.tiles_x
-        x0, y0 = tx * size, ty * size
-        x1 = min(x0 + size, self.config.screen_width)
-        y1 = min(y0 + size, self.config.screen_height)
-        return x0, y0, x1, y1
+        return self._rects[tile_id]
 
     def tile_pixels(self, tile_id: int) -> int:
         x0, y0, x1, y1 = self.tile_rect(tile_id)

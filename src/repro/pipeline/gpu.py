@@ -11,9 +11,12 @@ from a :class:`~repro.engine.stats.StatsRegistry` snapshot-delta over
 the stages' cumulative counters.
 
 :meth:`Gpu.render_frame` runs one frame's command stream through the
-Geometry Pipeline and then the Raster Pipeline tile by tile, returning a
+Geometry Pipeline and then the Raster Pipeline, returning a
 :class:`FrameStats` with every activity count the timing and power
 models consume, plus the rendered frame for functional verification.
+The Raster Pipeline decides every tile's skip first, then renders the
+other tiles (see :mod:`repro.pipeline.tile_scheduler`) and flushes them
+tile by tile.
 
 The installed :class:`~repro.techniques.base.Technique` decides which
 tiles are skipped (Rendering Elimination), which flushes are suppressed
@@ -37,7 +40,7 @@ from .blending import BlendStats
 from .command_processor import CommandProcessor
 from .commands import CommandStream
 from .depth import DepthStats
-from .fragment_stage import FragmentStage, FragmentStats, shared_shade_memo
+from .fragment_stage import FragmentStage, FragmentStats
 from .framebuffer import DEFAULT_CLEAR_COLOR, FrameBuffer
 from .primitive_assembly import AssemblyStats, PrimitiveAssembly
 from .rasterizer import shared_raster_memo
@@ -132,16 +135,16 @@ class Gpu:
         self.memory = MemoryHierarchy(config)
         self.framebuffer = FrameBuffer(config)
         self.frame_index = 0
-        # Batched raster path: full-screen rasterization sliced per tile,
-        # with a cross-frame content memo (bit-identical to the scalar
-        # per-tile path; see rasterizer.TiledRaster / RasterMemo).
+        # Batched raster path: full-screen rasterization, rendered one
+        # drawcall at a time, with cross-frame raster and tile memos
+        # (bit-identical to the scalar per-tile path; see
+        # tile_scheduler.RasterPipeline.render_drawcalls).
         self.batched = batched
         screen_rect = (0, 0, config.screen_width, config.screen_height)
         self._raster_memo = (
             shared_raster_memo(config.tile_size, config.tiles_x, screen_rect)
             if batched else None
         )
-        self._shade_memo = shared_shade_memo() if batched else None
         self._tile_memo = shared_tile_memo() if batched else None
 
         # --- Persistent stage graph (constructed once, reused) --------
@@ -154,7 +157,6 @@ class Gpu:
             config, self.memory, listeners=(self.technique,)
         )
         self.fragment_stage = FragmentStage(self.memory)
-        self.fragment_stage.shade_memo = self._shade_memo
         memo_filter = getattr(self.technique, "memo_filter", None)
         if callable(memo_filter):
             self.fragment_stage.memo_filter = memo_filter
@@ -246,14 +248,29 @@ class Gpu:
             tracer.begin("raster")
         raster = self.raster
         skipped = ctx.skipped_tile_ids
+        rendered = []
         for tile_id in range(self.config.num_tiles):
-            raster.stats.tiles_scheduled += 1
             if self.technique.should_skip_tile(tile_id):
-                raster.stats.tiles_skipped += 1
                 skipped.append(tile_id)
                 if tracer:
                     tracer.instant("tile_skip", tile=tile_id)
-                continue
+            else:
+                rendered.append(tile_id)
+        raster.stats.tiles_scheduled += self.config.num_tiles
+        raster.stats.tiles_skipped += len(skipped)
+        # Batched, the frame's tiles are rendered one drawcall at a time
+        # up front, and render_tile then only issues each one.  A memo
+        # filter observes every (primitive, tile) batch, so with one the
+        # tiles are rendered one by one, as on the scalar reference path.
+        if self.batched and self.fragment_stage.memo_filter is None:
+            if tracer:
+                tracer.begin("drawcalls")
+            raster.render_drawcalls(
+                rendered, ctx.parameter_buffer, ctx.clear_color
+            )
+            if tracer:
+                tracer.end("drawcalls")
+        for tile_id in rendered:
             if tracer:
                 tracer.begin("tile", tile=tile_id)
             tile_colors = raster.render_tile(
@@ -372,7 +389,7 @@ class Gpu:
           :meth:`state_dict` (per-frame stats are snapshot-deltas) but
           *are* visible in end-of-run registry snapshots.
 
-        The shared raster/shade/tile memos are left warm on purpose:
+        The shared raster and tile memos are left warm on purpose:
         they are content-keyed, so hits change wall-clock only, never
         output — that cross-request warmth is the service's payoff.
         """

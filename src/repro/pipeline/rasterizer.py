@@ -255,14 +255,17 @@ def _empty_batch(prim: Primitive) -> FragmentBatch:
 
 
 class TiledRaster:
-    """One primitive's full-screen raster output, sliceable per tile.
+    """One primitive's full-screen raster output, grouped by tile.
 
     The batched raster path rasterizes each primitive *once* against the
     whole screen and hands tiles their slice of the fragment arrays.
     Because every per-pixel quantity in :func:`rasterize` is computed
     elementwise from absolute pixel coordinates, each slice is bit-exact
-    with what a per-tile :func:`rasterize` call would have produced, and
-    the stable sort keeps fragments in row-major order within each tile.
+    with what a per-tile :func:`rasterize` call would have produced.
+
+    The fragment arrays are stored sorted by tile id; the sort is stable,
+    so fragments keep their row-major order within each tile.  Tile
+    ``tiles[i]`` owns rows ``starts[i]:starts[i + 1]``.
 
     Holds no reference to the primitive: fragment geometry depends only
     on the screen positions and depths, so the same ``TiledRaster`` can
@@ -270,34 +273,27 @@ class TiledRaster:
     :class:`RasterMemo`).
     """
 
-    __slots__ = ("xs", "ys", "depth", "bary", "fragment_count", "_slices",
-                 "_order")
+    __slots__ = ("xs", "ys", "depth", "bary", "fragment_count", "tiles",
+                 "starts", "_slices")
 
     def __init__(self, batch: FragmentBatch, tile_size: int,
                  tiles_x: int) -> None:
-        self.xs = batch.xs
-        self.ys = batch.ys
-        self.depth = batch.depth
-        self.bary = batch.bary
         self.fragment_count = len(batch.xs)
-        if self.fragment_count == 0:
-            self._order = None
-            self._slices = {}
-            return
         tile_ids = (
             (batch.ys // tile_size).astype(np.int64) * tiles_x
             + batch.xs // tile_size
         )
-        # Stable sort: fragments of one tile keep their original
-        # row-major order.
         order = np.argsort(tile_ids, kind="stable")
-        sorted_ids = tile_ids[order]
-        unique, starts = np.unique(sorted_ids, return_index=True)
-        ends = np.append(starts[1:], len(sorted_ids))
-        self._order = order
+        self.xs = batch.xs[order]
+        self.ys = batch.ys[order]
+        self.depth = batch.depth[order]
+        self.bary = batch.bary[order]
+        self.tiles, starts = np.unique(tile_ids[order], return_index=True)
+        self.starts = np.append(starts, self.fragment_count)
+        bounds = self.starts.tolist()
         self._slices = {
-            int(tid): (int(lo), int(hi))
-            for tid, lo, hi in zip(unique, starts, ends)
+            tile: (lo, hi)
+            for tile, lo, hi in zip(self.tiles.tolist(), bounds, bounds[1:])
         }
 
     def tile(self, prim: Primitive, tile_id: int) -> FragmentBatch:
@@ -305,13 +301,13 @@ class TiledRaster:
         bounds = self._slices.get(tile_id)
         if bounds is None:
             return _empty_batch(prim)
-        idx = self._order[bounds[0]:bounds[1]]
+        lo, hi = bounds
         return FragmentBatch(
             prim=prim,
-            xs=self.xs[idx],
-            ys=self.ys[idx],
-            depth=self.depth[idx],
-            bary=self.bary[idx],
+            xs=self.xs[lo:hi],
+            ys=self.ys[lo:hi],
+            depth=self.depth[lo:hi],
+            bary=self.bary[lo:hi],
         )
 
 
@@ -387,7 +383,7 @@ class RasterMemo:
         # sharing one store must never hand each other fragments tiled
         # for a different grid or clipped to a different screen.
         return (self.tile_size, self.tiles_x, screen_rect,
-                prim.screen.tobytes() + prim.depth.tobytes())
+                prim.geometry_bytes())
 
     def get(self, prim: Primitive, screen_rect: tuple) -> TiledRaster:
         """The primitive's :class:`TiledRaster`, computed or reused."""

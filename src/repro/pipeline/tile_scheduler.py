@@ -1,4 +1,4 @@
-"""Tile Scheduler + Raster Pipeline: render tiles one at a time.
+"""Tile Scheduler + Raster Pipeline: render a frame's tiles.
 
 For each tile the scheduler fetches the tile's primitive data from the
 Parameter Buffer (through the Tile Cache and L2 — a primitive binned to
@@ -6,6 +6,18 @@ many tiles is re-fetched per tile, and the 128-KB Tile Cache is what
 makes those re-fetches cheap), then runs the classic raster sequence:
 rasterize, early-Z, fragment shade, blend, and finally flush the on-chip
 Color Buffer to the Frame Buffer in DRAM.
+
+The host simulates that sequence in one of two ways, with identical
+colors, counters and memory traffic:
+
+* :meth:`RasterPipeline.render_tile` renders one tile on its own, one
+  (primitive, tile) batch at a time.  It is the reference, and the path
+  of ``Gpu(batched=False)`` and of a technique that installs a fragment
+  memo filter, which must observe every such batch.
+* :meth:`RasterPipeline.render_drawcalls` renders all of a frame's
+  rendered tiles together, one drawcall at a time over screen-sized
+  buffers; :meth:`RasterPipeline.render_tile` then issues each tile's
+  memory traffic in tile order, as the hardware would.
 
 Technique hooks:
 
@@ -20,6 +32,8 @@ Technique hooks:
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 
 import numpy as np
 
@@ -29,7 +43,7 @@ from ..memory.hierarchy import MemoryHierarchy
 from .blending import BlendStage
 from .depth import DepthStage
 from .fragment_stage import FragmentStage
-from .framebuffer import FrameBuffer, TileBuffers
+from .framebuffer import DEFAULT_CLEAR_DEPTH, FrameBuffer, TileBuffers
 from .rasterizer import RasterMemo, TiledRaster, rasterize
 from .tiling import TILE_POINTER_BYTES, ParameterBuffer
 
@@ -44,7 +58,7 @@ class TileMemo:
     re-applies the recorded stat deltas and appends the recorded texel
     line streams to the frame's memory log, so cache behaviour, DRAM
     pressure and all counters evolve exactly as a recomputation.  Purely
-    an execution-speed cache — the scalar reference path never uses it —
+    an execution-speed cache — only the per-drawcall path uses it —
     bounded by retained colors + replay lines with LRU eviction.
 
     Entries pin their shader objects: shader ``id`` participates in the
@@ -128,8 +142,10 @@ class RasterPipeline(Stage):
         self._tile_memo = tile_memo
         self._screen_rect = (0, 0, config.screen_width, config.screen_height)
         self._tiles_x = config.tiles_x
-        self._frame_rasters: dict = {}
-        self._state_keys: dict = {}
+        # Screen-sized color, depth and pixel-stamp scratch of the
+        # per-drawcall path, allocated on its first frame.
+        self._screen = None
+        self.begin_frame()
 
     def register_metrics(self, registry) -> None:
         """Register raster counters plus the owned depth/blend stages."""
@@ -145,25 +161,31 @@ class RasterPipeline(Stage):
         self.blend_stage.reset()
 
     def begin_frame(self, ctx=None) -> None:
-        """Drop the per-frame ``id()``-keyed memo dicts.  Fresh dicts,
-        not ``.clear()``: entries are keyed by primitive/state object
+        """Drop the per-frame ``id()``-keyed memo dicts and the tiles the
+        last :meth:`render_drawcalls` left unemitted.  Fresh dicts, not
+        ``.clear()``: entries are keyed by primitive/state object
         identity, and ids can be recycled once a frame's objects die."""
         self._frame_rasters = {}
         self._state_keys = {}
+        self._prim_keys = {}
+        self._pending = {}
         self.depth_stage.begin_frame(ctx)
         self.blend_stage.begin_frame(ctx)
+
+    def _full_raster(self, prim) -> TiledRaster:
+        """``prim``'s full-screen fragments, from the memo if it has one."""
+        if self._memo is not None:
+            return self._memo.get(prim, self._screen_rect)
+        return TiledRaster(
+            rasterize(prim, self._screen_rect),
+            self.config.tile_size, self._tiles_x,
+        )
 
     def _tile_fragments(self, prim, tile_id: int):
         """Batched-path fragments of ``prim`` inside ``tile_id``."""
         tiled = self._frame_rasters.get(id(prim))
         if tiled is None:
-            if self._memo is not None:
-                tiled = self._memo.get(prim, self._screen_rect)
-            else:
-                tiled = TiledRaster(
-                    rasterize(prim, self._screen_rect),
-                    self.config.tile_size, self._tiles_x,
-                )
+            tiled = self._full_raster(prim)
             self._frame_rasters[id(prim)] = tiled
         return tiled.tile(prim, tile_id)
 
@@ -198,31 +220,23 @@ class RasterPipeline(Stage):
             self._state_keys[id(state)] = key
         return key
 
-    def _tile_key(self, prims: list, rect: tuple, clear_color) -> tuple:
-        parts = [rect, np.asarray(clear_color, dtype=np.float32).tobytes()]
+    def _tile_key(self, prims: list, rect: tuple, clear_bytes: bytes) -> tuple:
+        parts = [rect, clear_bytes]
+        prim_keys = self._prim_keys
         for prim in prims:
-            parts.append(prim.screen.tobytes() + prim.depth.tobytes())
-            parts.append(prim.attribute_bytes())
-            parts.append(self._state_key(prim.state))
+            part = prim_keys.get(id(prim))
+            if part is None:
+                part = prim_keys[id(prim)] = (
+                    prim.geometry_bytes(), prim.attribute_bytes(),
+                    self._state_key(prim.state),
+                )
+            parts += part
         return tuple(parts)
 
-    #: Counter fields snapshotted around a tile render; the delta is what
-    #: a TileMemo hit re-applies.  Texture cache accesses and texture
-    #: stall cycles are excluded — those come from appending the recorded
-    #: line streams to the memory log.
-    def _stats_snapshot(self) -> tuple:
-        rs, ds = self.stats, self.depth_stage.stats
-        fs, bs = self.fragment_stage.stats, self.blend_stage.stats
-        return (
-            rs.prim_tile_pairs, rs.fragments_rasterized,
-            rs.interp_attr_fragments,
-            ds.fragments_tested, ds.fragments_passed, ds.fragments_culled,
-            fs.fragments_shaded, fs.fragments_memoized,
-            fs.shader_instructions, fs.texture_fetches,
-            bs.fragments_blended, bs.alpha_blends,
-        )
-
     def _apply_stats_delta(self, delta: tuple) -> None:
+        """Re-apply a TileMemo entry's counter delta (see :meth:`_emit_tile`
+        for its layout).  Texture cache accesses and texture stall cycles
+        are not in it: those come from replaying its texel lines."""
         rs, ds = self.stats, self.depth_stage.stats
         fs, bs = self.fragment_stage.stats, self.blend_stage.stats
         rs.prim_tile_pairs += delta[0]
@@ -238,41 +252,28 @@ class RasterPipeline(Stage):
         bs.fragments_blended += delta[10]
         bs.alpha_blends += delta[11]
 
+    # ------------------------------------------------------------------
+    # Per-tile path: the reference
+    # ------------------------------------------------------------------
     def render_tile(self, tile_id: int, parameter_buffer: ParameterBuffer,
                     clear_color) -> np.ndarray:
-        """Render one tile; returns its final on-chip colors (h, w, 4)."""
+        """Render one tile; returns its final on-chip colors (h, w, 4).
+
+        A tile that :meth:`render_drawcalls` rendered this frame is only
+        issued here (see :meth:`_emit_tile`).  Any other tile is rendered
+        on its own, one (primitive, tile) batch at a time: the reference
+        path.
+        """
+        if tile_id in self._pending:
+            return self._emit_tile(tile_id, parameter_buffer)
         rect = self.framebuffer.tile_rect(tile_id)
         prims = self._fetch_tile_primitives(tile_id, parameter_buffer)
         x0, y0, x1, y1 = rect
-
-        # Whole-tile memo (batched mode only; disabled whenever a
-        # stateful memo filter must observe every batch).
-        memo = (
-            self._tile_memo
-            if self.batched and self.fragment_stage.memo_filter is None
-            else None
-        )
-        key = None
-        if memo is not None:
-            key = self._tile_key(prims, rect, clear_color)
-            entry = memo.get(key)
-            if entry is not None:
-                colors, delta, traffic, _pins, _cost = entry
-                self._apply_stats_delta(delta)
-                fetch = self.fragment_stage.fetch_texels
-                for raw_count, lines in traffic:
-                    fetch(raw_count, lines)
-                self.stats.tiles_rendered += 1
-                return colors
-            self.fragment_stage.traffic_log = []
-
         self.buffers.clear(color=clear_color)
-        snapshot = self._stats_snapshot() if memo is not None else None
-
-        batched = self.batched
+        fragment_stage = self.fragment_stage
         for prim in prims:
             self.stats.prim_tile_pairs += 1
-            if batched:
+            if self.batched:
                 batch = self._tile_fragments(prim, tile_id)
             else:
                 batch = rasterize(prim, rect)
@@ -282,36 +283,330 @@ class RasterPipeline(Stage):
             self.stats.interp_attr_fragments += (
                 batch.count * prim.num_attributes
             )
+            state = prim.state
             local_xs = batch.xs - x0
             local_ys = batch.ys - y0
             pass_mask = self.depth_stage.test(
                 self.buffers.depth, local_xs, local_ys, batch.depth,
-                depth_test=prim.state.depth_test,
-                depth_write=prim.state.depth_write,
+                depth_test=state.depth_test, depth_write=state.depth_write,
             )
-            if not pass_mask.any():
+            passed = int(np.count_nonzero(pass_mask))
+            if not passed:
                 continue
-            colors = self.fragment_stage.shade(batch, pass_mask)
+            colors, texels = fragment_stage.shade(
+                state, (prim,), (passed,), batch.xs[pass_mask],
+                batch.ys[pass_mask], batch.bary[pass_mask],
+            )
+            if texels.size:
+                fragment_stage.fetch_texels(
+                    texels.size, self.memory.texel_lines(texels)
+                )
             self.blend_stage.blend(
                 self.buffers.color,
                 local_xs[pass_mask], local_ys[pass_mask], colors,
-                alpha=prim.state.shader.uses_alpha_blend,
+                alpha=state.shader.uses_alpha_blend,
             )
         self.stats.tiles_rendered += 1
-        colors = self.buffers.color[: y1 - y0, : x1 - x0]
-        if memo is not None:
-            after = self._stats_snapshot()
-            delta = tuple(b - a for a, b in zip(snapshot, after))
-            traffic = tuple(self.fragment_stage.traffic_log)
-            self.fragment_stage.traffic_log = None
-            colors = colors.copy()
+        return self.buffers.color[: y1 - y0, : x1 - x0]
+
+    # ------------------------------------------------------------------
+    # Per-drawcall path
+    # ------------------------------------------------------------------
+    def render_drawcalls(self, tile_ids: list,
+                         parameter_buffer: ParameterBuffer,
+                         clear_color) -> None:
+        """Render the tiles ``tile_ids`` one drawcall at a time, for
+        :meth:`render_tile` to hand out in tile order.
+
+        Each tile is first looked up in the TileMemo.  The tiles that
+        miss are then rendered together, drawcall by drawcall in program
+        order, into screen-sized depth and color buffers: a drawcall's
+        fragments inside those tiles come from its primitives'
+        full-screen rasters, and early-Z, shading and blending run once
+        per ordered pass of the drawcall (see :meth:`_render_drawcall`).
+        Tiles are disjoint, so this equals rendering each tile alone.
+        Nothing reaches the memory log here.
+        """
+        memo = self._tile_memo
+        clear = np.asarray(clear_color, dtype=np.float32)
+        clear_bytes = clear.tobytes()
+        tile_rect = self.framebuffer.tile_rect
+        pending = self._pending = {}
+        missed = []
+        for tile_id in tile_ids:
+            prims = parameter_buffer.tile_primitives(tile_id)
+            key = None
+            if memo is not None:
+                key = self._tile_key(prims, tile_rect(tile_id), clear_bytes)
+                entry = memo.get(key)
+                if entry is not None:
+                    pending[tile_id] = (entry, None, None, None)
+                    continue
+            pending[tile_id] = (None, key, None, None)
+            missed.append(tile_id)
+            self.stats.prim_tile_pairs += len(prims)
+        if missed:
+            self._render_missed(missed, parameter_buffer, clear)
+
+    def _render_missed(self, missed: list, parameter_buffer: ParameterBuffer,
+                       clear: np.ndarray) -> None:
+        """Render the TileMemo-missed tiles and record, per tile, its
+        counter delta and texel line stream."""
+        if self._screen is None:
+            height, width = self.config.screen_height, self.config.screen_width
+            self._screen = (
+                np.empty((height, width, 4), dtype=np.float32),
+                np.empty((height, width), dtype=np.float32),
+                np.empty(height * width, dtype=np.int64),
+            )
+        self._screen[0][:] = clear
+        self._screen[1].fill(DEFAULT_CLEAR_DEPTH)
+        in_missed = np.zeros(self.config.num_tiles, dtype=bool)
+        in_missed[missed] = True
+        by_id = {}
+        for tile_id in missed:
+            prims = parameter_buffer.tile_primitives(tile_id)
+            by_id.update(zip(map(id, prims), prims))
+        # Parameter-Buffer offsets grow in binning order: program order.
+        ordered = sorted(by_id.values(), key=operator.attrgetter("pb_offset"))
+        segments, texels = [], []
+        for _, drawcall in itertools.groupby(ordered,
+                                             key=lambda p: id(p.state)):
+            self._render_drawcall(list(drawcall), in_missed, segments, texels)
+
+        # Per tile: counters from its (primitive, tile) segments, and its
+        # texel lines, segment after segment in bin order.
+        per_tile = np.zeros((len(SEGMENT_COUNTERS), self.config.num_tiles),
+                            dtype=np.int64)
+        for tiles, counts in segments:
+            np.add.at(per_tile, (slice(None), tiles), counts)
+        rasterized, interp, passed, instructions, alpha, raw = (
+            per_tile.tolist()
+        )
+        if texels:
+            line_tiles = np.concatenate([tiles for tiles, _ in texels])
+            order = np.argsort(line_tiles, kind="stable")
+            lines = np.concatenate([lines for _, lines in texels])[order]
+            ends = np.searchsorted(line_tiles[order], missed, side="right")
+            starts = np.searchsorted(line_tiles[order], missed)
+        pending = self._pending
+        for i, tile_id in enumerate(missed):
+            drawn, shaded = rasterized[tile_id], passed[tile_id]
+            delta = (
+                len(parameter_buffer.tile_primitives(tile_id)),
+                drawn, interp[tile_id],
+                drawn, shaded, drawn - shaded,
+                shaded, 0, instructions[tile_id], raw[tile_id],
+                shaded, alpha[tile_id],
+            )
+            traffic = ()
+            if raw[tile_id]:
+                traffic = ((raw[tile_id], lines[starts[i]:ends[i]].copy()),)
+            pending[tile_id] = (None, pending[tile_id][1], delta, traffic)
+
+    def _render_drawcall(self, prims: list, in_missed: np.ndarray,
+                         segments: list, texels: list) -> None:
+        """Render one drawcall's fragments inside the missed tiles.
+
+        The fragments are laid out primitive by primitive in program
+        order, and within a primitive tile by tile, row-major inside each
+        tile: one run per (primitive, tile) *segment*.  Fragments at the
+        same pixel are split into ordered passes: pass r holds each
+        pixel's r-th fragment, so per-pixel order is program order and no
+        pass writes a pixel twice, which is what early-Z and blending
+        need to run vectorized.  Appends the segments' tiles and
+        :data:`SEGMENT_COUNTERS` to ``segments``, and their texel lines
+        with each line's tile to ``texels``.
+        """
+        state = prims[0].state
+        users, xs, ys, depth, bary, seg_tiles, seg_sizes = (
+            [], [], [], [], [], [], []
+        )
+        for prim in prims:
+            tiled = self._full_raster(prim)
+            if not tiled.fragment_count:
+                continue
+            keep = in_missed[tiled.tiles]
+            sizes = np.diff(tiled.starts)
+            if keep.all():
+                xs.append(tiled.xs)
+                ys.append(tiled.ys)
+                depth.append(tiled.depth)
+                bary.append(tiled.bary)
+                seg_tiles.append(tiled.tiles)
+            elif keep.any():
+                sizes = sizes[keep]
+                rows = _ranges(tiled.starts[:-1][keep], sizes)
+                xs.append(tiled.xs[rows])
+                ys.append(tiled.ys[rows])
+                depth.append(tiled.depth[rows])
+                bary.append(tiled.bary[rows])
+                seg_tiles.append(tiled.tiles[keep])
+            else:
+                continue
+            seg_sizes.append(sizes)
+            users.append(prim)
+        if not users:
+            return
+        prim_ends = np.cumsum([len(part) for part in xs])
+        xs, ys, depth, bary = (
+            np.concatenate(parts) for parts in (xs, ys, depth, bary)
+        )
+        seg_tile = np.concatenate(seg_tiles)
+        seg_size = np.concatenate(seg_sizes)
+        attributes = np.repeat(
+            [prim.num_attributes for prim in users],
+            [len(tiles) for tiles in seg_tiles],
+        )
+        count = len(xs)
+        self.stats.fragments_rasterized += count
+        self.stats.interp_attr_fragments += int(seg_size @ attributes)
+
+        color_buffer, depth_buffer, stamp = self._screen
+        ranks = None
+        if len(users) > 1:
+            ranks = _pass_ranks(
+                ys.astype(np.int64) * self.config.screen_width + xs, stamp
+            )
+        passes = (
+            [None] if ranks is None
+            else [np.flatnonzero(ranks == r) for r in range(ranks.max() + 1)]
+        )
+        passed = np.zeros(count, dtype=bool)
+        shaded_rows, shaded_texels = [], []
+        for rows in passes:
+            if rows is None:
+                mask = self.depth_stage.test(
+                    depth_buffer, xs, ys, depth,
+                    depth_test=state.depth_test,
+                    depth_write=state.depth_write,
+                )
+                at = np.flatnonzero(mask)
+            else:
+                mask = self.depth_stage.test(
+                    depth_buffer, xs[rows], ys[rows], depth[rows],
+                    depth_test=state.depth_test,
+                    depth_write=state.depth_write,
+                )
+                at = rows[mask]
+            if not at.size:
+                continue
+            passed[at] = True
+            at_xs, at_ys = xs[at], ys[at]
+            colors, fetched = self.fragment_stage.shade(
+                state, users,
+                np.diff(np.searchsorted(at, prim_ends), prepend=0),
+                at_xs, at_ys, bary[at],
+            )
+            self.blend_stage.blend(
+                color_buffer, at_xs, at_ys, colors,
+                alpha=state.shader.uses_alpha_blend,
+            )
+            shaded_rows.append(at)
+            shaded_texels.append(fetched.reshape(-1, at.size))
+
+        # Per segment: fragments passing early-Z, then counters.
+        bounds = np.concatenate(([0], np.cumsum(seg_size)))
+        passing = np.concatenate(([0], np.cumsum(passed)))[bounds]
+        seg_passed = np.diff(passing)
+        fetches = shaded_texels[0].shape[0] if shaded_texels else 0
+        segments.append((seg_tile, np.stack([
+            seg_size, seg_size * attributes, seg_passed,
+            seg_passed * state.shader.fragment_instructions,
+            seg_passed * int(state.shader.uses_alpha_blend),
+            seg_passed * fetches,
+        ])))
+        if not fetches:
+            return
+        if len(shaded_rows) == 1:
+            addresses = shaded_texels[0]
+        else:
+            order = np.argsort(np.concatenate(shaded_rows))
+            addresses = np.concatenate(shaded_texels, axis=1)[:, order]
+        # A segment's texel stream is each fetch's addresses for its
+        # passing fragments, fetch after fetch, as the per-tile path
+        # shades it; each segment is deduplicated to lines on its own.
+        seg_of = np.repeat(np.arange(len(seg_size)), seg_passed)
+        if fetches == 1:
+            stream, stream_seg = addresses[0], seg_of
+        else:
+            stream_seg = np.tile(seg_of, fetches)
+            order = np.argsort(stream_seg, kind="stable")
+            stream, stream_seg = addresses.ravel()[order], stream_seg[order]
+        lines, line_seg = self.memory.texel_segment_lines(stream, stream_seg)
+        texels.append((seg_tile[line_seg], lines))
+
+    # ------------------------------------------------------------------
+    def _emit_tile(self, tile_id: int,
+                   parameter_buffer: ParameterBuffer) -> np.ndarray:
+        """Issue one tile that :meth:`render_drawcalls` rendered, as the
+        per-tile path would have: its Parameter-Buffer fetch, then its
+        texel lines; returns its final colors.
+
+        A TileMemo miss is recorded into the memo here.  Its entry holds
+        the colors, the counter delta ``(prim_tile_pairs,
+        fragments_rasterized, interp_attr_fragments, fragments_tested,
+        fragments_passed, fragments_culled, fragments_shaded,
+        fragments_memoized, shader_instructions, texture_fetches,
+        fragments_blended, alpha_blends)``, the texel line streams as
+        ``(raw_count, lines)`` pairs, and the shaders it pins.
+        """
+        prims = self._fetch_tile_primitives(tile_id, parameter_buffer)
+        entry, key, delta, traffic = self._pending.pop(tile_id)
+        if entry is not None:
+            colors, delta, traffic = entry[:3]
+            self._apply_stats_delta(delta)
+        else:
+            x0, y0, x1, y1 = self.framebuffer.tile_rect(tile_id)
+            colors = self._screen[0][y0:y1, x0:x1].copy()
+        for raw_count, lines in traffic:
+            self.fragment_stage.fetch_texels(raw_count, lines)
+        if key is not None:
+            # The entry pins the shader objects whose ids are in the key.
             pins = tuple({id(p.state.shader): p.state.shader
                           for p in prims}.values())
             cost = colors.size + sum(len(lines) for _, lines in traffic)
-            memo.put(key, (colors, delta, traffic, pins), cost)
+            self._tile_memo.put(key, (colors, delta, traffic, pins), cost)
+        self.stats.tiles_rendered += 1
         return colors
 
     def flush_tile(self, tile_id: int, tile_colors: np.ndarray) -> None:
         nbytes = self.framebuffer.write_tile(tile_id, tile_colors)
         self.stats.flush_bytes += nbytes
         self.memory.write_colors(nbytes, self.stats)
+
+
+#: What :meth:`RasterPipeline._render_drawcall` counts per (primitive,
+#: tile) segment: fragments, fragments x attributes, fragments passing
+#: early-Z, their shader instructions, alpha blends and texel fetches.
+SEGMENT_COUNTERS = ("rasterized", "interp", "passed", "instructions",
+                    "alpha", "fetches")
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The row indices of the runs ``starts[i]:starts[i] + sizes[i]``,
+    concatenated."""
+    skip = np.cumsum(sizes) - sizes   # rows before each run
+    return np.repeat(starts - skip, sizes) + np.arange(int(sizes.sum()))
+
+
+def _pass_ranks(pixels: np.ndarray, stamp: np.ndarray):
+    """Each fragment's rank among the fragments at its pixel, in array
+    order, or ``None`` when no pixel repeats.
+
+    ``stamp`` is pixel-indexed scratch.  Writing every fragment's
+    position into it leaves one position per pixel, so some fragment
+    reads back another's position exactly when its pixel repeats.
+    """
+    positions = np.arange(len(pixels))
+    stamp[pixels] = positions
+    if np.array_equal(stamp[pixels], positions):
+        return None
+    order = np.argsort(pixels, kind="stable")
+    ordered = pixels[order]
+    firsts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ranks = np.empty(len(pixels), dtype=np.int64)
+    ranks[order] = positions - np.repeat(
+        firsts, np.diff(np.r_[firsts, len(pixels)])
+    )
+    return ranks

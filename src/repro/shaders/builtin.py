@@ -83,7 +83,12 @@ def _fs_lit(varyings, constants, fetch):
     normals = varyings["normal"][:, :3]
     lengths = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = normals / np.where(lengths == 0, 1.0, lengths)
-    lambert = np.clip(normals @ light, 0.2, 1.0)[:, None]  # 0.2 ambient floor
+    # An elementwise dot, not ``normals @ light``: a matrix-vector
+    # product may round a row differently depending on the other rows
+    # in the batch, and the batch a fragment lands in is a host detail.
+    dot = (normals[:, 0] * light[0] + normals[:, 1] * light[1]
+           + normals[:, 2] * light[2])
+    lambert = np.clip(dot, 0.2, 1.0)[:, None]  # 0.2 ambient floor
     color = texel * tint
     color[:, :3] *= lambert
     return color

@@ -8,6 +8,7 @@ import pytest
 from repro.config import GpuConfig
 from repro.errors import ReproError
 from repro.harness.runner import run_workload
+from repro.obs import store
 from repro.obs.store import (
     RunRegistry,
     git_revision,
@@ -80,6 +81,28 @@ class TestGitRevision:
     def test_degrades_to_none_outside_a_checkout(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_GIT_REV", raising=False)
         assert git_revision(cwd=tmp_path) is None
+
+    def test_dirty_tree_is_marked(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_GIT_REV", raising=False)
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "scene.txt").write_text("one\n")
+        git("add", "scene.txt")
+        git("commit", "-q", "-m", "first")
+        head = git("rev-parse", "--short=12", "HEAD")
+        (tmp_path / "untracked.txt").write_text("not part of the tree\n")
+        store._rev_parse.cache_clear()
+        assert git_revision(cwd=tmp_path) == head
+        (tmp_path / "scene.txt").write_text("two\n")
+        store._rev_parse.cache_clear()
+        assert git_revision(cwd=tmp_path) == head + "-dirty"
 
     def test_git_runs_once_per_process_and_directory(
             self, monkeypatch, tmp_path, registry, runs):

@@ -1,10 +1,11 @@
 """The batched raster path is bit-identical to the scalar reference.
 
 The batched path (``Gpu(batched=True)``, the default) rasterizes each
-primitive once for the whole screen, slices fragments per tile, and
-reuses raster/shade/tile memos across frames and GPU instances.  The
-scalar path (``batched=False``) rasterizes per (primitive, tile) and
-never touches a memo — it is the reference semantics.  Every frame's
+primitive once for the whole screen, renders one drawcall at a time
+(per tile when a memo filter is installed), and reuses raster and tile
+memos across frames and GPU instances.  The scalar path
+(``batched=False``) rasterizes per (primitive, tile) and never touches a
+memo — it is the reference semantics.  Every frame's
 colors and every :class:`FrameStats` activity count must match exactly.
 """
 
@@ -37,9 +38,9 @@ def frame_fingerprint(stats):
     return data, colors
 
 
-def render_both(alias, technique, frames):
+def render_both(alias, technique, frames, preset=GpuConfig.small):
     """Render ``frames`` frames batched and scalar; yield stat pairs."""
-    config_a, config_b = GpuConfig.small(), GpuConfig.small()
+    config_a, config_b = preset(), preset()
     batched = Gpu(config_a, make_technique(technique, config_a), batched=True)
     scalar = Gpu(config_b, make_technique(technique, config_b), batched=False)
     scene_a, scene_b = build_scene(alias), build_scene(alias)
@@ -57,28 +58,35 @@ CASES = [
     ("hop", "baseline"),
     ("hop", "re"),
     ("mst", "te"),
-    ("mst", "memo"),   # memo_filter installed: tile/shade memos disabled
+    ("mst", "memo"),   # memo_filter installed: the per-tile path
 ]
 
 
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("alias,technique", CASES)
     def test_frames_and_stats_bit_identical(self, alias, technique):
-        for frame, (a, b) in enumerate(render_both(alias, technique, 3)):
+        self.check(render_both(alias, technique, 3), f"{alias}/{technique}")
+
+    def test_benchmark_scale_bit_identical(self):
+        self.check(render_both("hop", "re", 2, GpuConfig.benchmark),
+                   "hop/re at benchmark scale")
+
+    @staticmethod
+    def check(pairs, label):
+        for frame, (a, b) in enumerate(pairs):
             stats_a, colors_a = frame_fingerprint(a)
             stats_b, colors_b = frame_fingerprint(b)
             diffs = {
                 key: (stats_a[key], stats_b[key])
                 for key in stats_a if stats_a[key] != stats_b[key]
             }
-            assert not diffs, f"{alias}/{technique} frame {frame}: {diffs}"
+            assert not diffs, f"{label} frame {frame}: {diffs}"
             assert np.array_equal(colors_a, colors_b)
 
     def test_scalar_path_has_no_memos(self):
         config = GpuConfig.small()
         gpu = Gpu(config, batched=False)
         assert gpu._raster_memo is None
-        assert gpu._shade_memo is None
         assert gpu._tile_memo is None
 
 

@@ -43,11 +43,23 @@ def make_batch(shader=FLAT_COLOR, textures=(), count=4, varyings=None):
     )
 
 
+def shade(stage, batch, mask):
+    """Shade ``batch``'s fragments under ``mask`` as the per-tile path
+    does: one primitive's batch, whose texels go to memory at once."""
+    colors, texels = stage.shade(
+        batch.prim.state, (batch.prim,), (int(np.count_nonzero(mask)),),
+        batch.xs[mask], batch.ys[mask], batch.bary[mask],
+    )
+    if texels.size:
+        stage.fetch_texels(texels.size, stage.memory.texel_lines(texels))
+    return colors
+
+
 class TestShading:
     def test_flat_shading_counts(self):
         stage, _ = make_stage()
         batch = make_batch(count=6)
-        colors = stage.shade(batch, np.ones(6, dtype=bool))
+        colors = shade(stage, batch, np.ones(6, dtype=bool))
         assert colors.shape == (6, 4)
         assert np.allclose(colors, [0.5, 0.5, 0.5, 1.0])
         assert stage.stats.fragments_shaded == 6
@@ -59,14 +71,14 @@ class TestShading:
         stage, _ = make_stage()
         batch = make_batch(count=6)
         mask = np.array([True, False, True, False, True, False])
-        colors = stage.shade(batch, mask)
+        colors = shade(stage, batch, mask)
         assert colors.shape == (3, 4)
         assert stage.stats.fragments_shaded == 3
 
     def test_empty_mask_is_noop(self):
         stage, _ = make_stage()
         batch = make_batch(count=4)
-        colors = stage.shade(batch, np.zeros(4, dtype=bool))
+        colors = shade(stage, batch, np.zeros(4, dtype=bool))
         assert colors.shape == (0, 4)
         assert stage.stats.fragments_shaded == 0
 
@@ -78,7 +90,7 @@ class TestShading:
             shader=TEXTURED, textures=(texture,), count=3,
             varyings={"uv": uv},
         )
-        stage.shade(batch, np.ones(3, dtype=bool))
+        shade(stage, batch, np.ones(3, dtype=bool))
         memory.resolve()
         assert stage.stats.texture_fetches == 3
         assert memory.traffic.bytes("texels") > 0
@@ -90,7 +102,7 @@ class TestShading:
         batch = make_batch(shader=TEXTURED, textures=(), count=3,
                            varyings={"uv": uv})
         with pytest.raises(PipelineError):
-            stage.shade(batch, np.ones(3, dtype=bool))
+            shade(stage, batch, np.ones(3, dtype=bool))
 
 
 class TestMemoHook:
@@ -98,7 +110,7 @@ class TestMemoHook:
         stage, _ = make_stage()
         stage.memo_filter = lambda prim, varyings: 2
         batch = make_batch(count=5)
-        stage.shade(batch, np.ones(5, dtype=bool))
+        shade(stage, batch, np.ones(5, dtype=bool))
         assert stage.stats.fragments_shaded == 3
         assert stage.stats.fragments_memoized == 2
 
@@ -112,7 +124,7 @@ class TestMemoHook:
                 stage.memo_filter = lambda prim, varyings: 4
             batch = make_batch(shader=TEXTURED, textures=(texture,),
                                count=4, varyings={"uv": uv})
-            stage.shade(batch, np.ones(4, dtype=bool))
+            shade(stage, batch, np.ones(4, dtype=bool))
             memory.resolve()
             return stage.stats.texture_cache_accesses
 

@@ -14,13 +14,14 @@ FRAMES = 2
 
 @pytest.fixture(scope="module")
 def checkpoints(tmp_path_factory):
-    """A directory holding a small ccs/re checkpoint at frame 2 of 4 and
-    a file that is not a checkpoint."""
+    """A directory holding small ccs/re and hop/re checkpoints at frame 2
+    of 4 and a file that is not a checkpoint."""
     root = tmp_path_factory.mktemp("checkpoints")
-    session = RenderSession("ccs", "re", config=GpuConfig.small(),
-                            num_frames=4)
-    session.run(until=2)
-    session.save(root / "small.ckpt")
+    for game, name in (("ccs", "small.ckpt"), ("hop", "hop.ckpt")):
+        session = RenderSession(game, "re", config=GpuConfig.small(),
+                                num_frames=4)
+        session.run(until=2)
+        session.save(root / name)
     (root / "junk.ckpt").write_text("not a checkpoint")
     return root
 
@@ -42,9 +43,14 @@ class TestRunRoutesThroughService:
          "screen_width 96 -> 384"),
         ("4", ["--retries", "1"], ["--resume", "{ckpt}/small.ckpt"],
          "--resume"),
+        ("4", [], ["--resume", "{ckpt}/hop.ckpt"], "not game ccs"),
+        ("4", [], ["--resume", "{ckpt}/small.ckpt", "--technique",
+                   "baseline"], "not --technique baseline"),
+        ("9", [], ["--resume", "{ckpt}/small.ckpt"], "not --frames 9"),
     ], ids=["zero-frames", "checkpoint-without-path", "bad-tenant",
             "profile-supervised", "resume-missing", "resume-unreadable",
-            "resume-other-config", "resume-supervised"])
+            "resume-other-config", "resume-supervised", "resume-other-game",
+            "resume-other-technique", "resume-other-frames"])
     def test_run_refuses_bad_input_before_rendering(
             self, frames, bad_globals, bad_flags, message, global_flags,
             run_flags, checkpoints, tmp_path, monkeypatch, capsys):
