@@ -15,8 +15,8 @@ content already uses explicit per-scene generators; the reseeding
 guards any library code that reaches for global randomness.)
 
 ``processes`` in ``(None, 0, 1)`` selects the serial fallback, which
-runs cells in-process (and therefore shares the in-process raster/shade
-memos — fastest on single-core machines).
+runs cells in-process (and therefore shares the in-process raster and
+tile memos — fastest on single-core machines).
 
 Fault tolerance: the plain pool path assumes every worker succeeds — a
 hung or crashed cell takes the whole ``pool.map`` down with it.  Passing

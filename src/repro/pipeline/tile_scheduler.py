@@ -253,7 +253,7 @@ class RasterPipeline(Stage):
         bs.alpha_blends += delta[11]
 
     # ------------------------------------------------------------------
-    # Per-tile path: the reference
+    # Tile by tile: the reference path, and the issue of rendered tiles
     # ------------------------------------------------------------------
     def render_tile(self, tile_id: int, parameter_buffer: ParameterBuffer,
                     clear_color) -> np.ndarray:
@@ -380,7 +380,7 @@ class RasterPipeline(Stage):
                             dtype=np.int64)
         for tiles, counts in segments:
             np.add.at(per_tile, (slice(None), tiles), counts)
-        rasterized, interp, passed, instructions, alpha, raw = (
+        rasterized, interp, passed, instructions, alpha, fetches = (
             per_tile.tolist()
         )
         if texels:
@@ -396,12 +396,14 @@ class RasterPipeline(Stage):
                 len(parameter_buffer.tile_primitives(tile_id)),
                 drawn, interp[tile_id],
                 drawn, shaded, drawn - shaded,
-                shaded, 0, instructions[tile_id], raw[tile_id],
+                shaded, 0, instructions[tile_id], fetches[tile_id],
                 shaded, alpha[tile_id],
             )
             traffic = ()
-            if raw[tile_id]:
-                traffic = ((raw[tile_id], lines[starts[i]:ends[i]].copy()),)
+            if fetches[tile_id]:
+                traffic = (
+                    (fetches[tile_id], lines[starts[i]:ends[i]].copy()),
+                )
             pending[tile_id] = (None, pending[tile_id][1], delta, traffic)
 
     def _render_drawcall(self, prims: list, in_missed: np.ndarray,

@@ -2,7 +2,7 @@
 
 Standing up a :class:`~repro.engine.session.RenderSession` is the
 expensive part of a short render request — scene construction, the
-stage graph, signature buffers and the shared raster/shade memos all
+stage graph, signature buffers and the shared raster and tile memos all
 get rebuilt per process.  This package keeps those resident:
 
 * :mod:`.jobs`   — :class:`JobSpec`, the JSON-able description of one

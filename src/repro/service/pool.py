@@ -2,7 +2,7 @@
 
 Constructing a :class:`~repro.engine.session.RenderSession` pays for
 scene generation, the GPU stage graph, signature buffers and (via the
-shared content-keyed raster/shade/tile memos) shader warm-up.  For a
+shared content-keyed raster and tile memos) shader warm-up.  For a
 service answering many short requests that cost dominates, so the pool
 keeps finished engines resident, keyed by everything that determines
 their behaviour — ``(alias, technique, exact_signatures, config
