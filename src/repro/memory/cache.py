@@ -126,32 +126,30 @@ class Cache:
 def line_addresses(byte_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
     """Reduce a byte-address stream to its ordered unique line addresses.
 
-    Consecutive accesses to the same line are collapsed (they would hit
+    Repeated accesses to a line are collapsed (they would hit
     trivially); the caller keeps the full access count for energy
     accounting and feeds only this reduced stream through the cache
-    model.  ``np.unique`` also sorts, which loses temporal order, so this
-    uses a dedup that preserves first-occurrence order.
+    model.  Lines keep first-occurrence order, the temporal order the
+    cache model needs: the one-segment case of
+    :func:`segment_line_addresses`.
     """
-    lines = np.asarray(byte_addresses, dtype=np.int64) // line_bytes
-    if lines.size == 0:
-        return lines
-    # dict.fromkeys deduplicates at C speed while preserving
-    # first-occurrence order, which is exactly the temporal order the
-    # cache model needs.
-    unique = dict.fromkeys(lines.tolist())
-    return np.fromiter(unique, dtype=np.int64, count=len(unique))
+    addresses = np.asarray(byte_addresses, dtype=np.int64)
+    return segment_line_addresses(
+        addresses, np.zeros(addresses.size, dtype=np.int8), line_bytes
+    )[0]
 
 
 def segment_line_addresses(byte_addresses: np.ndarray, segments: np.ndarray,
                            line_bytes: int) -> tuple:
-    """:func:`line_addresses` of every segment of a stream at once.
+    """Reduce every segment of a byte-address stream to its own ordered
+    unique line addresses, each in first-occurrence order.
 
     ``segments`` labels each address with its segment and never
     decreases along the stream.  Returns ``(lines, labels)``: each
-    segment's ordered unique line addresses, segment after segment, and
-    the segment label of each line.  An access that repeats the line
-    just before it in its segment is dropped first; that keeps every
-    first occurrence and leaves far fewer accesses to sort.
+    segment's lines, segment after segment, and the segment label of
+    each line.  An access that repeats the line just before it in its
+    segment is dropped first; that keeps every first occurrence and
+    leaves far fewer accesses to sort.
     """
     lines = np.asarray(byte_addresses, dtype=np.int64) // line_bytes
     segments = np.asarray(segments)

@@ -162,7 +162,6 @@ class Gpu:
             self.fragment_stage.memo_filter = memo_filter
         self.raster = RasterPipeline(
             config, self.memory, self.framebuffer, self.fragment_stage,
-            batched=batched,
             raster_memo=self._raster_memo, tile_memo=self._tile_memo,
         )
         self.stages = (
@@ -261,7 +260,7 @@ class Gpu:
         # Batched, the frame's tiles are rendered one drawcall at a time
         # up front, and render_tile then only issues each one.  A memo
         # filter observes every (primitive, tile) batch, so with one the
-        # tiles are rendered one by one, as on the scalar reference path.
+        # tiles are rendered one by one on the scalar reference path.
         if self.batched and self.fragment_stage.memo_filter is None:
             if tracer:
                 tracer.begin("drawcalls")

@@ -257,11 +257,12 @@ def _empty_batch(prim: Primitive) -> FragmentBatch:
 class TiledRaster:
     """One primitive's full-screen raster output, grouped by tile.
 
-    The batched raster path rasterizes each primitive *once* against the
-    whole screen and hands tiles their slice of the fragment arrays.
-    Because every per-pixel quantity in :func:`rasterize` is computed
-    elementwise from absolute pixel coordinates, each slice is bit-exact
-    with what a per-tile :func:`rasterize` call would have produced.
+    The per-drawcall raster path rasterizes each primitive *once*
+    against the whole screen and takes each tile's slice of the fragment
+    arrays.  Because every per-pixel quantity in :func:`rasterize` is
+    computed elementwise from absolute pixel coordinates, each slice is
+    bit-exact with what a per-tile :func:`rasterize` call would have
+    produced.
 
     The fragment arrays are stored sorted by tile id; the sort is stable,
     so fragments keep their row-major order within each tile.  Tile
@@ -274,7 +275,7 @@ class TiledRaster:
     """
 
     __slots__ = ("xs", "ys", "depth", "bary", "fragment_count", "tiles",
-                 "starts", "_slices")
+                 "starts")
 
     def __init__(self, batch: FragmentBatch, tile_size: int,
                  tiles_x: int) -> None:
@@ -290,18 +291,13 @@ class TiledRaster:
         self.bary = batch.bary[order]
         self.tiles, starts = np.unique(tile_ids[order], return_index=True)
         self.starts = np.append(starts, self.fragment_count)
-        bounds = self.starts.tolist()
-        self._slices = {
-            tile: (lo, hi)
-            for tile, lo, hi in zip(self.tiles.tolist(), bounds, bounds[1:])
-        }
 
     def tile(self, prim: Primitive, tile_id: int) -> FragmentBatch:
         """The fragments of ``prim`` that fall inside ``tile_id``."""
-        bounds = self._slices.get(tile_id)
-        if bounds is None:
+        i = int(np.searchsorted(self.tiles, tile_id))
+        if i == len(self.tiles) or self.tiles[i] != tile_id:
             return _empty_batch(prim)
-        lo, hi = bounds
+        lo, hi = self.starts[i], self.starts[i + 1]
         return FragmentBatch(
             prim=prim,
             xs=self.xs[lo:hi],

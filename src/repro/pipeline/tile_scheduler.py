@@ -11,8 +11,9 @@ The host simulates that sequence in one of two ways, with identical
 colors, counters and memory traffic:
 
 * :meth:`RasterPipeline.render_tile` renders one tile on its own, one
-  (primitive, tile) batch at a time.  It is the reference, and the path
-  of ``Gpu(batched=False)`` and of a technique that installs a fragment
+  (primitive, tile) batch at a time, rasterizing each primitive against
+  the tile rect.  It is the reference, and the path of
+  ``Gpu(batched=False)`` and of a technique that installs a fragment
   memo filter, which must observe every such batch.
 * :meth:`RasterPipeline.render_drawcalls` renders all of a frame's
   rendered tiles together, one drawcall at a time over screen-sized
@@ -44,7 +45,7 @@ from .blending import BlendStage
 from .depth import DepthStage
 from .fragment_stage import FragmentStage
 from .framebuffer import DEFAULT_CLEAR_DEPTH, FrameBuffer, TileBuffers
-from .rasterizer import RasterMemo, TiledRaster, rasterize
+from .rasterizer import RasterMemo, rasterize
 from .tiling import TILE_POINTER_BYTES, ParameterBuffer
 
 
@@ -123,7 +124,7 @@ class RasterPipeline(Stage):
 
     def __init__(self, config: GpuConfig, memory: MemoryHierarchy,
                  framebuffer: FrameBuffer, fragment_stage: FragmentStage,
-                 batched: bool = True, raster_memo: RasterMemo = None,
+                 raster_memo: RasterMemo = None,
                  tile_memo: TileMemo = None) -> None:
         self.config = config
         self.memory = memory
@@ -133,15 +134,13 @@ class RasterPipeline(Stage):
         self.blend_stage = BlendStage()
         self.buffers = TileBuffers(config.tile_size)
         self.stats = RasterStats()
-        # Batched mode rasterizes each primitive once for the whole
-        # screen and slices per tile (bit-identical to per-tile calls;
-        # see rasterizer.TiledRaster).  The scalar path remains the
-        # reference semantics and never touches the memo.
-        self.batched = batched
+        # The per-drawcall path, which needs both memos, rasterizes each
+        # primitive once for the whole screen (bit-identical to per-tile
+        # calls; see rasterizer.TiledRaster).  render_tile rasterizes per
+        # tile and never touches either memo.
         self._memo = raster_memo
         self._tile_memo = tile_memo
         self._screen_rect = (0, 0, config.screen_width, config.screen_height)
-        self._tiles_x = config.tiles_x
         # Screen-sized color, depth and pixel-stamp scratch of the
         # per-drawcall path, allocated on its first frame.
         self._screen = None
@@ -165,29 +164,11 @@ class RasterPipeline(Stage):
         last :meth:`render_drawcalls` left unemitted.  Fresh dicts, not
         ``.clear()``: entries are keyed by primitive/state object
         identity, and ids can be recycled once a frame's objects die."""
-        self._frame_rasters = {}
         self._state_keys = {}
         self._prim_keys = {}
         self._pending = {}
         self.depth_stage.begin_frame(ctx)
         self.blend_stage.begin_frame(ctx)
-
-    def _full_raster(self, prim) -> TiledRaster:
-        """``prim``'s full-screen fragments, from the memo if it has one."""
-        if self._memo is not None:
-            return self._memo.get(prim, self._screen_rect)
-        return TiledRaster(
-            rasterize(prim, self._screen_rect),
-            self.config.tile_size, self._tiles_x,
-        )
-
-    def _tile_fragments(self, prim, tile_id: int):
-        """Batched-path fragments of ``prim`` inside ``tile_id``."""
-        tiled = self._frame_rasters.get(id(prim))
-        if tiled is None:
-            tiled = self._full_raster(prim)
-            self._frame_rasters[id(prim)] = tiled
-        return tiled.tile(prim, tile_id)
 
     def _fetch_tile_primitives(self, tile_id: int,
                                parameter_buffer: ParameterBuffer) -> list:
@@ -234,9 +215,10 @@ class RasterPipeline(Stage):
         return tuple(parts)
 
     def _apply_stats_delta(self, delta: tuple) -> None:
-        """Re-apply a TileMemo entry's counter delta (see :meth:`_emit_tile`
-        for its layout).  Texture cache accesses and texture stall cycles
-        are not in it: those come from replaying its texel lines."""
+        """Re-apply a TileMemo entry's counter delta, laid out as
+        :data:`TILE_DELTA_KEYS`.  Texture cache accesses and texture
+        stall cycles are not in it: those come from replaying its texel
+        lines."""
         rs, ds = self.stats, self.depth_stage.stats
         fs, bs = self.fragment_stage.stats, self.blend_stage.stats
         rs.prim_tile_pairs += delta[0]
@@ -246,11 +228,10 @@ class RasterPipeline(Stage):
         ds.fragments_passed += delta[4]
         ds.fragments_culled += delta[5]
         fs.fragments_shaded += delta[6]
-        fs.fragments_memoized += delta[7]
-        fs.shader_instructions += delta[8]
-        fs.texture_fetches += delta[9]
-        bs.fragments_blended += delta[10]
-        bs.alpha_blends += delta[11]
+        fs.shader_instructions += delta[7]
+        fs.texture_fetches += delta[8]
+        bs.fragments_blended += delta[9]
+        bs.alpha_blends += delta[10]
 
     # ------------------------------------------------------------------
     # Tile by tile: the reference path, and the issue of rendered tiles
@@ -273,10 +254,7 @@ class RasterPipeline(Stage):
         fragment_stage = self.fragment_stage
         for prim in prims:
             self.stats.prim_tile_pairs += 1
-            if self.batched:
-                batch = self._tile_fragments(prim, tile_id)
-            else:
-                batch = rasterize(prim, rect)
+            batch = rasterize(prim, rect)
             if batch.count == 0:
                 continue
             self.stats.fragments_rasterized += batch.count
@@ -335,13 +313,11 @@ class RasterPipeline(Stage):
         missed = []
         for tile_id in tile_ids:
             prims = parameter_buffer.tile_primitives(tile_id)
-            key = None
-            if memo is not None:
-                key = self._tile_key(prims, tile_rect(tile_id), clear_bytes)
-                entry = memo.get(key)
-                if entry is not None:
-                    pending[tile_id] = (entry, None, None, None)
-                    continue
+            key = self._tile_key(prims, tile_rect(tile_id), clear_bytes)
+            entry = memo.get(key)
+            if entry is not None:
+                pending[tile_id] = (entry, None, None, None)
+                continue
             pending[tile_id] = (None, key, None, None)
             missed.append(tile_id)
             self.stats.prim_tile_pairs += len(prims)
@@ -376,8 +352,7 @@ class RasterPipeline(Stage):
 
         # Per tile: counters from its (primitive, tile) segments, and its
         # texel lines, segment after segment in bin order.
-        per_tile = np.zeros((len(SEGMENT_COUNTERS), self.config.num_tiles),
-                            dtype=np.int64)
+        per_tile = np.zeros((6, self.config.num_tiles), dtype=np.int64)
         for tiles, counts in segments:
             np.add.at(per_tile, (slice(None), tiles), counts)
         rasterized, interp, passed, instructions, alpha, fetches = (
@@ -396,7 +371,7 @@ class RasterPipeline(Stage):
                 len(parameter_buffer.tile_primitives(tile_id)),
                 drawn, interp[tile_id],
                 drawn, shaded, drawn - shaded,
-                shaded, 0, instructions[tile_id], fetches[tile_id],
+                shaded, instructions[tile_id], fetches[tile_id],
                 shaded, alpha[tile_id],
             )
             traffic = ()
@@ -416,16 +391,18 @@ class RasterPipeline(Stage):
         same pixel are split into ordered passes: pass r holds each
         pixel's r-th fragment, so per-pixel order is program order and no
         pass writes a pixel twice, which is what early-Z and blending
-        need to run vectorized.  Appends the segments' tiles and
-        :data:`SEGMENT_COUNTERS` to ``segments``, and their texel lines
-        with each line's tile to ``texels``.
+        need to run vectorized.  Appends the segments' tiles and six
+        counts per segment -- fragments, fragments x attributes,
+        fragments passing early-Z, their shader instructions, alpha
+        blends and texel fetches -- to ``segments``, and their texel
+        lines with each line's tile to ``texels``.
         """
         state = prims[0].state
         users, xs, ys, depth, bary, seg_tiles, seg_sizes = (
             [], [], [], [], [], [], []
         )
         for prim in prims:
-            tiled = self._full_raster(prim)
+            tiled = self._memo.get(prim, self._screen_rect)
             if not tiled.fragment_count:
                 continue
             keep = in_missed[tiled.tiles]
@@ -546,11 +523,8 @@ class RasterPipeline(Stage):
         texel lines; returns its final colors.
 
         A TileMemo miss is recorded into the memo here.  Its entry holds
-        the colors, the counter delta ``(prim_tile_pairs,
-        fragments_rasterized, interp_attr_fragments, fragments_tested,
-        fragments_passed, fragments_culled, fragments_shaded,
-        fragments_memoized, shader_instructions, texture_fetches,
-        fragments_blended, alpha_blends)``, the texel line streams as
+        the colors, the counter delta laid out as
+        :data:`TILE_DELTA_KEYS`, the texel line streams as
         ``(raw_count, lines)`` pairs, and the shaders it pins.
         """
         prims = self._fetch_tile_primitives(tile_id, parameter_buffer)
@@ -561,14 +535,13 @@ class RasterPipeline(Stage):
         else:
             x0, y0, x1, y1 = self.framebuffer.tile_rect(tile_id)
             colors = self._screen[0][y0:y1, x0:x1].copy()
-        for raw_count, lines in traffic:
-            self.fragment_stage.fetch_texels(raw_count, lines)
-        if key is not None:
             # The entry pins the shader objects whose ids are in the key.
             pins = tuple({id(p.state.shader): p.state.shader
                           for p in prims}.values())
             cost = colors.size + sum(len(lines) for _, lines in traffic)
             self._tile_memo.put(key, (colors, delta, traffic, pins), cost)
+        for raw_count, lines in traffic:
+            self.fragment_stage.fetch_texels(raw_count, lines)
         self.stats.tiles_rendered += 1
         return colors
 
@@ -578,11 +551,18 @@ class RasterPipeline(Stage):
         self.memory.write_colors(nbytes, self.stats)
 
 
-#: What :meth:`RasterPipeline._render_drawcall` counts per (primitive,
-#: tile) segment: fragments, fragments x attributes, fragments passing
-#: early-Z, their shader instructions, alpha blends and texel fetches.
-SEGMENT_COUNTERS = ("rasterized", "interp", "passed", "instructions",
-                    "alpha", "fetches")
+#: The registry counters a TileMemo entry's delta holds, in order.  A
+#: missed tile's delta is built from its segments' counts, not read from
+#: the stages, so summed over a frame's missed tiles it must equal what
+#: the stages counted (``tests/pipeline/test_drawcall_path.py``).
+TILE_DELTA_KEYS = (
+    "raster.prim_tile_pairs", "raster.fragments_rasterized",
+    "raster.interp_attr_fragments", "depth.fragments_tested",
+    "depth.fragments_passed", "depth.fragments_culled",
+    "fragment.fragments_shaded", "fragment.shader_instructions",
+    "fragment.texture_fetches", "blend.fragments_blended",
+    "blend.alpha_blends",
+)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

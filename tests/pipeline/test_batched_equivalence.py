@@ -1,11 +1,11 @@
 """The batched raster path is bit-identical to the scalar reference.
 
 The batched path (``Gpu(batched=True)``, the default) rasterizes each
-primitive once for the whole screen, renders one drawcall at a time
-(per tile when a memo filter is installed), and reuses raster and tile
-memos across frames and GPU instances.  The scalar path
-(``batched=False``) rasterizes per (primitive, tile) and never touches a
-memo — it is the reference semantics.  Every frame's
+primitive once for the whole screen, renders one drawcall at a time,
+and reuses raster and tile memos across frames and GPU instances.  The
+scalar path (``batched=False``) rasterizes per (primitive, tile) and
+never touches a memo — it is the reference semantics, and a batched GPU
+whose technique installs a memo filter renders on it too.  Every frame's
 colors and every :class:`FrameStats` activity count must match exactly.
 """
 
@@ -58,7 +58,7 @@ CASES = [
     ("hop", "baseline"),
     ("hop", "re"),
     ("mst", "te"),
-    ("mst", "memo"),   # memo_filter installed: the per-tile path
+    ("mst", "memo"),   # memo_filter installed: both render tile by tile
 ]
 
 

@@ -17,7 +17,11 @@ from repro.geometry import VertexBuffer, mat4, quad_buffer
 from repro.harness.runner import make_technique
 from repro.pipeline import CommandStream, Gpu
 from repro.pipeline.depth import DepthStage
-from repro.pipeline.tile_scheduler import TileMemo
+from repro.pipeline.tile_scheduler import (
+    TILE_DELTA_KEYS,
+    RasterPipeline,
+    TileMemo,
+)
 from repro.shaders import ALPHA_TEXTURED, FLAT_COLOR, TEXTURED, pack_constants
 from repro.textures import checker_texture, noise_texture
 
@@ -119,3 +123,39 @@ def test_per_drawcall_path_equals_per_tile_reference(technique, monkeypatch):
             assert memo.hits > hits and memo.misses > misses
         if frame == 2 and technique == "te":
             assert a.raster.flushes_suppressed == config.num_tiles
+
+
+def test_missed_tile_deltas_sum_to_the_stage_counts(monkeypatch):
+    """A missed tile's TileMemo delta is built from per-segment counts;
+    over a frame's missed tiles the deltas must add up to what the
+    raster, early-Z, shading and blend stages counted themselves, or
+    TileMemo hits would replay counts that no render produced."""
+    config = GpuConfig.small()
+    gpu = Gpu(config, make_technique("baseline", config))
+    gpu.raster._tile_memo = TileMemo()
+    registry = gpu.stats_registry
+    missed = []
+    render_drawcalls = RasterPipeline.render_drawcalls
+
+    def checked(self, *args):
+        before = registry.snapshot()
+        render_drawcalls(self, *args)
+        counted = registry.delta(before)
+        deltas = [delta for entry, _, delta, _ in self._pending.values()
+                  if entry is None]
+        summed = np.zeros(len(TILE_DELTA_KEYS), dtype=np.int64)
+        for delta in deltas:
+            summed += delta
+        assert dict(zip(TILE_DELTA_KEYS, summed.tolist())) == {
+            key: counted[key] for key in TILE_DELTA_KEYS
+        }
+        missed.append(len(deltas))
+
+    monkeypatch.setattr(RasterPipeline, "render_drawcalls", checked)
+    for frame in range(3):
+        gpu.render_frame(frame_stream(frame))
+    # Frame 0 misses every tile, frame 1 those the mover changed, and
+    # frame 2 repeats frame 0.
+    assert missed[0] == config.num_tiles
+    assert 0 < missed[1] < config.num_tiles
+    assert missed[2] == 0
