@@ -7,7 +7,7 @@ monotonically toward zero as the queue grows past the workloads'
 typical overlap counts.
 
 Stall cycles use round-half-up on the fractional drain time (see
-``SignatureUnit.on_primitive``); the expectations below are written
+``SignatureUnit._count_stalls``); the expectations below are written
 against that rounding — a deep queue still reaches exactly zero because
 zero overflow contributes zero drain time before rounding.
 """

@@ -112,7 +112,13 @@ class RenderingElimination(Technique):
     def on_draw_state(self, state) -> None:
         self.signature_unit.on_draw_state(state)
 
+    def on_drawcall(self, batch, prims, tiles) -> None:
+        self.signature_unit.on_drawcall(batch, prims, tiles)
+
     def on_primitive(self, prim, tile_ids) -> None:
+        """Sign one primitive on its own.  The pipeline signs whole
+        drawcalls through :meth:`on_drawcall`; ``bench/layers.py``
+        still traces this name."""
         self.signature_unit.on_primitive(prim, tile_ids)
 
     # Raster decision -------------------------------------------------------

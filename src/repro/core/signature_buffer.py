@@ -68,12 +68,19 @@ class SignatureBuffer:
         self.stats.writes += 1
         self._banks[self._current][tile_id] = signature
 
-    def read_many(self, tile_ids: np.ndarray) -> np.ndarray:
-        self.stats.reads += len(tile_ids)
+    def read_many(self, tile_ids: np.ndarray,
+                  accesses: int = None) -> np.ndarray:
+        """The signatures of ``tile_ids``, charged as ``accesses`` reads
+        (one per tile by default): a fold that keeps a tile's CRC in
+        registers across several (primitive, tile) pairs still charges
+        the hardware's one read per pair."""
+        self.stats.reads += len(tile_ids) if accesses is None else accesses
         return self._banks[self._current][tile_ids]
 
-    def write_many(self, tile_ids: np.ndarray, signatures: np.ndarray) -> None:
-        self.stats.writes += len(tile_ids)
+    def write_many(self, tile_ids: np.ndarray, signatures: np.ndarray,
+                   accesses: int = None) -> None:
+        """Store signatures, charged like :meth:`read_many`."""
+        self.stats.writes += len(tile_ids) if accesses is None else accesses
         self._banks[self._current][tile_ids] = signatures
 
     @property

@@ -2,7 +2,13 @@
 
 from . import clipping, mat4, vec
 from .meshes import box_buffer, grid_buffer, ring_strip_buffer
-from .primitives import DrawState, Primitive, VertexBuffer, quad_buffer
+from .primitives import (
+    DrawState,
+    Primitive,
+    PrimitiveBatch,
+    VertexBuffer,
+    quad_buffer,
+)
 
 __all__ = [
     "clipping",
@@ -13,6 +19,7 @@ __all__ = [
     "ring_strip_buffer",
     "DrawState",
     "Primitive",
+    "PrimitiveBatch",
     "VertexBuffer",
     "quad_buffer",
 ]

@@ -4,10 +4,12 @@ Two representations flow through the pipeline:
 
 * :class:`VertexBuffer` — what a drawcall submits: object-space positions,
   per-vertex attributes, and a triangle index list.
-* :class:`Primitive` — what Primitive Assembly emits: one screen-space
-  triangle with interpolatable varyings plus the *post-transform* data
-  that Rendering Elimination signs (clip-space positions and varyings,
-  serialized by :meth:`Primitive.attribute_bytes`).
+* :class:`PrimitiveBatch` — what Primitive Assembly emits per drawcall:
+  the surviving triangles as arrays, one row per triangle, including the
+  *post-transform* data that Rendering Elimination signs (clip-space
+  positions and varyings, serialized by :func:`attribute_rows`).
+* :class:`Primitive` — one screen-space triangle with interpolatable
+  varyings: a handle on one row of a batch, which the raster side reads.
 
 The paper counts a primitive "attribute" as 48 bytes — three vertices of
 four float32 components — so :meth:`Primitive.num_attributes` reports the
@@ -107,6 +109,32 @@ class DrawState:
         return self._constants_bytes
 
 
+#: Parameter-Buffer header bytes stored with each primitive's attributes.
+PB_HEADER_BYTES = 16
+
+
+def attribute_rows(clip: np.ndarray, varyings: dict) -> np.ndarray:
+    """The bytes Rendering Elimination signs for ``n`` primitives, as an
+    ``(n, L)`` uint8 array: per primitive, its clip-space positions
+    ``clip`` (n, 3, 4), then each varying (n, 3, k) in sorted name
+    order, padded to vec4 when narrower, all as float32.
+
+    Sorted names make the byte stream deterministic.  The paper counts
+    each vec4 attribute of the three vertices as 48 bytes.
+    """
+    n = len(clip)
+    parts = [np.asarray(clip, dtype=np.float32).reshape(n, 12)]
+    for name in sorted(varyings):
+        values = varyings[name]
+        width = values.shape[2]
+        if width < 4:
+            padded = np.zeros((n, 3, 4), dtype=np.float32)
+            padded[:, :, :width] = values
+            values, width = padded, 4
+        parts.append(np.asarray(values, dtype=np.float32).reshape(n, 3 * width))
+    return np.concatenate(parts, axis=1).view(np.uint8)
+
+
 @dataclasses.dataclass
 class Primitive:
     """One assembled, screen-space triangle."""
@@ -140,25 +168,18 @@ class Primitive:
         return 1 + len(self.varyings)
 
     def attribute_bytes(self) -> bytes:
-        """Serialize the data Rendering Elimination signs for this
-        primitive: clip-space positions then each varying, vec4-padded,
-        in sorted name order so the byte stream is deterministic.
+        """The data Rendering Elimination signs for this primitive, as
+        :func:`attribute_rows` lays it out.
 
-        The serialization is cached: a primitive's post-transform data is
-        immutable once assembled, and the Signature Unit and Parameter
-        Buffer accounting both ask for these bytes on every tile overlap.
+        Cached: a primitive's post-transform data is immutable once
+        assembled, and Primitive Assembly fills the cache from its
+        batch's rows.
         """
-        if self._attr_bytes is not None:
-            return self._attr_bytes
-        parts = [np.ascontiguousarray(self.clip, dtype=np.float32).tobytes()]
-        for name in sorted(self.varyings):
-            values = self.varyings[name]
-            if values.shape[1] < 4:
-                padded = np.zeros((3, 4), dtype=np.float32)
-                padded[:, :values.shape[1]] = values
-                values = padded
-            parts.append(np.ascontiguousarray(values, dtype=np.float32).tobytes())
-        self._attr_bytes = b"".join(parts)
+        if self._attr_bytes is None:
+            self._attr_bytes = attribute_rows(
+                np.asarray(self.clip)[None],
+                {name: values[None] for name, values in self.varyings.items()},
+            ).tobytes()
         return self._attr_bytes
 
     def geometry_bytes(self) -> bytes:
@@ -174,13 +195,13 @@ class Primitive:
 
     def parameter_buffer_bytes(self) -> int:
         """Bytes this primitive occupies in the Parameter Buffer."""
-        return len(self.attribute_bytes()) + 16  # attributes + header
+        return len(self.attribute_bytes()) + PB_HEADER_BYTES
 
     def bounds(self) -> tuple:
         """Integer pixel bounding box (x0, y0, x1, y1), inclusive-exclusive.
 
-        Primitive Assembly precomputes this for whole drawcalls at once;
-        the lazy path below serves primitives built directly in tests.
+        Primitive Assembly fills this from its batch's bounds; the lazy
+        path below serves primitives built directly in tests.
         """
         if self._bounds is None:
             xs = self.screen[:, 0]
@@ -192,6 +213,119 @@ class Primitive:
                 int(np.ceil(ys.max())) + 1,
             )
         return self._bounds
+
+
+class PrimitiveBatch:
+    """One drawcall's assembled primitives, as arrays with one row per
+    primitive.
+
+    * ``screen`` (n, 3, 2), ``depth`` (n, 3) and ``clip`` (n, 3, 4);
+    * ``varyings``: name -> (n, 3, k);
+    * ``bounds`` (n, 4) int64, each primitive's :meth:`Primitive.bounds`;
+    * ``attributes`` (n, L) uint8, each primitive's
+      :meth:`Primitive.attribute_bytes` (see :func:`attribute_rows`);
+    * ``primitives``: the :class:`Primitive` of each row.
+
+    Every primitive of a drawcall has the same varying layout, so they
+    share the row length L and the Parameter-Buffer size.  The arrays
+    are read-only, and the handles built from them hold row views, not
+    the batch.
+    """
+
+    def __init__(self, state: DrawState, screen: np.ndarray,
+                 depth: np.ndarray, clip: np.ndarray, varyings: dict,
+                 bounds: np.ndarray, first_id: int = 0,
+                 primitives: typing.Optional[list] = None) -> None:
+        self.state = state
+        self.screen = screen
+        self.depth = depth
+        self.clip = clip
+        self.varyings = varyings
+        self.bounds = bounds
+        self.attributes = attribute_rows(clip, varyings)
+        for array in (screen, depth, clip, bounds, self.attributes,
+                      *varyings.values()):
+            array.flags.writeable = False
+        if primitives is None:
+            primitives = self._handles(first_id)
+        self.primitives = primitives
+
+    @classmethod
+    def from_primitives(cls, state: DrawState,
+                        prims: list) -> "PrimitiveBatch":
+        """Batch primitives built one at a time, keeping the objects."""
+        prims = list(prims)
+        n = len(prims)
+        layouts = {
+            tuple((name, values.shape[1])
+                  for name, values in sorted(prim.varyings.items()))
+            for prim in prims
+        }
+        if len(layouts) > 1:
+            raise PipelineError(
+                "the primitives of one drawcall must share a varying layout"
+            )
+        varyings = {
+            name: np.array([prim.varyings[name] for prim in prims])
+            for name, _ in (layouts.pop() if layouts else ())
+        }
+        return cls(
+            state,
+            screen=np.array([p.screen for p in prims],
+                            dtype=np.float32).reshape(n, 3, 2),
+            depth=np.array([p.depth for p in prims],
+                           dtype=np.float32).reshape(n, 3),
+            clip=np.array([p.clip for p in prims],
+                          dtype=np.float32).reshape(n, 3, 4),
+            varyings=varyings,
+            bounds=np.array([p.bounds() for p in prims],
+                            dtype=np.int64).reshape(n, 4),
+            primitives=prims,
+        )
+
+    @property
+    def parameter_buffer_bytes(self) -> int:
+        """Bytes each primitive occupies in the Parameter Buffer."""
+        return self.attributes.shape[1] + PB_HEADER_BYTES
+
+    def _handles(self, first_id: int) -> list:
+        """One :class:`Primitive` per row, holding row views, with its
+        bounds, attribute bytes and geometry bytes filled in from the
+        batch."""
+        n = len(self.screen)
+        names = list(self.varyings)
+        if len(names) == 1:
+            # The common layout, built without a zip per primitive.
+            name, = names
+            varyings = [{name: row} for row in self.varyings[name]]
+        elif names:
+            varyings = [dict(zip(names, rows)) for rows in zip(
+                *(list(self.varyings[name]) for name in names)
+            )]
+        else:
+            varyings = [{} for _ in range(n)]
+        attr = self.attributes.tobytes()
+        attr_len = self.attributes.shape[1]
+        geometry = np.concatenate([
+            self.screen.reshape(n, 6).view(np.uint8),
+            self.depth.reshape(n, 3).view(np.uint8),
+        ], axis=1)
+        geom_len = geometry.shape[1]
+        geometry = geometry.tobytes()
+        state = self.state
+        # Positional arguments, in field order: the dataclass __init__
+        # takes them at half the cost of keywords.
+        return [
+            Primitive(screen, depth, clip, varying, state, prim_id, -1,
+                      attr[a:a + attr_len], geometry[g:g + geom_len], bounds)
+            for screen, depth, clip, varying, prim_id, a, g, bounds in zip(
+                self.screen, self.depth, self.clip, varyings,
+                range(first_id, first_id + n),
+                range(0, n * attr_len, attr_len),
+                range(0, n * geom_len, geom_len),
+                map(tuple, self.bounds.tolist()),
+            )
+        ]
 
 
 def quad_buffer(x0: float, y0: float, x1: float, y1: float, z: float = 0.5,

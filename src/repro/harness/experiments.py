@@ -540,13 +540,13 @@ def _tile_message_digests(alias: str, config: GpuConfig, num_frames: int,
                     self._constants = state.constants_bytes()
                     self._seen[:] = False
 
-            def on_primitive(self, prim, tile_ids):
-                block = prim.attribute_bytes()
-                for tile_id in tile_ids:
+            def on_drawcall(self, batch, prims, tiles):
+                blocks = [row.tobytes() for row in batch.attributes]
+                for prim, tile_id in zip(prims.tolist(), tiles.tolist()):
                     if not self._seen[tile_id]:
                         messages[tile_id] += self._constants
                         self._seen[tile_id] = True
-                    messages[tile_id] += block
+                    messages[tile_id] += blocks[prim]
 
             def on_geometry_complete(self):
                 pass

@@ -95,23 +95,29 @@ def _shift_tables(nbits: int) -> "np.ndarray":
     return tables
 
 
+#: Offset of each byte lane's table in a flattened :func:`_shift_tables`.
+_LANE_OFFSETS = np.arange(0, 4 * 256, 256)
+
+
+def shift_many(crcs: "np.ndarray", nbits: int) -> "np.ndarray":
+    """Vectorized :func:`shift_crc` of every CRC in ``crcs``: each CRC's
+    four little-endian bytes index their lanes of the byte-sliced tables
+    in one gather, and the lookups are XORed together."""
+    crcs = np.asarray(crcs, dtype=np.uint32)
+    lanes = np.ascontiguousarray(crcs, dtype="<u4").view(np.uint8)
+    lookups = _shift_tables(nbits).reshape(-1)[
+        lanes.reshape(crcs.shape + (4,)) + _LANE_OFFSETS
+    ]
+    return np.bitwise_xor.reduce(lookups, axis=-1)
+
+
 def combine_many(crcs: "np.ndarray", crc_b: int, len_b_bits: int) -> "np.ndarray":
     """Vectorized :func:`combine`: fold submessage B (CRC ``crc_b``,
     ``len_b_bits`` bits) onto every CRC in ``crcs`` at once.
 
-    Bit-exact with per-element :func:`combine`; used by the Signature
-    Unit's software fast path when one primitive updates many tiles.
+    Bit-exact with per-element :func:`combine`.
     """
-    crcs = np.asarray(crcs, dtype=np.uint32)
-    t0, t1, t2, t3 = _shift_tables(len_b_bits)
-    byte = np.uint32(0xFF)
-    result = (
-        t0[crcs & byte]
-        ^ t1[(crcs >> np.uint32(8)) & byte]
-        ^ t2[(crcs >> np.uint32(16)) & byte]
-        ^ t3[crcs >> np.uint32(24)]
-    )
-    return result ^ np.uint32(crc_b)
+    return shift_many(crcs, len_b_bits) ^ np.uint32(crc_b)
 
 
 class IncrementalCrc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..engine.stage import Stage
 from ..geometry import clipping
-from ..geometry.primitives import Primitive
+from ..geometry.primitives import PrimitiveBatch
 
 
 @dataclasses.dataclass
@@ -41,11 +41,10 @@ class PrimitiveAssembly(Stage):
     def begin_frame(self, ctx=None) -> None:
         self._next_prim_id = 0
 
-    def assemble(self, invocation, shaded) -> list:
-        """Returns the surviving :class:`Primitive` list for a drawcall."""
+    def assemble(self, invocation, shaded) -> PrimitiveBatch:
+        """Returns the drawcall's surviving triangles as one batch."""
         indices = invocation.buffer.indices
         clip_all = shaded.clip
-        primitives = []
         self.stats.triangles_in += len(indices)
 
         # Vectorized screen mapping for all vertices once.
@@ -56,9 +55,6 @@ class PrimitiveAssembly(Stage):
         screen_y = (1.0 - (ndc[:, 1] + 1.0) * 0.5) * self.height
         depth = (ndc[:, 2] + 1.0) * 0.5
         screen_all = np.stack([screen_x, screen_y], axis=1).astype(np.float32)
-
-        if not len(indices):
-            return primitives
 
         # Vectorized culling over all triangles at once; every test is
         # the same elementwise arithmetic the per-triangle versions in
@@ -104,30 +100,26 @@ class PrimitiveAssembly(Stage):
             keep &= ~backfacing
 
         # Integer pixel bounds, precomputed for the binner.
-        bx0 = np.floor(sx_min).astype(np.int64)
-        by0 = np.floor(sy_min).astype(np.int64)
-        bx1 = np.ceil(sx_max).astype(np.int64) + 1
-        by1 = np.ceil(sy_max).astype(np.int64) + 1
+        bounds = np.stack([
+            np.floor(sx_min).astype(np.int64),
+            np.floor(sy_min).astype(np.int64),
+            np.ceil(sx_max).astype(np.int64) + 1,
+            np.ceil(sy_max).astype(np.int64) + 1,
+        ], axis=1)
 
-        clip_f32 = clip_all.astype(np.float32)
-        depth_f32 = depth.astype(np.float32)
-        varying_items = list(shaded.varyings.items())
-        state = invocation.state
-        for i in np.nonzero(keep)[0]:
-            tri = indices[i]
-            varyings = {name: values[tri] for name, values in varying_items}
-            prim = Primitive(
-                screen=tri_screen[i],
-                depth=depth_f32[tri],
-                clip=clip_f32[tri],
-                varyings=varyings,
-                state=state,
-                prim_id=self._next_prim_id,
-            )
-            prim._bounds = (
-                int(bx0[i]), int(by0[i]), int(bx1[i]), int(by1[i])
-            )
-            self._next_prim_id += 1
-            self.stats.triangles_out += 1
-            primitives.append(prim)
-        return primitives
+        kept = np.flatnonzero(keep)
+        tris = indices[kept]
+        batch = PrimitiveBatch(
+            invocation.state,
+            screen=tri_screen[kept],
+            depth=depth.astype(np.float32)[tris],
+            clip=clip_all.astype(np.float32)[tris],
+            varyings={
+                name: values[tris] for name, values in shaded.varyings.items()
+            },
+            bounds=bounds[kept],
+            first_id=self._next_prim_id,
+        )
+        self._next_prim_id += len(kept)
+        self.stats.triangles_out += len(kept)
+        return batch

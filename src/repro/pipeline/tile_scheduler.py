@@ -46,7 +46,7 @@ from .depth import DepthStage
 from .fragment_stage import FragmentStage
 from .framebuffer import DEFAULT_CLEAR_DEPTH, FrameBuffer, TileBuffers
 from .rasterizer import RasterMemo, rasterize
-from .tiling import TILE_POINTER_BYTES, ParameterBuffer
+from .tiling import ParameterBuffer
 
 
 class TileMemo:
@@ -173,15 +173,10 @@ class RasterPipeline(Stage):
     def _fetch_tile_primitives(self, tile_id: int,
                                parameter_buffer: ParameterBuffer) -> list:
         """Simulate Parameter-Buffer reads for one tile's polygon list."""
-        prims = parameter_buffer.tile_primitives(tile_id)
-        sizes = [prim.parameter_buffer_bytes() for prim in prims]
-        self.memory.fetch_parameters(
-            [prim.pb_offset for prim in prims], sizes, self.stats
-        )
-        self.stats.pb_bytes_fetched += (
-            sum(sizes) + TILE_POINTER_BYTES * len(prims)
-        )
-        return prims
+        offsets, sizes = parameter_buffer.tile_ranges(tile_id)
+        self.memory.fetch_parameters(offsets, sizes, self.stats)
+        self.stats.pb_bytes_fetched += parameter_buffer.tile_bytes(tile_id)
+        return parameter_buffer.tile_primitives(tile_id)
 
     def _state_key(self, state) -> tuple:
         """Content key of a DrawState's shading-relevant bindings, cached

@@ -10,19 +10,23 @@ here — so Rendering Elimination stays correct: a tile's signature covers
 a superset of what the rasterizer will consume for that tile, and the
 superset is the same function of the frame's geometry every frame.
 
-Listeners (the RE Signature Unit, or nothing for the baseline) receive
-``on_draw_state(state)`` before a drawcall's primitives and
-``on_primitive(prim, tile_ids)`` per binned primitive — the same events
-the paper's hardware taps.
+A drawcall is binned as a whole, with array operations over its
+:class:`~repro.geometry.primitives.PrimitiveBatch`.  Listeners (the RE
+Signature Unit, or nothing for the baseline) receive
+``on_draw_state(state)`` and then one ``on_drawcall(batch, prims,
+tiles)`` with every (primitive, tile) pair the drawcall produced: the
+events the paper's hardware taps, one drawcall at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from ..config import GpuConfig
 from ..engine.stage import Stage
-from ..geometry.primitives import Primitive
+from ..geometry.primitives import Primitive, PrimitiveBatch
 from ..memory.hierarchy import MemoryHierarchy
 # Unused here; bench/layers.py traces these two by this module's path.
 from .rasterizer import coverage_mask, covers_rect  # noqa: F401
@@ -41,23 +45,39 @@ class TilingStats:
 
 
 class ParameterBuffer:
-    """Per-tile polygon lists plus the primitives' attribute storage."""
+    """Per-tile polygon lists plus the primitives' attribute storage.
+
+    Next to each tile's list it keeps each listed primitive's byte range
+    in the buffer (offset and size), which the Tile Scheduler fetches.
+    """
 
     def __init__(self, num_tiles: int) -> None:
-        self.bins: list = [[] for _ in range(num_tiles)]
+        self.num_tiles = num_tiles
+        self.clear()
+
+    def extend(self, tile_id: int, prims, offsets, sizes) -> None:
+        """Append primitives, with their byte ranges, to one tile's list."""
+        self.bins[tile_id].extend(prims)
+        self.offsets[tile_id].extend(offsets)
+        self.sizes[tile_id].extend(sizes)
 
     def insert(self, prim: Primitive, tile_ids) -> None:
+        size = prim.parameter_buffer_bytes()
         for tile_id in tile_ids:
-            self.bins[tile_id].append(prim)
+            self.extend(tile_id, (prim,), (prim.pb_offset,), (size,))
 
     def tile_primitives(self, tile_id: int) -> list:
         return self.bins[tile_id]
 
+    def tile_ranges(self, tile_id: int) -> tuple:
+        """The tile's primitives' Parameter-Buffer offsets and sizes."""
+        return self.offsets[tile_id], self.sizes[tile_id]
+
     def tile_bytes(self, tile_id: int) -> int:
         """Bytes the Tile Scheduler fetches to render this tile."""
-        return sum(
-            prim.parameter_buffer_bytes() + TILE_POINTER_BYTES
-            for prim in self.bins[tile_id]
+        return (
+            sum(self.sizes[tile_id])
+            + TILE_POINTER_BYTES * len(self.bins[tile_id])
         )
 
     def occupied_tiles(self):
@@ -65,8 +85,11 @@ class ParameterBuffer:
         return [i for i, bin_ in enumerate(self.bins) if bin_]
 
     def clear(self) -> None:
-        for bin_ in self.bins:
-            bin_.clear()
+        # New lists, not cleared ones: the memory log holds the range
+        # lists of fetched tiles until it resolves.
+        self.bins = [[] for _ in range(self.num_tiles)]
+        self.offsets = [[] for _ in range(self.num_tiles)]
+        self.sizes = [[] for _ in range(self.num_tiles)]
 
 
 class PolygonListBuilder(Stage):
@@ -82,47 +105,78 @@ class PolygonListBuilder(Stage):
         self.parameter_buffer = ParameterBuffer(config.num_tiles)
         self.stats = TilingStats()
         self._pb_cursor = 0
+        self._grid = (config.tile_size, config.tiles_x, config.tiles_y)
 
-    def overlapped_tiles(self, prim: Primitive) -> list:
-        """Tile ids whose area intersects the primitive's bounding box,
-        clamped to the screen."""
-        x0, y0, x1, y1 = prim.bounds()
-        size = self.config.tile_size
-        tx0 = max(0, x0 // size)
-        ty0 = max(0, y0 // size)
-        tx1 = min(self.config.tiles_x - 1, (x1 - 1) // size)
-        ty1 = min(self.config.tiles_y - 1, (y1 - 1) // size)
-        if tx1 < tx0 or ty1 < ty0:
-            return []
-        return [
-            ty * self.config.tiles_x + tx
-            for ty in range(ty0, ty1 + 1)
-            for tx in range(tx0, tx1 + 1)
-        ]
+    def overlaps(self, batch: PrimitiveBatch) -> tuple:
+        """A drawcall's (primitive, tile) pairs, as ``(binned, counts,
+        tiles)``: the batch rows of the primitives that overlap a tile,
+        how many tiles each overlaps, and the tile ids of all the pairs,
+        primitive after primitive.
 
-    def bin_drawcall(self, state, primitives) -> None:
-        """Sort one drawcall's primitives into tiles."""
+        A primitive overlaps the tiles whose area meets its bounding box,
+        clamped to the screen, listed row-major.
+        """
+        size, tiles_x, tiles_y = self._grid
+        x0, y0, x1, y1 = batch.bounds.T
+        tx0 = np.maximum(x0 // size, 0)
+        ty0 = np.maximum(y0 // size, 0)
+        cols = np.minimum((x1 - 1) // size, tiles_x - 1) - tx0 + 1
+        rows = np.minimum((y1 - 1) // size, tiles_y - 1) - ty0 + 1
+        binned = np.flatnonzero((cols > 0) & (rows > 0))
+        counts = (cols * rows)[binned]
+        # Each pair's primitive, and its position among that one's tiles.
+        pair = np.repeat(binned, counts)
+        within = np.arange(len(pair)) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        width = cols[pair]
+        tiles = (ty0[pair] + within // width) * tiles_x + (
+            tx0[pair] + within % width
+        )
+        return binned, counts, tiles
+
+    def bin_drawcall(self, state, batch: PrimitiveBatch) -> None:
+        """Sort one drawcall's primitives into tiles.
+
+        Each binned primitive takes the next slot of the Parameter
+        Buffer, and each touched tile's list gets its primitives in
+        program order in one ``extend``.
+        """
         for listener in self.listeners:
             listener.on_draw_state(state)
-        written = []
-        for prim in primitives:
-            tile_ids = self.overlapped_tiles(prim)
-            if not tile_ids:
-                continue
-            prim.pb_offset = self._pb_cursor
-            self._pb_cursor += prim.parameter_buffer_bytes()
-            self.parameter_buffer.insert(prim, tile_ids)
-            nbytes = (
-                prim.parameter_buffer_bytes()
-                + TILE_POINTER_BYTES * len(tile_ids)
-            )
-            written.append(nbytes)
-            self.stats.primitives_binned += 1
-            self.stats.tile_entries += len(tile_ids)
-            self.stats.parameter_bytes_written += nbytes
-            for listener in self.listeners:
-                listener.on_primitive(prim, tile_ids)
-        self.memory.write_parameters(written, self.stats)
+        binned, counts, tiles = self.overlaps(batch)
+        size = batch.parameter_buffer_bytes
+        offsets = self._pb_cursor + size * np.arange(len(binned))
+        self._pb_cursor += size * len(binned)
+        handles = batch.primitives
+        binned_prims = [handles[i] for i in binned.tolist()]
+        for prim, offset in zip(binned_prims, offsets.tolist()):
+            prim.pb_offset = offset
+
+        # Each pair's slot among the binned primitives.  Sorting the
+        # pairs stably by tile keeps each tile's run in program order.
+        slots = np.repeat(np.arange(len(binned)), counts)
+        by_tile = slots[np.argsort(tiles, kind="stable")]
+        pair_prims = [binned_prims[slot] for slot in by_tile.tolist()]
+        pair_offsets = offsets[by_tile].tolist()
+        per_tile = np.bincount(tiles)
+        touched = np.flatnonzero(per_tile)
+        ends = np.cumsum(per_tile[touched])
+        extend = self.parameter_buffer.extend
+        for tile_id, start, end in zip(touched.tolist(),
+                                       (ends - per_tile[touched]).tolist(),
+                                       ends.tolist()):
+            extend(tile_id, pair_prims[start:end], pair_offsets[start:end],
+                   [size] * (end - start))
+
+        written = size + TILE_POINTER_BYTES * counts
+        self.stats.primitives_binned += len(binned)
+        self.stats.tile_entries += len(tiles)
+        self.stats.parameter_bytes_written += int(written.sum())
+        self.memory.write_parameters(written.tolist(), self.stats)
+        prims = binned[slots]
+        for listener in self.listeners:
+            listener.on_drawcall(batch, prims, tiles)
 
     def begin_frame(self, ctx=None) -> None:
         self.parameter_buffer.clear()

@@ -66,8 +66,9 @@ class Technique:
     def on_draw_state(self, state) -> None:
         """A drawcall's snapshotted state is about to be binned."""
 
-    def on_primitive(self, prim, tile_ids) -> None:
-        """One primitive was just sorted into ``tile_ids``."""
+    def on_drawcall(self, batch, prims, tiles) -> None:
+        """A drawcall was just binned: pair i put batch row ``prims[i]``
+        into tile ``tiles[i]``, in program order."""
 
     def on_geometry_complete(self) -> None:
         """The whole frame's geometry has been binned; tiles are about

@@ -83,8 +83,8 @@ class CombinedElimination(Technique):
     def on_draw_state(self, state) -> None:
         self.re.on_draw_state(state)
 
-    def on_primitive(self, prim, tile_ids) -> None:
-        self.re.on_primitive(prim, tile_ids)
+    def on_drawcall(self, batch, prims, tiles) -> None:
+        self.re.on_drawcall(batch, prims, tiles)
 
     # Raster decisions ------------------------------------------------------
     def should_skip_tile(self, tile_id: int) -> bool:

@@ -94,7 +94,7 @@ def craft_collision(config):
         )
         (invocation,) = processor.process(frame(tint, aux))
         shaded = vertex.run(invocation)
-        prims = assembly.assemble(invocation, shaded)
+        prims = assembly.assemble(invocation, shaded).primitives
         message = compute.pad(invocation.state.constants_bytes())
         for prim in prims:
             message += compute.pad(prim.attribute_bytes())

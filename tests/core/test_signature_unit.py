@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import GpuConfig
 from repro.core import SignatureBuffer, SignatureUnit
-from repro.geometry import DrawState, Primitive, mat4
+from repro.geometry import DrawState, Primitive, PrimitiveBatch, mat4
 from repro.hashing import crc32_table
 from repro.hashing.parallel import ComputeCrcUnit
 from repro.shaders import FLAT_COLOR, pack_constants
@@ -202,3 +202,108 @@ class TestOverheadModel:
     def test_lut_storage_matches_config(self):
         unit, _ = fresh_unit(exact=False)
         assert unit.lut_storage_bytes == 12 * 1024
+
+
+# --- The drawcall fold against the per-LUT reference --------------------
+def drawcall_frames():
+    """Frames of drawcalls: each drawcall may upload new constants (of
+    0-9 floats, so sometimes an empty block), has one varying 0-6 columns
+    wide, and gives each primitive a tile list that may be empty, and
+    that other primitives of the drawcall may share."""
+    primitive = st.tuples(
+        st.integers(0, 99),
+        st.lists(st.integers(0, 23), max_size=12, unique=True),
+    )
+    drawcall = st.tuples(
+        st.booleans(), st.integers(0, 9), st.integers(0, 6),
+        st.lists(primitive, max_size=6),
+    )
+    return st.lists(st.lists(drawcall, max_size=5), min_size=1, max_size=2)
+
+
+def drawcall_batch(state, width, seeds):
+    prims = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        prims.append(Primitive(
+            screen=rng.random((3, 2)).astype(np.float32) * 16,
+            depth=rng.random(3).astype(np.float32),
+            clip=rng.random((3, 4)).astype(np.float32),
+            varyings={"v": rng.random((3, width)).astype(np.float32)},
+            state=state,
+        ))
+    return PrimitiveBatch.from_primitives(state, prims)
+
+
+def sign_frames(exact, config, frames):
+    """Sign the frames on a fresh unit; returns each frame's bank, the
+    unit's stats and the buffer's read and write counts."""
+    unit = SignatureUnit(config, exact=exact)
+    buffer = SignatureBuffer(config.num_tiles)
+    banks = []
+    version = 0
+    for drawcalls in frames:
+        buffer.begin_frame()
+        unit.begin_frame(buffer)
+        for new_constants, floats, width, prims in drawcalls:
+            version += new_constants
+            rng = np.random.default_rng(version)
+            state = DrawState(
+                shader=FLAT_COLOR,
+                constants=rng.random(floats).astype(np.float32),
+                constants_version=version,
+            )
+            batch = drawcall_batch(state, width, [seed for seed, _ in prims])
+            rows = np.repeat(np.arange(len(prims)),
+                             [len(tiles) for _, tiles in prims])
+            tiles = np.array([t for _, ts in prims for t in ts],
+                             dtype=np.int64)
+            unit.on_draw_state(state)
+            unit.on_drawcall(batch, rows, tiles)
+        banks.append(buffer.current.copy())
+        buffer.commit_frame()
+    return (banks, dataclasses.asdict(unit.stats),
+            (buffer.stats.reads, buffer.stats.writes))
+
+
+@pytest.mark.slow
+class TestDrawcallFold:
+    @settings(max_examples=40, deadline=None)
+    @given(frames=drawcall_frames(),
+           block_bytes=st.sampled_from([4, 8, 16, 32]),
+           ot_queue_entries=st.integers(1, 6))
+    def test_fold_matches_exact_reference(self, frames, block_bytes,
+                                          ot_queue_entries):
+        config = dataclasses.replace(
+            GpuConfig.small(), crc_block_bytes=block_bytes,
+            ot_queue_entries=ot_queue_entries,
+        )
+        exact_banks, exact_stats, exact_io = sign_frames(True, config, frames)
+        fast_banks, fast_stats, fast_io = sign_frames(False, config, frames)
+        for exact_bank, fast_bank in zip(exact_banks, fast_banks):
+            assert np.array_equal(exact_bank, fast_bank)
+        assert exact_stats == fast_stats
+        assert exact_io == fast_io
+
+    def test_shared_tiles_and_overflow_are_exercised(self):
+        """A fixed frame with the cases the property test samples: two
+        uploads, an empty constants block, primitives stacked on one
+        tile, and primitives overflowing a 2-entry OT queue."""
+        config = dataclasses.replace(
+            GpuConfig.small(), crc_block_bytes=16, ot_queue_entries=2
+        )
+        frame = [
+            (True, 9, 2, [(1, [0, 1, 2, 3]), (2, [1, 2]), (3, [2])]),
+            (True, 0, 0, [(4, [2, 7, 8]), (5, []), (6, [2, 9])]),
+            (False, 0, 6, [(7, [2, 3, 4, 5, 6])]),
+        ]
+        exact_banks, exact_stats, exact_io = sign_frames(True, config, [frame])
+        fast_banks, fast_stats, fast_io = sign_frames(False, config, [frame])
+        assert np.array_equal(exact_banks[0], fast_banks[0])
+        assert exact_stats == fast_stats
+        assert exact_io == fast_io
+        assert fast_stats["ot_queue_overflows"] == 3
+        # Tiles first touched after each upload: 0-3, then 2 and 7-9,
+        # then (no upload) 3-6 beside the already-signed 2.
+        assert fast_stats["constants_folds"] == 4 + 4 + 4
+        assert fast_io == (fast_stats["tile_updates"],) * 2

@@ -1,5 +1,5 @@
-"""Signature Unit bugfix regressions: bounded LRU block cache, empty
-overlap-set accounting, and round-half-up OT-queue stalls."""
+"""Signature Unit bugfix regressions: empty overlap-set accounting and
+round-half-up OT-queue stalls."""
 
 import dataclasses
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.core import SignatureBuffer, SignatureUnit
-from repro.core import signature_unit as signature_unit_module
 from repro.geometry import DrawState, Primitive, mat4
 from repro.shaders import FLAT_COLOR, pack_constants
 
@@ -41,41 +40,6 @@ def fresh_unit(exact=False, **config_overrides):
     buffer.begin_frame()
     unit.begin_frame(buffer)
     return unit, buffer
-
-
-class TestBlockCacheLru:
-    """The block-CRC memo evicts one LRU entry at the limit instead of
-    clearing wholesale (which re-signed every live block)."""
-
-    def test_cache_never_exceeds_limit(self, monkeypatch):
-        monkeypatch.setattr(signature_unit_module, "_BLOCK_CACHE_LIMIT", 4)
-        unit, _ = fresh_unit()
-        for i in range(32):
-            unit._sign_block(b"block-%03d" % i)
-            assert len(unit._block_cache) <= 4
-
-    def test_eviction_is_lru_and_keeps_warm_entries(self, monkeypatch):
-        monkeypatch.setattr(signature_unit_module, "_BLOCK_CACHE_LIMIT", 4)
-        unit, _ = fresh_unit()
-        blocks = [b"block-%d" % i for i in range(4)]
-        for block in blocks:
-            unit._sign_block(block)
-        # Touch block 0 so block 1 is now the LRU entry ...
-        unit._sign_block(blocks[0])
-        unit._sign_block(b"block-new")
-        cached = set(unit._block_cache)
-        # ... and only block 1 was evicted; the warm entries survive.
-        assert blocks[0] in cached
-        assert blocks[1] not in cached
-        assert {blocks[2], blocks[3], b"block-new"} <= cached
-
-    def test_values_survive_eviction_cycles(self, monkeypatch):
-        monkeypatch.setattr(signature_unit_module, "_BLOCK_CACHE_LIMIT", 2)
-        unit, _ = fresh_unit()
-        reference, _ = fresh_unit()
-        blocks = [b"A" * 24, b"B" * 40, b"C" * 8, b"A" * 24, b"B" * 40]
-        for block in blocks:
-            assert unit._sign_block(block) == reference._sign_block(block)
 
 
 class TestEmptyOverlapSet:

@@ -8,6 +8,7 @@ games) to stay fast; the full paper-scale shape assertions live in
 import pytest
 
 from repro.config import GpuConfig
+from repro.core import RenderingElimination
 from repro.harness.experiments import (
     EXPERIMENTS,
     RunCache,
@@ -20,11 +21,14 @@ from repro.harness.experiments import (
     fig16_memoization,
     fig17a_te_cycles,
     fig17b_te_energy,
+    _tile_message_digests,
     hash_quality,
     re_overheads,
     table1_parameters,
 )
-from repro.workloads.games import FIGURE_ORDER
+from repro.hashing import crc32_table
+from repro.pipeline import Gpu
+from repro.workloads.games import FIGURE_ORDER, build_scene
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +127,19 @@ class TestHashQuality:
         assert rows["fnv1a"][2] == 0 or rows["fnv1a"][2] >= 0
         # xor_fold collides structurally (word cancellation).
         assert rows["xor_fold"][1] >= rows["crc32"][1]
+
+    @pytest.mark.parametrize("alias", ["ccs", "mst", "hop", "tib"])
+    def test_tile_messages_are_what_re_signs(self, alias):
+        """The messages hash_quality hashes frame the tiles' inputs as
+        the Signature Unit does: their CRCs are RE's signature banks."""
+        config = GpuConfig.small()
+        digests = _tile_message_digests(alias, config, 5,
+                                        {"crc32": crc32_table})
+        technique = RenderingElimination(config)
+        gpu = Gpu(config, technique)
+        for stream in build_scene(alias).frames(5):
+            gpu.render_frame(stream)
+        assert len(technique.frame_records) == 5
+        for frame, record in enumerate(technique.frame_records):
+            assert (digests["crc32"][frame].tolist()
+                    == record.signatures.tolist())

@@ -36,7 +36,7 @@ class TestScreenMapping:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0, 0, 1], [0, 0.5, 0, 1]]),
-        )
+        ).primitives
         assert len(prims) == 1
         assert np.allclose(prims[0].screen[0], [48, 32])
 
@@ -45,7 +45,7 @@ class TestScreenMapping:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0.9, 0, 1], [0.2, 0.9, 0, 1], [0, 1.0, 0, 1]]),
-        )
+        ).primitives
         assert prims[0].screen[0, 1] < 32  # top half
 
     def test_depth_mapped_to_unit_range(self):
@@ -53,7 +53,7 @@ class TestScreenMapping:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, -1, 1], [0.5, 0, 0, 1], [0, 0.5, 1, 1]]),
-        )
+        ).primitives
         assert prims[0].depth[0] == pytest.approx(0.0)
         assert prims[0].depth[2] == pytest.approx(1.0)
 
@@ -64,7 +64,7 @@ class TestCulling:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0, 0, 0.0], [0, 0.5, 0, 1]]),
-        )
+        ).primitives
         assert prims == []
         assert assembly.stats.culled_near == 1
 
@@ -73,7 +73,7 @@ class TestCulling:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0, 0, -1.0], [0, 0.5, 0, 1]]),
-        )
+        ).primitives
         assert prims == []
 
     def test_viewport_rejection(self):
@@ -81,7 +81,7 @@ class TestCulling:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[5, 5, 0, 1], [6, 5, 0, 1], [5, 6, 0, 1]]),
-        )
+        ).primitives
         assert prims == []
         assert assembly.stats.culled_viewport == 1
 
@@ -91,16 +91,16 @@ class TestCulling:
         permissive = PrimitiveAssembly(96, 64)
         assert len(permissive.assemble(
             invocation(tri_buffer(), cull=False), shaded(clip)
-        )) == 1
+        ).primitives) == 1
 
         strict = PrimitiveAssembly(96, 64)
         front = strict.assemble(
             invocation(tri_buffer(), cull=True), shaded(clip)
-        )
+        ).primitives
         flipped = strict.assemble(
             invocation(tri_buffer(), cull=True),
             shaded([clip[0], clip[2], clip[1]]),
-        )
+        ).primitives
         # Exactly one of the two windings survives culling.
         assert (len(front), len(flipped)) in ((0, 1), (1, 0))
         assert strict.stats.culled_backface == 1
@@ -110,7 +110,7 @@ class TestCulling:
         prims = assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0.5, 0, 1], [0.25, 0.25, 0, 1]]),
-        )
+        ).primitives
         assert prims == []
         assert assembly.stats.culled_degenerate == 1
 
@@ -119,8 +119,8 @@ class TestBookkeeping:
     def test_prim_ids_unique_across_drawcalls(self):
         assembly = PrimitiveAssembly(96, 64)
         clip = [[0, 0, 0, 1], [0.5, 0, 0, 1], [0, 0.5, 0, 1]]
-        a = assembly.assemble(invocation(tri_buffer()), shaded(clip))
-        b = assembly.assemble(invocation(tri_buffer()), shaded(clip))
+        a = assembly.assemble(invocation(tri_buffer()), shaded(clip)).primitives
+        b = assembly.assemble(invocation(tri_buffer()), shaded(clip)).primitives
         assert a[0].prim_id != b[0].prim_id
 
     def test_varyings_gathered_per_triangle(self):
@@ -130,7 +130,7 @@ class TestBookkeeping:
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0, 0, 1], [0, 0.5, 0, 1]],
                    {"uv": uv}),
-        )
+        ).primitives
         assert np.array_equal(prims[0].varyings["uv"], uv)
 
     def test_stats_track_in_out(self):
@@ -138,6 +138,6 @@ class TestBookkeeping:
         assembly.assemble(
             invocation(tri_buffer()),
             shaded([[0, 0, 0, 1], [0.5, 0, 0, 1], [0, 0.5, 0, 1]]),
-        )
+        ).primitives
         assert assembly.stats.triangles_in == 1
         assert assembly.stats.triangles_out == 1
