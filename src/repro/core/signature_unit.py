@@ -154,7 +154,7 @@ class SignatureUnit:
             for rows, tile_ids in zip(np.split(prims, cuts),
                                       np.split(tiles, cuts)):
                 if len(rows):
-                    self.on_primitive(batch.primitives[rows[0]], tile_ids)
+                    self.on_primitive(batch.primitive(rows[0]), tile_ids)
             return
         if not len(tiles):
             return

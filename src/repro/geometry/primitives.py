@@ -7,18 +7,23 @@ Two representations flow through the pipeline:
 * :class:`PrimitiveBatch` — what Primitive Assembly emits per drawcall:
   the surviving triangles as arrays, one row per triangle, including the
   *post-transform* data that Rendering Elimination signs (clip-space
-  positions and varyings, serialized by :func:`attribute_rows`).
-* :class:`Primitive` — one screen-space triangle with interpolatable
-  varyings: a handle on one row of a batch, which the raster side reads.
+  positions and varyings, serialized by :func:`attribute_rows`).  The
+  Parameter Buffer lists rows of these batches, and the raster side
+  reads them.
+
+:class:`Primitive` is one triangle as a standalone object.  It is how
+hand-built triangles enter a batch (:meth:`PrimitiveBatch.from_primitives`)
+and how a single row reads as one object (:meth:`PrimitiveBatch.primitive`).
 
 The paper counts a primitive "attribute" as 48 bytes — three vertices of
-four float32 components — so :meth:`Primitive.num_attributes` reports the
-position plus each varying (padded to vec4) as one attribute each.
+four float32 components — so :attr:`PrimitiveBatch.num_attributes` counts
+the position plus each varying (padded to vec4) as one attribute each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy as np
@@ -144,17 +149,6 @@ class Primitive:
     clip: np.ndarray                   # (3, 4) clip-space positions
     varyings: dict                     # name -> (3, k) float32
     state: DrawState
-    prim_id: int = 0
-    pb_offset: int = -1                # byte offset in the Parameter Buffer
-    _attr_bytes: typing.Optional[bytes] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    _geometry_bytes: typing.Optional[bytes] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    _bounds: typing.Optional[tuple] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     def signed_area2(self) -> float:
         """Twice the signed area of the screen-space triangle."""
@@ -169,50 +163,26 @@ class Primitive:
 
     def attribute_bytes(self) -> bytes:
         """The data Rendering Elimination signs for this primitive, as
-        :func:`attribute_rows` lays it out.
-
-        Cached: a primitive's post-transform data is immutable once
-        assembled, and Primitive Assembly fills the cache from its
-        batch's rows.
-        """
-        if self._attr_bytes is None:
-            self._attr_bytes = attribute_rows(
-                np.asarray(self.clip)[None],
-                {name: values[None] for name, values in self.varyings.items()},
-            ).tobytes()
-        return self._attr_bytes
-
-    def geometry_bytes(self) -> bytes:
-        """Screen positions then vertex depths, the bytes that decide
-        which pixels the primitive covers and their barycentrics.
-
-        Cached like :meth:`attribute_bytes`: the raster and tile memos
-        key on these bytes once per primitive, or once per tile it
-        overlaps."""
-        if self._geometry_bytes is None:
-            self._geometry_bytes = self.screen.tobytes() + self.depth.tobytes()
-        return self._geometry_bytes
+        :func:`attribute_rows` lays it out."""
+        return attribute_rows(
+            np.asarray(self.clip)[None],
+            {name: values[None] for name, values in self.varyings.items()},
+        ).tobytes()
 
     def parameter_buffer_bytes(self) -> int:
         """Bytes this primitive occupies in the Parameter Buffer."""
         return len(self.attribute_bytes()) + PB_HEADER_BYTES
 
     def bounds(self) -> tuple:
-        """Integer pixel bounding box (x0, y0, x1, y1), inclusive-exclusive.
-
-        Primitive Assembly fills this from its batch's bounds; the lazy
-        path below serves primitives built directly in tests.
-        """
-        if self._bounds is None:
-            xs = self.screen[:, 0]
-            ys = self.screen[:, 1]
-            self._bounds = (
-                int(np.floor(xs.min())),
-                int(np.floor(ys.min())),
-                int(np.ceil(xs.max())) + 1,
-                int(np.ceil(ys.max())) + 1,
-            )
-        return self._bounds
+        """Integer pixel bounding box (x0, y0, x1, y1), inclusive-exclusive."""
+        xs = self.screen[:, 0]
+        ys = self.screen[:, 1]
+        return (
+            int(np.floor(xs.min())),
+            int(np.floor(ys.min())),
+            int(np.ceil(xs.max())) + 1,
+            int(np.ceil(ys.max())) + 1,
+        )
 
 
 class PrimitiveBatch:
@@ -221,21 +191,20 @@ class PrimitiveBatch:
 
     * ``screen`` (n, 3, 2), ``depth`` (n, 3) and ``clip`` (n, 3, 4);
     * ``varyings``: name -> (n, 3, k);
-    * ``bounds`` (n, 4) int64, each primitive's :meth:`Primitive.bounds`;
-    * ``attributes`` (n, L) uint8, each primitive's
+    * ``bounds`` (n, 4) int64, each row's :meth:`Primitive.bounds`;
+    * ``attributes`` (n, L) uint8, each row's
       :meth:`Primitive.attribute_bytes` (see :func:`attribute_rows`);
-    * ``primitives``: the :class:`Primitive` of each row.
+    * ``pb_offsets`` (n,) int64, each row's byte offset in the Parameter
+      Buffer once the Polygon List Builder has binned it, else -1.
 
     Every primitive of a drawcall has the same varying layout, so they
-    share the row length L and the Parameter-Buffer size.  The arrays
-    are read-only, and the handles built from them hold row views, not
-    the batch.
+    share the row length L, the attribute count and the Parameter-Buffer
+    size.  All arrays but ``pb_offsets`` are read-only.
     """
 
     def __init__(self, state: DrawState, screen: np.ndarray,
                  depth: np.ndarray, clip: np.ndarray, varyings: dict,
-                 bounds: np.ndarray, first_id: int = 0,
-                 primitives: typing.Optional[list] = None) -> None:
+                 bounds: np.ndarray) -> None:
         self.state = state
         self.screen = screen
         self.depth = depth
@@ -246,14 +215,12 @@ class PrimitiveBatch:
         for array in (screen, depth, clip, bounds, self.attributes,
                       *varyings.values()):
             array.flags.writeable = False
-        if primitives is None:
-            primitives = self._handles(first_id)
-        self.primitives = primitives
+        self.pb_offsets = np.full(len(screen), -1, dtype=np.int64)
 
     @classmethod
     def from_primitives(cls, state: DrawState,
                         prims: list) -> "PrimitiveBatch":
-        """Batch primitives built one at a time, keeping the objects."""
+        """Batch primitives built one at a time."""
         prims = list(prims)
         n = len(prims)
         layouts = {
@@ -280,7 +247,6 @@ class PrimitiveBatch:
             varyings=varyings,
             bounds=np.array([p.bounds() for p in prims],
                             dtype=np.int64).reshape(n, 4),
-            primitives=prims,
         )
 
     @property
@@ -288,44 +254,40 @@ class PrimitiveBatch:
         """Bytes each primitive occupies in the Parameter Buffer."""
         return self.attributes.shape[1] + PB_HEADER_BYTES
 
-    def _handles(self, first_id: int) -> list:
-        """One :class:`Primitive` per row, holding row views, with its
-        bounds, attribute bytes and geometry bytes filled in from the
-        batch."""
+    @property
+    def num_attributes(self) -> int:
+        """Each primitive's :attr:`Primitive.num_attributes`."""
+        return 1 + len(self.varyings)
+
+    @functools.cached_property
+    def row_bytes(self) -> list:
+        """Each row's ``(geometry, attributes)`` bytes: its screen
+        positions then vertex depths, which decide the pixels it covers
+        and their barycentrics, and its :attr:`attributes` row.
+
+        Built once per batch, so every memo key that names a row holds
+        these two objects, not a copy of its own.
+        """
         n = len(self.screen)
-        names = list(self.varyings)
-        if len(names) == 1:
-            # The common layout, built without a zip per primitive.
-            name, = names
-            varyings = [{name: row} for row in self.varyings[name]]
-        elif names:
-            varyings = [dict(zip(names, rows)) for rows in zip(
-                *(list(self.varyings[name]) for name in names)
-            )]
-        else:
-            varyings = [{} for _ in range(n)]
-        attr = self.attributes.tobytes()
-        attr_len = self.attributes.shape[1]
         geometry = np.concatenate([
             self.screen.reshape(n, 6).view(np.uint8),
             self.depth.reshape(n, 3).view(np.uint8),
         ], axis=1)
-        geom_len = geometry.shape[1]
-        geometry = geometry.tobytes()
-        state = self.state
-        # Positional arguments, in field order: the dataclass __init__
-        # takes them at half the cost of keywords.
+        geom_len, attr_len = geometry.shape[1], self.attributes.shape[1]
+        geometry, attr = geometry.tobytes(), self.attributes.tobytes()
         return [
-            Primitive(screen, depth, clip, varying, state, prim_id, -1,
-                      attr[a:a + attr_len], geometry[g:g + geom_len], bounds)
-            for screen, depth, clip, varying, prim_id, a, g, bounds in zip(
-                self.screen, self.depth, self.clip, varyings,
-                range(first_id, first_id + n),
-                range(0, n * attr_len, attr_len),
-                range(0, n * geom_len, geom_len),
-                map(tuple, self.bounds.tolist()),
-            )
+            (geometry[g:g + geom_len], attr[a:a + attr_len])
+            for g, a in zip(range(0, n * geom_len, geom_len),
+                            range(0, n * attr_len, attr_len))
         ]
+
+    def primitive(self, row: int) -> Primitive:
+        """Row ``row`` as one :class:`Primitive` of read-only row views."""
+        return Primitive(
+            self.screen[row], self.depth[row], self.clip[row],
+            {name: values[row] for name, values in self.varyings.items()},
+            self.state,
+        )
 
 
 def quad_buffer(x0: float, y0: float, x1: float, y1: float, z: float = 0.5,

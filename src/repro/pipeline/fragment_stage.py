@@ -71,17 +71,18 @@ class FragmentStage(Stage):
         self.stats = FragmentStats()
         self.memo_filter = None  # optional technique hook
 
-    def shade(self, state, prims, counts, xs: np.ndarray, ys: np.ndarray,
-              bary: np.ndarray) -> tuple:
+    def shade(self, state, varyings: dict, counts, xs: np.ndarray,
+              ys: np.ndarray, bary: np.ndarray) -> tuple:
         """Shade fragments of one draw state.
 
-        ``prims[i]`` produced the next ``counts[i]`` rows of ``xs``,
-        ``ys`` and ``bary``.  The per-tile path passes one primitive's
-        fragments in one tile; the per-drawcall path passes one ordered
-        pass of a drawcall.  Each primitive's varyings are interpolated
-        by its own ``bary @ values`` product, which gives a row the same
-        bits whatever rows share the product with it, and the shader then
-        runs once over every row.
+        ``varyings[name]`` holds one (3, k) row per run of fragments:
+        run i, the next ``counts[i]`` rows of ``xs``, ``ys`` and
+        ``bary``, belongs to one primitive.  The per-tile path passes one
+        primitive's fragments in one tile; the per-drawcall path passes
+        one ordered pass of a drawcall.  Each run's varyings are
+        interpolated by its own ``bary @ values`` product, which gives a
+        fragment the same bits whatever fragments share the product with
+        it, and the shader then runs once over every fragment.
 
         Returns ``(colors, texels)``: one color row per fragment, and the
         texel byte addresses the fetches made, in fetch order (every
@@ -94,22 +95,23 @@ class FragmentStage(Stage):
 
         bounds = np.cumsum(counts).tolist()
         runs = [
-            (prim, lo, hi)
-            for prim, lo, hi in zip(prims, [0] + bounds, bounds) if hi > lo
+            (run, lo, hi)
+            for run, (lo, hi) in enumerate(zip([0] + bounds, bounds))
+            if hi > lo
         ]
-        varyings = {}
-        for name in runs[0][0].varyings:
+        interpolated = {}
+        for name, values in varyings.items():
             parts = [
-                bary[lo:hi] @ prim.varyings[name].astype(np.float32)
-                for prim, lo, hi in runs
+                bary[lo:hi] @ values[run].astype(np.float32)
+                for run, lo, hi in runs
             ]
-            varyings[name] = (
+            interpolated[name] = (
                 parts[0] if len(parts) == 1 else np.concatenate(parts)
             ).astype(np.float32)
         screen = np.empty((count, 2), dtype=np.float32)
         screen[:, 0] = xs
         screen[:, 1] = ys
-        varyings["_screen"] = screen
+        interpolated["_screen"] = screen
 
         fetch_addresses = []
 
@@ -128,7 +130,8 @@ class FragmentStage(Stage):
             self.stats.texture_fetches += len(uv)
             return result.colors
 
-        colors = state.shader.run_fragment(varyings, state.constants, fetch)
+        colors = state.shader.run_fragment(interpolated, state.constants,
+                                           fetch)
         if len(colors) != count:
             raise PipelineError(
                 f"shader {state.shader.name!r} returned {len(colors)} colors "
@@ -140,7 +143,7 @@ class FragmentStage(Stage):
         # path only, where a batch is one primitive's fragments.
         memoized = 0
         if self.memo_filter is not None:
-            memoized = self.memo_filter(runs[0][0], varyings)
+            memoized = self.memo_filter(state, interpolated)
         shaded = count - memoized
         self.stats.fragments_shaded += shaded
         self.stats.fragments_memoized += memoized

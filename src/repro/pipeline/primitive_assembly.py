@@ -36,10 +36,6 @@ class PrimitiveAssembly(Stage):
         self.width = screen_width
         self.height = screen_height
         self.stats = AssemblyStats()
-        self._next_prim_id = 0
-
-    def begin_frame(self, ctx=None) -> None:
-        self._next_prim_id = 0
 
     def assemble(self, invocation, shaded) -> PrimitiveBatch:
         """Returns the drawcall's surviving triangles as one batch."""
@@ -118,8 +114,6 @@ class PrimitiveAssembly(Stage):
                 name: values[tris] for name, values in shaded.varyings.items()
             },
             bounds=bounds[kept],
-            first_id=self._next_prim_id,
         )
-        self._next_prim_id += len(kept)
         self.stats.triangles_out += len(kept)
         return batch

@@ -16,8 +16,6 @@ import dataclasses
 
 import numpy as np
 
-from ..geometry.primitives import Primitive
-
 #: Strict margin for the full-tile coverage test: an edge function must
 #: clear every corner pixel center by at least this much before a
 #: primitive counts as covering the tile.  Coverage then holds at every
@@ -30,7 +28,6 @@ _COVER_EPS = 1e-6
 class FragmentBatch:
     """Fragments one primitive produced inside one tile."""
 
-    prim: Primitive
     xs: np.ndarray        # (m,) int32 absolute pixel x
     ys: np.ndarray        # (m,) int32 absolute pixel y
     depth: np.ndarray     # (m,) float32 interpolated depth
@@ -63,9 +60,10 @@ def _is_top_left(ax, ay, bx, by) -> bool:
     return dy < 0
 
 
-def iteration_bounds(prim: Primitive, rect: tuple):
-    """The half-open pixel box :func:`rasterize` iterates for ``prim``
-    inside ``rect``, or ``None`` when it is empty.
+def iteration_bounds(screen: np.ndarray, rect: tuple):
+    """The half-open pixel box :func:`rasterize` iterates for the
+    triangle ``screen`` (3, 2) inside ``rect``, or ``None`` when it is
+    empty.
 
     A pixel can only be covered when its center ``x + 0.5`` lies within
     the triangle's coordinate range, so the box keeps exactly the pixels
@@ -73,9 +71,9 @@ def iteration_bounds(prim: Primitive, rect: tuple):
     center sits strictly outside the bounding box and would fail some
     edge test strictly, making the tightening coverage-neutral.
     """
-    v0x, v0y = float(prim.screen[0, 0]), float(prim.screen[0, 1])
-    v1x, v1y = float(prim.screen[1, 0]), float(prim.screen[1, 1])
-    v2x, v2y = float(prim.screen[2, 0]), float(prim.screen[2, 1])
+    v0x, v0y = float(screen[0, 0]), float(screen[0, 1])
+    v1x, v1y = float(screen[1, 0]), float(screen[1, 1])
+    v2x, v2y = float(screen[2, 0]), float(screen[2, 1])
     x0 = max(rect[0], int(np.ceil(min(v0x, v1x, v2x) - 0.5)))
     y0 = max(rect[1], int(np.ceil(min(v0y, v1y, v2y) - 0.5)))
     x1 = min(rect[2], int(np.floor(max(v0x, v1x, v2x) - 0.5)) + 1)
@@ -182,12 +180,15 @@ def coverage_mask(screen: np.ndarray, rects: np.ndarray,
     return masks
 
 
-def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:
-    """Rasterize ``prim`` within ``rect = (x0, y0, x1, y1)`` (pixels,
-    half-open).  Returns a possibly-empty :class:`FragmentBatch`."""
-    v0x, v0y = float(prim.screen[0, 0]), float(prim.screen[0, 1])
-    v1x, v1y = float(prim.screen[1, 0]), float(prim.screen[1, 1])
-    v2x, v2y = float(prim.screen[2, 0]), float(prim.screen[2, 1])
+def rasterize(screen: np.ndarray, depth: np.ndarray,
+              rect: tuple) -> FragmentBatch:
+    """Rasterize the triangle with screen positions ``screen`` (3, 2)
+    and vertex depths ``depth`` (3,) within ``rect = (x0, y0, x1, y1)``
+    (pixels, half-open).  Returns a possibly-empty
+    :class:`FragmentBatch`."""
+    v0x, v0y = float(screen[0, 0]), float(screen[0, 1])
+    v1x, v1y = float(screen[1, 0]), float(screen[1, 1])
+    v2x, v2y = float(screen[2, 0]), float(screen[2, 1])
 
     area2 = _edge(v0x, v0y, v1x, v1y, v2x, v2y)
     order = (0, 1, 2)
@@ -197,13 +198,13 @@ def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:
         area2 = -area2
         order = (0, 2, 1)
     if area2 == 0:
-        return _empty_batch(prim)
+        return _empty_batch()
 
     # Clip the iteration region to the pixels whose centers can fall
     # inside the triangle's bounding box.
-    bounds = iteration_bounds(prim, rect)
+    bounds = iteration_bounds(screen, rect)
     if bounds is None:
-        return _empty_batch(prim)
+        return _empty_batch()
     x0, y0, x1, y1 = bounds
 
     # Pixel centers as open grids, broadcast through the edge functions
@@ -220,7 +221,7 @@ def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:
     inside &= (w2 >= 0) if _is_top_left(v0x, v0y, v1x, v1y) else (w2 > 0)
 
     if not inside.any():
-        return _empty_batch(prim)
+        return _empty_batch()
 
     lam0 = (w0[inside] / area2).astype(np.float32)
     lam1 = (w1[inside] / area2).astype(np.float32)
@@ -239,14 +240,16 @@ def rasterize(prim: Primitive, rect: tuple) -> FragmentBatch:
     # Elementwise interpolation (not a matmul): per-pixel float32 values
     # are then independent of the batch shape, so rasterizing the full
     # screen and slicing per tile is bit-identical to per-tile calls.
-    d = prim.depth.astype(np.float32)
-    depth = bary[:, 0] * d[0] + bary[:, 1] * d[1] + bary[:, 2] * d[2]
-    return FragmentBatch(prim=prim, xs=xs, ys=ys, depth=depth, bary=bary)
-
-
-def _empty_batch(prim: Primitive) -> FragmentBatch:
+    d = depth.astype(np.float32)
     return FragmentBatch(
-        prim=prim,
+        xs=xs, ys=ys,
+        depth=bary[:, 0] * d[0] + bary[:, 1] * d[1] + bary[:, 2] * d[2],
+        bary=bary,
+    )
+
+
+def _empty_batch() -> FragmentBatch:
+    return FragmentBatch(
         xs=np.empty(0, np.int32),
         ys=np.empty(0, np.int32),
         depth=np.empty(0, np.float32),
@@ -292,14 +295,13 @@ class TiledRaster:
         self.tiles, starts = np.unique(tile_ids[order], return_index=True)
         self.starts = np.append(starts, self.fragment_count)
 
-    def tile(self, prim: Primitive, tile_id: int) -> FragmentBatch:
-        """The fragments of ``prim`` that fall inside ``tile_id``."""
+    def tile(self, tile_id: int) -> FragmentBatch:
+        """The fragments that fall inside ``tile_id``."""
         i = int(np.searchsorted(self.tiles, tile_id))
         if i == len(self.tiles) or self.tiles[i] != tile_id:
-            return _empty_batch(prim)
+            return _empty_batch()
         lo, hi = self.starts[i], self.starts[i + 1]
         return FragmentBatch(
-            prim=prim,
             xs=self.xs[lo:hi],
             ys=self.ys[lo:hi],
             depth=self.depth[lo:hi],
@@ -374,23 +376,23 @@ class RasterMemo:
         self.hits = 0
         self.misses = 0
 
-    def _key(self, prim: Primitive, screen_rect: tuple) -> tuple:
+    def get(self, batch, row: int, screen_rect: tuple) -> TiledRaster:
+        """The :class:`TiledRaster` of row ``row`` of the
+        :class:`~repro.geometry.primitives.PrimitiveBatch` ``batch``,
+        computed or reused, keyed on the row's geometry bytes."""
         # The grid geometry and clip rect are part of the key: memos
         # sharing one store must never hand each other fragments tiled
         # for a different grid or clipped to a different screen.
-        return (self.tile_size, self.tiles_x, screen_rect,
-                prim.geometry_bytes())
-
-    def get(self, prim: Primitive, screen_rect: tuple) -> TiledRaster:
-        """The primitive's :class:`TiledRaster`, computed or reused."""
-        key = self._key(prim, screen_rect)
+        key = (self.tile_size, self.tiles_x, screen_rect,
+               batch.row_bytes[row][0])
         tiled = self.store.get(key)
         if tiled is not None:
             self.hits += 1
             return tiled
         self.misses += 1
         tiled = TiledRaster(
-            rasterize(prim, screen_rect), self.tile_size, self.tiles_x
+            rasterize(batch.screen[row], batch.depth[row], screen_rect),
+            self.tile_size, self.tiles_x,
         )
         self.store.put(key, tiled)
         return tiled

@@ -7,12 +7,14 @@ makes those re-fetches cheap), then runs the classic raster sequence:
 rasterize, early-Z, fragment shade, blend, and finally flush the on-chip
 Color Buffer to the Frame Buffer in DRAM.
 
-The host simulates that sequence in one of two ways, with identical
-colors, counters and memory traffic:
+A tile's primitives are rows of the drawcall batches the Parameter
+Buffer lists for it, one run ``(batch, rows)`` per drawcall in program
+order.  The host simulates the raster sequence in one of two ways, with
+identical colors, counters and memory traffic:
 
 * :meth:`RasterPipeline.render_tile` renders one tile on its own, one
-  (primitive, tile) batch at a time, rasterizing each primitive against
-  the tile rect.  It is the reference, and the path of
+  (primitive, tile) batch at a time, rasterizing each row against the
+  tile rect.  It is the reference, and the path of
   ``Gpu(batched=False)`` and of a technique that installs a fragment
   memo filter, which must observe every such batch.
 * :meth:`RasterPipeline.render_drawcalls` renders all of a frame's
@@ -33,8 +35,6 @@ Technique hooks:
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import operator
 
 import numpy as np
 
@@ -54,13 +54,15 @@ class TileMemo:
 
     A tile's colors and every activity counter it produces are a pure
     function of its primitive list (screen positions, depths, attributes,
-    bound state), the tile rect and the clear color.  Frame-coherent
-    workloads re-render identical tiles every frame; on a hit the memo
-    re-applies the recorded stat deltas and appends the recorded texel
-    line streams to the frame's memory log, so cache behaviour, DRAM
-    pressure and all counters evolve exactly as a recomputation.  Purely
-    an execution-speed cache — only the per-drawcall path uses it —
-    bounded by retained colors + replay lines with LRU eviction.
+    bound state), the tile rect and the clear color, and its texel line
+    streams also of the texture cache's line size; the key holds all of
+    them.  Frame-coherent workloads re-render identical tiles every
+    frame; on a hit the memo re-applies the recorded stat deltas and
+    appends the recorded texel line streams to the frame's memory log,
+    so cache behaviour, DRAM pressure and all counters evolve exactly as
+    a recomputation.  Purely an execution-speed cache — only the
+    per-drawcall path uses it — bounded by retained colors + replay
+    lines with LRU eviction.
 
     Entries pin their shader objects: shader ``id`` participates in the
     key, so the ids must stay unrecycled while an entry lives.
@@ -160,54 +162,19 @@ class RasterPipeline(Stage):
         self.blend_stage.reset()
 
     def begin_frame(self, ctx=None) -> None:
-        """Drop the per-frame ``id()``-keyed memo dicts and the tiles the
-        last :meth:`render_drawcalls` left unemitted.  Fresh dicts, not
-        ``.clear()``: entries are keyed by primitive/state object
-        identity, and ids can be recycled once a frame's objects die."""
-        self._state_keys = {}
-        self._prim_keys = {}
+        """Drop the tiles the last :meth:`render_drawcalls` left
+        unemitted."""
         self._pending = {}
         self.depth_stage.begin_frame(ctx)
         self.blend_stage.begin_frame(ctx)
 
-    def _fetch_tile_primitives(self, tile_id: int,
-                               parameter_buffer: ParameterBuffer) -> list:
+    def _fetch_tile_runs(self, tile_id: int,
+                         parameter_buffer: ParameterBuffer) -> list:
         """Simulate Parameter-Buffer reads for one tile's polygon list."""
         offsets, sizes = parameter_buffer.tile_ranges(tile_id)
         self.memory.fetch_parameters(offsets, sizes, self.stats)
         self.stats.pb_bytes_fetched += parameter_buffer.tile_bytes(tile_id)
-        return parameter_buffer.tile_primitives(tile_id)
-
-    def _state_key(self, state) -> tuple:
-        """Content key of a DrawState's shading-relevant bindings, cached
-        per state instance for the pipeline's lifetime (one frame)."""
-        key = self._state_keys.get(id(state))
-        if key is None:
-            key = (
-                id(state.shader),
-                tuple(
-                    t.content_token if t is not None else None
-                    for t in state.textures
-                ),
-                state.constants_bytes(),
-                state.depth_test,
-                state.depth_write,
-            )
-            self._state_keys[id(state)] = key
-        return key
-
-    def _tile_key(self, prims: list, rect: tuple, clear_bytes: bytes) -> tuple:
-        parts = [rect, clear_bytes]
-        prim_keys = self._prim_keys
-        for prim in prims:
-            part = prim_keys.get(id(prim))
-            if part is None:
-                part = prim_keys[id(prim)] = (
-                    prim.geometry_bytes(), prim.attribute_bytes(),
-                    self._state_key(prim.state),
-                )
-            parts += part
-        return tuple(parts)
+        return parameter_buffer.runs[tile_id]
 
     def _apply_stats_delta(self, delta: tuple) -> None:
         """Re-apply a TileMemo entry's counter delta, laid out as
@@ -243,42 +210,47 @@ class RasterPipeline(Stage):
         if tile_id in self._pending:
             return self._emit_tile(tile_id, parameter_buffer)
         rect = self.framebuffer.tile_rect(tile_id)
-        prims = self._fetch_tile_primitives(tile_id, parameter_buffer)
+        runs = self._fetch_tile_runs(tile_id, parameter_buffer)
         x0, y0, x1, y1 = rect
         self.buffers.clear(color=clear_color)
         fragment_stage = self.fragment_stage
-        for prim in prims:
-            self.stats.prim_tile_pairs += 1
-            batch = rasterize(prim, rect)
-            if batch.count == 0:
-                continue
-            self.stats.fragments_rasterized += batch.count
-            self.stats.interp_attr_fragments += (
-                batch.count * prim.num_attributes
-            )
-            state = prim.state
-            local_xs = batch.xs - x0
-            local_ys = batch.ys - y0
-            pass_mask = self.depth_stage.test(
-                self.buffers.depth, local_xs, local_ys, batch.depth,
-                depth_test=state.depth_test, depth_write=state.depth_write,
-            )
-            passed = int(np.count_nonzero(pass_mask))
-            if not passed:
-                continue
-            colors, texels = fragment_stage.shade(
-                state, (prim,), (passed,), batch.xs[pass_mask],
-                batch.ys[pass_mask], batch.bary[pass_mask],
-            )
-            if texels.size:
-                fragment_stage.fetch_texels(
-                    texels.size, self.memory.texel_lines(texels)
+        for batch, rows in runs:
+            state = batch.state
+            for row in rows.tolist():
+                self.stats.prim_tile_pairs += 1
+                frags = rasterize(batch.screen[row], batch.depth[row], rect)
+                if frags.count == 0:
+                    continue
+                self.stats.fragments_rasterized += frags.count
+                self.stats.interp_attr_fragments += (
+                    frags.count * batch.num_attributes
                 )
-            self.blend_stage.blend(
-                self.buffers.color,
-                local_xs[pass_mask], local_ys[pass_mask], colors,
-                alpha=state.shader.uses_alpha_blend,
-            )
+                local_xs = frags.xs - x0
+                local_ys = frags.ys - y0
+                pass_mask = self.depth_stage.test(
+                    self.buffers.depth, local_xs, local_ys, frags.depth,
+                    depth_test=state.depth_test,
+                    depth_write=state.depth_write,
+                )
+                passed = int(np.count_nonzero(pass_mask))
+                if not passed:
+                    continue
+                colors, texels = fragment_stage.shade(
+                    state,
+                    {name: values[row:row + 1]
+                     for name, values in batch.varyings.items()},
+                    (passed,), frags.xs[pass_mask], frags.ys[pass_mask],
+                    frags.bary[pass_mask],
+                )
+                if texels.size:
+                    fragment_stage.fetch_texels(
+                        texels.size, self.memory.texel_lines(texels)
+                    )
+                self.blend_stage.blend(
+                    self.buffers.color,
+                    local_xs[pass_mask], local_ys[pass_mask], colors,
+                    alpha=state.shader.uses_alpha_blend,
+                )
         self.stats.tiles_rendered += 1
         return self.buffers.color[: y1 - y0, : x1 - x0]
 
@@ -302,20 +274,33 @@ class RasterPipeline(Stage):
         """
         memo = self._tile_memo
         clear = np.asarray(clear_color, dtype=np.float32)
-        clear_bytes = clear.tobytes()
+        # Besides the rect, every key holds the clear color and the
+        # texture-cache line size, which cuts the texel line streams an
+        # entry replays; then, per run, the drawcall's state key and
+        # each row's bytes, the objects the batch shares with all keys.
+        head = (clear.tobytes(), self.memory.caches["texture"].line_bytes)
+        state_keys = {
+            batch: _state_key(batch.state)
+            for batch, _, _ in parameter_buffer.drawcalls
+        }
         tile_rect = self.framebuffer.tile_rect
         pending = self._pending = {}
         missed = []
         for tile_id in tile_ids:
-            prims = parameter_buffer.tile_primitives(tile_id)
-            key = self._tile_key(prims, tile_rect(tile_id), clear_bytes)
+            parts = [tile_rect(tile_id), *head]
+            for batch, rows in parameter_buffer.runs[tile_id]:
+                parts.append(state_keys[batch])
+                row_bytes = batch.row_bytes
+                for row in rows.tolist():
+                    parts += row_bytes[row]
+            key = tuple(parts)
             entry = memo.get(key)
             if entry is not None:
                 pending[tile_id] = (entry, None, None, None)
                 continue
             pending[tile_id] = (None, key, None, None)
             missed.append(tile_id)
-            self.stats.prim_tile_pairs += len(prims)
+            self.stats.prim_tile_pairs += parameter_buffer.pairs(tile_id)
         if missed:
             self._render_missed(missed, parameter_buffer, clear)
 
@@ -334,16 +319,13 @@ class RasterPipeline(Stage):
         self._screen[1].fill(DEFAULT_CLEAR_DEPTH)
         in_missed = np.zeros(self.config.num_tiles, dtype=bool)
         in_missed[missed] = True
-        by_id = {}
-        for tile_id in missed:
-            prims = parameter_buffer.tile_primitives(tile_id)
-            by_id.update(zip(map(id, prims), prims))
-        # Parameter-Buffer offsets grow in binning order: program order.
-        ordered = sorted(by_id.values(), key=operator.attrgetter("pb_offset"))
         segments, texels = [], []
-        for _, drawcall in itertools.groupby(ordered,
-                                             key=lambda p: id(p.state)):
-            self._render_drawcall(list(drawcall), in_missed, segments, texels)
+        for batch, prims, tiles in parameter_buffer.drawcalls:
+            # The rows with a pair in a missed tile, in program order.
+            rows = np.unique(prims[in_missed[tiles]])
+            if len(rows):
+                self._render_drawcall(batch, rows, in_missed, segments,
+                                      texels)
 
         # Per tile: counters from its (primitive, tile) segments, and its
         # texel lines, segment after segment in bin order.
@@ -363,7 +345,7 @@ class RasterPipeline(Stage):
         for i, tile_id in enumerate(missed):
             drawn, shaded = rasterized[tile_id], passed[tile_id]
             delta = (
-                len(parameter_buffer.tile_primitives(tile_id)),
+                parameter_buffer.pairs(tile_id),
                 drawn, interp[tile_id],
                 drawn, shaded, drawn - shaded,
                 shaded, instructions[tile_id], fetches[tile_id],
@@ -376,28 +358,30 @@ class RasterPipeline(Stage):
                 )
             pending[tile_id] = (None, pending[tile_id][1], delta, traffic)
 
-    def _render_drawcall(self, prims: list, in_missed: np.ndarray,
-                         segments: list, texels: list) -> None:
-        """Render one drawcall's fragments inside the missed tiles.
+    def _render_drawcall(self, batch, rows: np.ndarray,
+                         in_missed: np.ndarray, segments: list,
+                         texels: list) -> None:
+        """Render the fragments of the batch's rows ``rows`` inside the
+        missed tiles.
 
-        The fragments are laid out primitive by primitive in program
-        order, and within a primitive tile by tile, row-major inside each
-        tile: one run per (primitive, tile) *segment*.  Fragments at the
-        same pixel are split into ordered passes: pass r holds each
-        pixel's r-th fragment, so per-pixel order is program order and no
-        pass writes a pixel twice, which is what early-Z and blending
-        need to run vectorized.  Appends the segments' tiles and six
-        counts per segment -- fragments, fragments x attributes,
-        fragments passing early-Z, their shader instructions, alpha
-        blends and texel fetches -- to ``segments``, and their texel
-        lines with each line's tile to ``texels``.
+        The fragments are laid out row by row in program order, and
+        within a row tile by tile, row-major inside each tile: one run
+        per (primitive, tile) *segment*.  Fragments at the same pixel are
+        split into ordered passes: pass r holds each pixel's r-th
+        fragment, so per-pixel order is program order and no pass writes
+        a pixel twice, which is what early-Z and blending need to run
+        vectorized.  Appends the segments' tiles and six counts per
+        segment -- fragments, fragments x attributes, fragments passing
+        early-Z, their shader instructions, alpha blends and texel
+        fetches -- to ``segments``, and their texel lines with each
+        line's tile to ``texels``.
         """
-        state = prims[0].state
+        state = batch.state
         users, xs, ys, depth, bary, seg_tiles, seg_sizes = (
             [], [], [], [], [], [], []
         )
-        for prim in prims:
-            tiled = self._memo.get(prim, self._screen_rect)
+        for row in rows.tolist():
+            tiled = self._memo.get(batch, row, self._screen_rect)
             if not tiled.fragment_count:
                 continue
             keep = in_missed[tiled.tiles]
@@ -410,16 +394,16 @@ class RasterPipeline(Stage):
                 seg_tiles.append(tiled.tiles)
             elif keep.any():
                 sizes = sizes[keep]
-                rows = _ranges(tiled.starts[:-1][keep], sizes)
-                xs.append(tiled.xs[rows])
-                ys.append(tiled.ys[rows])
-                depth.append(tiled.depth[rows])
-                bary.append(tiled.bary[rows])
+                frags = _ranges(tiled.starts[:-1][keep], sizes)
+                xs.append(tiled.xs[frags])
+                ys.append(tiled.ys[frags])
+                depth.append(tiled.depth[frags])
+                bary.append(tiled.bary[frags])
                 seg_tiles.append(tiled.tiles[keep])
             else:
                 continue
             seg_sizes.append(sizes)
-            users.append(prim)
+            users.append(row)
         if not users:
             return
         prim_ends = np.cumsum([len(part) for part in xs])
@@ -428,13 +412,13 @@ class RasterPipeline(Stage):
         )
         seg_tile = np.concatenate(seg_tiles)
         seg_size = np.concatenate(seg_sizes)
-        attributes = np.repeat(
-            [prim.num_attributes for prim in users],
-            [len(tiles) for tiles in seg_tiles],
-        )
+        attributes = batch.num_attributes
+        varyings = {
+            name: values[users] for name, values in batch.varyings.items()
+        }
         count = len(xs)
         self.stats.fragments_rasterized += count
-        self.stats.interp_attr_fragments += int(seg_size @ attributes)
+        self.stats.interp_attr_fragments += count * attributes
 
         color_buffer, depth_buffer, stamp = self._screen
         ranks = None
@@ -468,7 +452,7 @@ class RasterPipeline(Stage):
             passed[at] = True
             at_xs, at_ys = xs[at], ys[at]
             colors, fetched = self.fragment_stage.shade(
-                state, users,
+                state, varyings,
                 np.diff(np.searchsorted(at, prim_ends), prepend=0),
                 at_xs, at_ys, bary[at],
             )
@@ -522,7 +506,7 @@ class RasterPipeline(Stage):
         :data:`TILE_DELTA_KEYS`, the texel line streams as
         ``(raw_count, lines)`` pairs, and the shaders it pins.
         """
-        prims = self._fetch_tile_primitives(tile_id, parameter_buffer)
+        runs = self._fetch_tile_runs(tile_id, parameter_buffer)
         entry, key, delta, traffic = self._pending.pop(tile_id)
         if entry is not None:
             colors, delta, traffic = entry[:3]
@@ -531,8 +515,8 @@ class RasterPipeline(Stage):
             x0, y0, x1, y1 = self.framebuffer.tile_rect(tile_id)
             colors = self._screen[0][y0:y1, x0:x1].copy()
             # The entry pins the shader objects whose ids are in the key.
-            pins = tuple({id(p.state.shader): p.state.shader
-                          for p in prims}.values())
+            pins = tuple({id(batch.state.shader): batch.state.shader
+                          for batch, _ in runs}.values())
             cost = colors.size + sum(len(lines) for _, lines in traffic)
             self._tile_memo.put(key, (colors, delta, traffic, pins), cost)
         for raw_count, lines in traffic:
@@ -558,6 +542,18 @@ TILE_DELTA_KEYS = (
     "fragment.texture_fetches", "blend.fragments_blended",
     "blend.alpha_blends",
 )
+
+
+def _state_key(state) -> tuple:
+    """Content key of a DrawState's shading-relevant bindings."""
+    return (
+        id(state.shader),
+        tuple(t.content_token if t is not None else None
+              for t in state.textures),
+        state.constants_bytes(),
+        state.depth_test,
+        state.depth_write,
+    )
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -11,8 +11,11 @@ a superset of what the rasterizer will consume for that tile, and the
 superset is the same function of the frame's geometry every frame.
 
 A drawcall is binned as a whole, with array operations over its
-:class:`~repro.geometry.primitives.PrimitiveBatch`.  Listeners (the RE
-Signature Unit, or nothing for the baseline) receive
+:class:`~repro.geometry.primitives.PrimitiveBatch`.  A primitive exists
+only as a row of its batch: each tile's list holds one run ``(batch,
+rows)`` per drawcall that touches the tile, and the Parameter Buffer
+also keeps the frame's binned drawcalls in program order.  Listeners
+(the RE Signature Unit, or nothing for the baseline) receive
 ``on_draw_state(state)`` and then one ``on_drawcall(batch, prims,
 tiles)`` with every (primitive, tile) pair the drawcall produced: the
 events the paper's hardware taps, one drawcall at a time.
@@ -26,7 +29,7 @@ import numpy as np
 
 from ..config import GpuConfig
 from ..engine.stage import Stage
-from ..geometry.primitives import Primitive, PrimitiveBatch
+from ..geometry.primitives import PrimitiveBatch
 from ..memory.hierarchy import MemoryHierarchy
 # Unused here; bench/layers.py traces these two by this module's path.
 from .rasterizer import coverage_mask, covers_rect  # noqa: F401
@@ -47,49 +50,53 @@ class TilingStats:
 class ParameterBuffer:
     """Per-tile polygon lists plus the primitives' attribute storage.
 
-    Next to each tile's list it keeps each listed primitive's byte range
-    in the buffer (offset and size), which the Tile Scheduler fetches.
+    A tile's list is a sequence of runs ``(batch, rows)``, one per
+    drawcall that touches the tile, in program order; ``rows`` are batch
+    rows in program order.  Next to each list it keeps each listed
+    primitive's byte range in the buffer (offset and size), which the
+    Tile Scheduler fetches.  ``drawcalls`` holds the frame's binned
+    drawcalls in program order, each as the ``(batch, prims, tiles)``
+    its listeners received.
     """
 
     def __init__(self, num_tiles: int) -> None:
         self.num_tiles = num_tiles
         self.clear()
 
-    def extend(self, tile_id: int, prims, offsets, sizes) -> None:
-        """Append primitives, with their byte ranges, to one tile's list."""
-        self.bins[tile_id].extend(prims)
+    def extend(self, tile_id: int, batch: PrimitiveBatch, rows,
+               offsets, sizes) -> None:
+        """Append one drawcall's primitives, batch rows ``rows`` in
+        program order, with their byte ranges, to one tile's list."""
+        self.runs[tile_id].append((batch, rows))
         self.offsets[tile_id].extend(offsets)
         self.sizes[tile_id].extend(sizes)
-
-    def insert(self, prim: Primitive, tile_ids) -> None:
-        size = prim.parameter_buffer_bytes()
-        for tile_id in tile_ids:
-            self.extend(tile_id, (prim,), (prim.pb_offset,), (size,))
-
-    def tile_primitives(self, tile_id: int) -> list:
-        return self.bins[tile_id]
 
     def tile_ranges(self, tile_id: int) -> tuple:
         """The tile's primitives' Parameter-Buffer offsets and sizes."""
         return self.offsets[tile_id], self.sizes[tile_id]
 
+    def pairs(self, tile_id: int) -> int:
+        """The tile's (primitive, tile) pairs: primitives, not runs."""
+        return len(self.sizes[tile_id])
+
     def tile_bytes(self, tile_id: int) -> int:
         """Bytes the Tile Scheduler fetches to render this tile."""
         return (
             sum(self.sizes[tile_id])
-            + TILE_POINTER_BYTES * len(self.bins[tile_id])
+            + TILE_POINTER_BYTES * self.pairs(tile_id)
         )
 
     def occupied_tiles(self):
         """Tile ids that contain at least one primitive, in raster order."""
-        return [i for i, bin_ in enumerate(self.bins) if bin_]
+        return [i for i, runs in enumerate(self.runs) if runs]
 
     def clear(self) -> None:
         # New lists, not cleared ones: the memory log holds the range
         # lists of fetched tiles until it resolves.
-        self.bins = [[] for _ in range(self.num_tiles)]
+        self.runs = [[] for _ in range(self.num_tiles)]
         self.offsets = [[] for _ in range(self.num_tiles)]
         self.sizes = [[] for _ in range(self.num_tiles)]
+        self.drawcalls = []
 
 
 class PolygonListBuilder(Stage):
@@ -139,26 +146,23 @@ class PolygonListBuilder(Stage):
         """Sort one drawcall's primitives into tiles.
 
         Each binned primitive takes the next slot of the Parameter
-        Buffer, and each touched tile's list gets its primitives in
-        program order in one ``extend``.
+        Buffer, and each touched tile's list gets one run of the
+        drawcall's rows in program order, in one ``extend``.
         """
         for listener in self.listeners:
             listener.on_draw_state(state)
         binned, counts, tiles = self.overlaps(batch)
         size = batch.parameter_buffer_bytes
-        offsets = self._pb_cursor + size * np.arange(len(binned))
+        batch.pb_offsets[binned] = (
+            self._pb_cursor + size * np.arange(len(binned))
+        )
         self._pb_cursor += size * len(binned)
-        handles = batch.primitives
-        binned_prims = [handles[i] for i in binned.tolist()]
-        for prim, offset in zip(binned_prims, offsets.tolist()):
-            prim.pb_offset = offset
 
-        # Each pair's slot among the binned primitives.  Sorting the
-        # pairs stably by tile keeps each tile's run in program order.
-        slots = np.repeat(np.arange(len(binned)), counts)
-        by_tile = slots[np.argsort(tiles, kind="stable")]
-        pair_prims = [binned_prims[slot] for slot in by_tile.tolist()]
-        pair_offsets = offsets[by_tile].tolist()
+        # Each pair's batch row.  Sorting the pairs stably by tile keeps
+        # each tile's run in program order.
+        prims = np.repeat(binned, counts)
+        by_tile = prims[np.argsort(tiles, kind="stable")]
+        pair_offsets = batch.pb_offsets[by_tile].tolist()
         per_tile = np.bincount(tiles)
         touched = np.flatnonzero(per_tile)
         ends = np.cumsum(per_tile[touched])
@@ -166,15 +170,15 @@ class PolygonListBuilder(Stage):
         for tile_id, start, end in zip(touched.tolist(),
                                        (ends - per_tile[touched]).tolist(),
                                        ends.tolist()):
-            extend(tile_id, pair_prims[start:end], pair_offsets[start:end],
-                   [size] * (end - start))
+            extend(tile_id, batch, by_tile[start:end],
+                   pair_offsets[start:end], [size] * (end - start))
+        self.parameter_buffer.drawcalls.append((batch, prims, tiles))
 
         written = size + TILE_POINTER_BYTES * counts
         self.stats.primitives_binned += len(binned)
         self.stats.tile_entries += len(tiles)
         self.stats.parameter_bytes_written += int(written.sum())
         self.memory.write_parameters(written.tolist(), self.stats)
-        prims = binned[slots]
         for listener in self.listeners:
             listener.on_drawcall(batch, prims, tiles)
 

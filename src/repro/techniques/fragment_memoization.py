@@ -43,7 +43,7 @@ _FNV_PRIME = np.uint32(0x01000193)
 _FNV_BASIS = np.uint32(0x811C9DC5)
 
 
-def fragment_input_hashes(prim, varyings: dict) -> np.ndarray:
+def fragment_input_hashes(state, varyings: dict) -> np.ndarray:
     """32-bit signatures of each fragment's shader inputs.
 
     Vectorized FNV-1a over the fragment's interpolated varyings (bit
@@ -51,7 +51,6 @@ def fragment_input_hashes(prim, varyings: dict) -> np.ndarray:
     hash of the constants block and the shader id.  The ``_screen``
     pseudo-varying is excluded, as in the original proposal.
     """
-    state = prim.state
     seed = np.uint32(
         zlib_crc(state.constants_bytes(), state.shader.program_id)
     )
@@ -133,8 +132,8 @@ class FragmentMemoization(Technique):
             self._even_tile_hashes = {}
 
     # Fragment-stage hook ---------------------------------------------------
-    def memo_filter(self, prim, varyings: dict) -> int:
-        hashes = fragment_input_hashes(prim, varyings)
+    def memo_filter(self, state, varyings: dict) -> int:
+        hashes = fragment_input_hashes(state, varyings)
         count = len(hashes)
         tile_id = self._tile_of(varyings)
         self.stats.fragments_seen += count

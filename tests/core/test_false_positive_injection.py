@@ -94,10 +94,10 @@ def craft_collision(config):
         )
         (invocation,) = processor.process(frame(tint, aux))
         shaded = vertex.run(invocation)
-        prims = assembly.assemble(invocation, shaded).primitives
+        batch = assembly.assemble(invocation, shaded)
         message = compute.pad(invocation.state.constants_bytes())
-        for prim in prims:
-            message += compute.pad(prim.attribute_bytes())
+        for row in batch.attributes:
+            message += compute.pad(row.tobytes())
         return message
 
     message_a = tile_message(tint_a, aux_a)

@@ -144,17 +144,19 @@ class TestPrimitiveBatchRows:
     @pytest.mark.parametrize("widths", [(), (2,), (4, 1), (6, 0, 3)])
     def test_rows_equal_each_primitives_bytes(self, widths):
         batch = self.assembled_batch(widths)
-        assert len(batch.primitives) == 18
-        for i, prim in enumerate(batch.primitives):
+        assert len(batch.screen) == 18
+        assert batch.num_attributes == 1 + len(widths)
+        for i in range(len(batch.screen)):
+            prim = batch.primitive(i)
             expected = reference_attribute_bytes(prim.clip, prim.varyings)
             assert batch.attributes[i].tobytes() == expected
             assert prim.attribute_bytes() == expected
             assert prim.bounds() == tuple(batch.bounds[i].tolist())
-            assert prim.geometry_bytes() == (
-                prim.screen.tobytes() + prim.depth.tobytes()
+            assert batch.row_bytes[i] == (
+                prim.screen.tobytes() + prim.depth.tobytes(), expected
             )
         assert batch.parameter_buffer_bytes == (
-            batch.primitives[0].parameter_buffer_bytes()
+            batch.primitive(0).parameter_buffer_bytes()
         )
 
     @pytest.mark.parametrize("block_bytes", [4, 8, 16, 32])
@@ -172,9 +174,9 @@ class TestPrimitiveBatchRows:
             crc32_table(pad(row.tobytes())) for row in rows
         ]
 
-    def test_handles_share_read_only_rows(self):
+    def test_row_views_are_read_only(self):
         batch = self.assembled_batch((2,))
-        prim = batch.primitives[0]
+        prim = batch.primitive(0)
         assert np.shares_memory(prim.screen, batch.screen)
         with pytest.raises(ValueError):
             prim.screen[0, 0] = 1.0

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GpuConfig
-from repro.geometry import DrawState, Primitive, mat4
+from repro.geometry import DrawState, Primitive, PrimitiveBatch, mat4
 from repro.harness.runner import make_technique
 from repro.pipeline import Gpu
 from repro.pipeline.rasterizer import (
@@ -59,6 +59,14 @@ CASES = [
     ("hop", "re"),
     ("mst", "te"),
     ("mst", "memo"),   # memo_filter installed: both render tile by tile
+    # Every other game once, so each game's tile runs are checked.
+    ("cde", "re"),
+    ("coc", "re"),
+    ("ctr", "re"),
+    ("abi", "re"),
+    ("csn", "re"),
+    ("ter", "re"),
+    ("tib", "re"),
 ]
 
 
@@ -102,6 +110,12 @@ def make_prim(screen, depth):
     )
 
 
+def make_batch(screen, depth):
+    """A drawcall of one primitive, for :meth:`RasterMemo.get`'s row 0."""
+    prim = make_prim(screen, depth)
+    return PrimitiveBatch.from_primitives(prim.state, [prim])
+
+
 coordinate = st.floats(
     min_value=-8.0, max_value=40.0, allow_nan=False, width=32
 )
@@ -119,15 +133,16 @@ class TestTiledRasterProperty:
         prim = make_prim(np.asarray(coords).reshape(3, 2), depths)
 
         tiled = TiledRaster(
-            rasterize(prim, screen_rect), tile_size, tiles_x
+            rasterize(prim.screen, prim.depth, screen_rect), tile_size,
+            tiles_x
         )
         total = 0
         for tile_id in range(tiles_x * tiles_y):
             ty, tx = divmod(tile_id, tiles_x)
             rect = (tx * tile_size, ty * tile_size,
                     (tx + 1) * tile_size, (ty + 1) * tile_size)
-            reference = rasterize(prim, rect)
-            sliced = tiled.tile(prim, tile_id)
+            reference = rasterize(prim.screen, prim.depth, rect)
+            sliced = tiled.tile(tile_id)
             assert np.array_equal(sliced.xs, reference.xs)
             assert np.array_equal(sliced.ys, reference.ys)
             # Bit-exact, not approximately-equal: same float32 words.
@@ -140,12 +155,12 @@ class TestTiledRasterProperty:
         memo = RasterMemo(tile_size=8, tiles_x=2)
         rect = (0, 0, 16, 16)
         screen = [[1.0, 1.0], [14.0, 2.0], [3.0, 14.0]]
-        first = memo.get(make_prim(screen, [0.5, 0.5, 0.5]), rect)
-        second = memo.get(make_prim(screen, [0.5, 0.5, 0.5]), rect)
+        first = memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
+        second = memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
         assert second is first
         assert (memo.hits, memo.misses) == (1, 1)
         # Different content misses.
-        memo.get(make_prim(screen, [0.4, 0.5, 0.5]), rect)
+        memo.get(make_batch(screen, [0.4, 0.5, 0.5]), 0, rect)
         assert memo.misses == 2
 
     def test_memo_eviction_bounded_by_fragment_budget(self):
@@ -154,7 +169,7 @@ class TestTiledRasterProperty:
         for seed in range(16):
             screen = [[0.0, 0.0], [15.0 - seed * 0.25, 0.0],
                       [0.0, 15.0 - seed * 0.25]]
-            memo.get(make_prim(screen, [0.5, 0.5, 0.5]), rect)
+            memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
         store = memo.store
         retained = sum(
             entry.fragment_count for entry in store._entries.values()
@@ -175,15 +190,15 @@ class TestTiledRasterProperty:
         memo_a = RasterMemo(tile_size=8, tiles_x=2, store=store)
         memo_b = RasterMemo(tile_size=8, tiles_x=4, store=store)
         rect_a, rect_b = (0, 0, 16, 16), (0, 0, 32, 32)
-        memo_a.get(make_prim([[0, 0], [15, 0], [0, 15]], [0.5] * 3), rect_a)
+        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect_a)
         assert len(store) == 1
         for seed in range(8):
             screen = [[0, 0], [31 - seed, 0], [0, 31 - seed]]
-            memo_b.get(make_prim(screen, [0.5] * 3), rect_b)
+            memo_b.get(make_batch(screen, [0.5] * 3), 0, rect_b)
         # memo_a's entry was the coldest and must have been evicted to
         # make room for memo_b's large triangles.
         assert store.evictions > 0
-        memo_a.get(make_prim([[0, 0], [15, 0], [0, 15]], [0.5] * 3), rect_a)
+        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect_a)
         assert memo_a.misses == 2 and memo_a.hits == 0
         # Invariant: everything but possibly the newest entry fits.
         newest = store._entries[next(reversed(store._entries))]
@@ -194,16 +209,16 @@ class TestTiledRasterProperty:
         store = RasterMemoStore(fragment_budget=300)
         memo = RasterMemo(tile_size=8, tiles_x=2, store=store)
         rect = (0, 0, 16, 16)
-        hot = make_prim([[0, 0], [15, 0], [0, 15]], [0.5] * 3)
-        memo.get(hot, rect)
-        memo.get(make_prim([[0, 0], [12, 0], [0, 12]], [0.5] * 3), rect)
+        hot = make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3)
+        memo.get(hot, 0, rect)
+        memo.get(make_batch([[0, 0], [12, 0], [0, 12]], [0.5] * 3), 0, rect)
         # Touch the older entry, making the 12px triangle the LRU one.
-        memo.get(make_prim([[0, 0], [15, 0], [0, 15]], [0.5] * 3), rect)
+        memo.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect)
         assert memo.hits == 1
-        memo.get(make_prim([[0, 0], [14, 0], [0, 14]], [0.5] * 3), rect)
+        memo.get(make_batch([[0, 0], [14, 0], [0, 14]], [0.5] * 3), 0, rect)
         if store.evictions:
             # The refreshed hot entry survived the eviction.
-            memo.get(make_prim([[0, 0], [15, 0], [0, 15]], [0.5] * 3), rect)
+            memo.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect)
             assert memo.hits == 2
 
     def test_shared_memos_bind_one_store(self):

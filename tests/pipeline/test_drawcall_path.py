@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import GpuConfig
-from repro.geometry import VertexBuffer, mat4, quad_buffer
+from repro.geometry import Primitive, VertexBuffer, mat4, quad_buffer
 from repro.harness.runner import make_technique
 from repro.pipeline import CommandStream, Gpu
 from repro.pipeline.depth import DepthStage
@@ -24,6 +24,7 @@ from repro.pipeline.tile_scheduler import (
 )
 from repro.shaders import ALPHA_TEXTURED, FLAT_COLOR, TEXTURED, pack_constants
 from repro.textures import checker_texture, noise_texture
+from repro.workloads.games import build_scene
 
 PROJ = mat4.ortho2d()
 
@@ -159,3 +160,23 @@ def test_missed_tile_deltas_sum_to_the_stage_counts(monkeypatch):
     assert missed[0] == config.num_tiles
     assert 0 < missed[1] < config.num_tiles
     assert missed[2] == 0
+
+
+@pytest.mark.parametrize("technique", ["re", "te"])
+def test_batched_path_builds_no_primitive(technique, monkeypatch):
+    """After Primitive Assembly a triangle exists only as a row of its
+    drawcall's batch: binning, signing and the per-drawcall raster pass
+    all read rows, so a batched GPU renders without one Primitive."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Primitive was built")
+
+    monkeypatch.setattr(Primitive, "__init__", refuse)
+    config = GpuConfig.small()
+    gpu = Gpu(config, make_technique(technique, config))
+    # A memo of its own, so that every tile of frame 0 is rendered.
+    gpu.raster._tile_memo = TileMemo()
+    scene = build_scene("ccs")
+    frames = [gpu.render_frame(stream, clear_color=scene.clear_color)
+              for stream in scene.frames(2)]
+    assert frames[0].raster.tiles_rendered == config.num_tiles
+    assert frames[0].fragment.fragments_shaded > 0

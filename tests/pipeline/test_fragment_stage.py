@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.errors import PipelineError
-from repro.geometry import DrawState, Primitive, mat4
+from repro.geometry import DrawState, mat4
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.fragment_stage import FragmentStage
 from repro.pipeline.rasterizer import FragmentBatch
@@ -21,21 +21,18 @@ def make_stage():
 
 
 def make_batch(shader=FLAT_COLOR, textures=(), count=4, varyings=None):
+    """One primitive's fragments, as ``(state, varyings, fragments)``:
+    its draw state, its varyings with one (3, k) row each, and a
+    :class:`FragmentBatch`."""
     state = DrawState(
         shader=shader, constants=pack_constants(mat4.ortho2d(),
                                                 tint=(0.5, 0.5, 0.5, 1.0)),
         textures=textures,
     )
-    prim = Primitive(
-        screen=np.zeros((3, 2), np.float32),
-        depth=np.zeros(3, np.float32),
-        clip=np.zeros((3, 4), np.float32),
-        varyings=varyings or {},
-        state=state,
-    )
+    rows = {name: np.asarray(values, np.float32)[None]
+            for name, values in (varyings or {}).items()}
     bary = np.full((count, 3), 1.0 / 3.0, dtype=np.float32)
-    return FragmentBatch(
-        prim=prim,
+    return state, rows, FragmentBatch(
         xs=np.arange(count, dtype=np.int32),
         ys=np.zeros(count, dtype=np.int32),
         depth=np.full(count, 0.5, np.float32),
@@ -46,9 +43,10 @@ def make_batch(shader=FLAT_COLOR, textures=(), count=4, varyings=None):
 def shade(stage, batch, mask):
     """Shade ``batch``'s fragments under ``mask`` as the per-tile path
     does: one primitive's batch, whose texels go to memory at once."""
+    state, varyings, frags = batch
     colors, texels = stage.shade(
-        batch.prim.state, (batch.prim,), (int(np.count_nonzero(mask)),),
-        batch.xs[mask], batch.ys[mask], batch.bary[mask],
+        state, varyings, (int(np.count_nonzero(mask)),),
+        frags.xs[mask], frags.ys[mask], frags.bary[mask],
     )
     if texels.size:
         stage.fetch_texels(texels.size, stage.memory.texel_lines(texels))
@@ -108,7 +106,7 @@ class TestShading:
 class TestMemoHook:
     def test_filter_reduces_shaded_count(self):
         stage, _ = make_stage()
-        stage.memo_filter = lambda prim, varyings: 2
+        stage.memo_filter = lambda state, varyings: 2
         batch = make_batch(count=5)
         shade(stage, batch, np.ones(5, dtype=bool))
         assert stage.stats.fragments_shaded == 3
@@ -121,7 +119,7 @@ class TestMemoHook:
         def run(memoized):
             stage, memory = make_stage()
             if memoized:
-                stage.memo_filter = lambda prim, varyings: 4
+                stage.memo_filter = lambda state, varyings: 4
             batch = make_batch(shader=TEXTURED, textures=(texture,),
                                count=4, varyings={"uv": uv})
             shade(stage, batch, np.ones(4, dtype=bool))

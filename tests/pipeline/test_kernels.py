@@ -50,7 +50,7 @@ class TestEdgeCoverage:
             clip=np.zeros((3, 4), dtype=np.float32), varyings={},
             state=DrawState(FLAT_COLOR, pack_constants(mat4.identity())),
         )
-        batch = rasterize(prim, (0, 0, 4, 4))
+        batch = rasterize(prim.screen, prim.depth, (0, 0, 4, 4))
         inside = np.zeros((4, 4), dtype=bool)
         inside[batch.ys, batch.xs] = True
         # Diagonal pixel centers (x + y == 3, w0 == 0, non-top-left edge)

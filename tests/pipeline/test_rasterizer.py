@@ -31,7 +31,7 @@ def prim(points, depth=(0.5, 0.5, 0.5), varyings=None):
 def coverage(prims, size=16):
     grid = np.zeros((size, size), dtype=int)
     for p in prims:
-        batch = rasterize(p, (0, 0, size, size))
+        batch = rasterize(p.screen, p.depth, (0, 0, size, size))
         for x, y in zip(batch.xs, batch.ys):
             grid[y, x] += 1
     return grid
@@ -59,22 +59,23 @@ class TestCoverage:
         assert np.all(coverage(quads) == 1)
 
     def test_offscreen_triangle_is_empty(self):
-        batch = rasterize(prim([[100, 100], [110, 100], [100, 110]]),
-                          (0, 0, 16, 16))
+        t = prim([[100, 100], [110, 100], [100, 110]])
+        batch = rasterize(t.screen, t.depth, (0, 0, 16, 16))
         assert batch.count == 0
 
     def test_degenerate_triangle_is_empty(self):
-        batch = rasterize(prim([[0, 0], [8, 8], [16, 16]]), (0, 0, 16, 16))
+        t = prim([[0, 0], [8, 8], [16, 16]])
+        batch = rasterize(t.screen, t.depth, (0, 0, 16, 16))
         assert batch.count == 0
 
     def test_sub_pixel_triangle_between_centers_is_empty(self):
-        batch = rasterize(prim([[0.6, 0.6], [0.9, 0.6], [0.6, 0.9]]),
-                          (0, 0, 16, 16))
+        t = prim([[0.6, 0.6], [0.9, 0.6], [0.6, 0.9]])
+        batch = rasterize(t.screen, t.depth, (0, 0, 16, 16))
         assert batch.count == 0
 
     def test_rect_clips_coverage(self):
         t = prim([[0, 0], [16, 0], [0, 16]])
-        batch = rasterize(t, (0, 0, 4, 4))
+        batch = rasterize(t.screen, t.depth, (0, 0, 4, 4))
         assert batch.count == 16
         assert batch.xs.max() < 4 and batch.ys.max() < 4
 
@@ -88,7 +89,7 @@ class TestCoverage:
     )
     def test_coverage_within_bbox_and_count_consistent(self, points):
         p = prim(points)
-        batch = rasterize(p, (0, 0, 16, 16))
+        batch = rasterize(p.screen, p.depth, (0, 0, 16, 16))
         if batch.count:
             x0, y0, x1, y1 = p.bounds()
             assert batch.xs.min() >= max(0, x0)
@@ -104,16 +105,16 @@ class TestIterationBounds:
         # stops at 16 — the former ceil(max) + 1 bound iterated a
         # guaranteed-empty extra column and row.
         p = prim([[0, 0], [16, 0], [0, 16]])
-        assert iteration_bounds(p, (0, 0, 32, 32)) == (0, 0, 16, 16)
+        assert iteration_bounds(p.screen, (0, 0, 32, 32)) == (0, 0, 16, 16)
 
     def test_box_clipped_to_rect(self):
         p = prim([[0, 0], [16, 0], [0, 16]])
-        assert iteration_bounds(p, (4, 4, 8, 8)) == (4, 4, 8, 8)
+        assert iteration_bounds(p.screen, (4, 4, 8, 8)) == (4, 4, 8, 8)
 
     def test_sliver_between_centers_is_none(self):
         # Bounding box [0.6, 0.9] contains no half-integer center.
         p = prim([[0.6, 0.6], [0.9, 0.6], [0.6, 0.9]])
-        assert iteration_bounds(p, (0, 0, 16, 16)) is None
+        assert iteration_bounds(p.screen, (0, 0, 16, 16)) is None
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -126,8 +127,8 @@ class TestIterationBounds:
     def test_all_fragments_fall_inside_bounds(self, points):
         p = prim(points)
         rect = (0, 0, 16, 16)
-        batch = rasterize(p, rect)
-        bounds = iteration_bounds(p, rect)
+        batch = rasterize(p.screen, p.depth, rect)
+        bounds = iteration_bounds(p.screen, rect)
         if batch.count:
             assert bounds is not None
             x0, y0, x1, y1 = bounds
@@ -186,7 +187,7 @@ class TestCoverageMask:
     def test_mask_matches_rasterizer_emission(self, points):
         p = prim(points)
         rect = (0, 0, 16, 16)
-        batch = rasterize(p, rect)
+        batch = rasterize(p.screen, p.depth, rect)
         scatter = np.zeros((16, 16), dtype=bool)
         if batch.count:
             scatter[batch.ys, batch.xs] = True
@@ -256,7 +257,7 @@ class TestBatchedCoverage:
         covered = covers_rect(screens, rects)
         masks = coverage_mask(screens, rects, TILE)
         for (p, rect), full, mask in zip(pairs, covered, masks):
-            batch = rasterize(p, rect)
+            batch = rasterize(p.screen, p.depth, rect)
             expected = np.zeros((TILE, TILE), dtype=bool)
             expected[batch.ys - rect[1], batch.xs - rect[0]] = True
             assert np.array_equal(mask, expected), (p.screen, rect)
@@ -277,7 +278,7 @@ class TestBatchedCoverage:
 class TestInterpolation:
     def test_depth_interpolates_linearly(self):
         t = prim([[0, 0], [16, 0], [0, 16]], depth=(0.0, 1.0, 1.0))
-        batch = rasterize(t, (0, 0, 16, 16))
+        batch = rasterize(t.screen, t.depth, (0, 0, 16, 16))
         near_origin = (batch.xs == 0) & (batch.ys == 0)
         # Pixel (15, 0) lies exactly on the diagonal edge and is excluded
         # by the fill rule; (14, 0) is the farthest interior pixel.
@@ -288,7 +289,7 @@ class TestInterpolation:
     def test_varying_interpolation_matches_bary(self):
         values = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.float32)
         t = prim([[0, 0], [16, 0], [0, 16]], varyings={"uv": values})
-        batch = rasterize(t, (0, 0, 16, 16))
+        batch = rasterize(t.screen, t.depth, (0, 0, 16, 16))
         interp = batch.interpolate(values)
         assert interp.shape == (batch.count, 2)
         # uv.x should equal x/16 at pixel centers (affine map).
@@ -305,8 +306,8 @@ class TestInterpolation:
             varyings={"v": values[[0, 2, 1]].copy()},
             state=STATE,
         )
-        bf = rasterize(fwd, (0, 0, 16, 16))
-        br = rasterize(rev, (0, 0, 16, 16))
+        bf = rasterize(fwd.screen, fwd.depth, (0, 0, 16, 16))
+        br = rasterize(rev.screen, rev.depth, (0, 0, 16, 16))
         # Same pixels covered (fill rule differences allowed only on
         # shared edges; interior must match).
         key_f = {(x, y): v for x, y, v in

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.config import GpuConfig
-from repro.geometry import DrawState, Primitive, mat4
+from repro.geometry import DrawState, Primitive, PrimitiveBatch, mat4
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.fragment_stage import FragmentStage
 from repro.pipeline.framebuffer import FrameBuffer
@@ -21,7 +21,7 @@ def make_raster():
     return RasterPipeline(CONFIG, memory, fb, fragment_stage), memory
 
 
-def full_tile_prim(tint=(1, 0, 0, 1), z=0.5, pb_offset=0):
+def full_tile_prim(tint=(1, 0, 0, 1), z=0.5):
     state = DrawState(FLAT_COLOR, pack_constants(mat4.ortho2d(), tint=tint))
     prim = Primitive(
         screen=np.array([[0, 0], [40, 0], [0, 40]], dtype=np.float32),
@@ -29,9 +29,16 @@ def full_tile_prim(tint=(1, 0, 0, 1), z=0.5, pb_offset=0):
         clip=np.zeros((3, 4), np.float32),
         varyings={},
         state=state,
-        pb_offset=pb_offset,
     )
     return prim
+
+
+def insert(pb, prim, tile_ids, pb_offset=0):
+    """List ``prim``, as a drawcall of one, in each of ``tile_ids``."""
+    batch = PrimitiveBatch.from_primitives(prim.state, [prim])
+    for tile_id in tile_ids:
+        pb.extend(tile_id, batch, np.zeros(1, dtype=np.int64),
+                  [pb_offset], [batch.parameter_buffer_bytes])
 
 
 class TestRenderTile:
@@ -46,7 +53,7 @@ class TestRenderTile:
     def test_primitive_covers_tile(self):
         raster, _ = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
-        pb.insert(full_tile_prim(), [0])
+        insert(pb, full_tile_prim(), [0])
         colors = raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
         assert np.allclose(colors[0, 0], [1, 0, 0, 1])
         assert raster.stats.prim_tile_pairs == 1
@@ -56,7 +63,7 @@ class TestRenderTile:
         raster, memory = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
         prim = full_tile_prim()
-        pb.insert(prim, [0])
+        insert(pb, prim, [0])
         raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
         memory.resolve()
         assert raster.stats.pb_bytes_fetched > prim.parameter_buffer_bytes() - 1
@@ -67,7 +74,7 @@ class TestRenderTile:
         def primitive_traffic(tiles):
             raster, memory = make_raster()
             pb = ParameterBuffer(CONFIG.num_tiles)
-            pb.insert(full_tile_prim(), [0, 1])
+            insert(pb, full_tile_prim(), [0, 1])
             for tile_id in tiles:
                 raster.render_tile(tile_id, pb, clear_color=(0, 0, 0, 1))
             memory.resolve()
@@ -82,7 +89,7 @@ class TestRenderTile:
     def test_flush_writes_framebuffer_and_traffic(self):
         raster, memory = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
-        pb.insert(full_tile_prim(tint=(0, 1, 0, 1)), [0])
+        insert(pb, full_tile_prim(tint=(0, 1, 0, 1)), [0])
         colors = raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
         raster.flush_tile(0, colors)
         memory.resolve()
@@ -93,8 +100,9 @@ class TestRenderTile:
     def test_depth_between_primitives_in_one_tile(self):
         raster, _ = make_raster()
         pb = ParameterBuffer(CONFIG.num_tiles)
-        pb.insert(full_tile_prim(tint=(1, 0, 0, 1), z=0.2, pb_offset=0), [0])
-        pb.insert(full_tile_prim(tint=(0, 0, 1, 1), z=0.8, pb_offset=256), [0])
+        insert(pb, full_tile_prim(tint=(1, 0, 0, 1), z=0.2), [0])
+        insert(pb, full_tile_prim(tint=(0, 0, 1, 1), z=0.8), [0],
+               pb_offset=256)
         colors = raster.render_tile(0, pb, clear_color=(0, 0, 0, 1))
         # The nearer (red) primitive wins even though drawn first.
         assert np.allclose(colors[0, 0], [1, 0, 0, 1])

@@ -44,15 +44,23 @@ class RecordingListener:
     def __init__(self):
         self.states = []
         self.primitives = []
+        self.drawcalls = []
 
     def on_draw_state(self, state):
         self.states.append(state)
 
     def on_drawcall(self, batch, prims, tiles):
-        for row in np.unique(prims):
+        self.drawcalls.append((batch, prims, tiles))
+        for row in np.unique(prims).tolist():
             self.primitives.append(
-                (batch.primitives[row], tiles[prims == row].tolist())
+                (batch, row, tiles[prims == row].tolist())
             )
+
+
+def listed(pb, tile_id):
+    """A tile's list as ``(batch, row)`` pairs, run after run."""
+    return [(batch, row) for batch, rows in pb.runs[tile_id]
+            for row in rows.tolist()]
 
 
 def make_plb(listener=None, config=CONFIG):
@@ -100,21 +108,25 @@ class TestBinning:
     def test_parameter_buffer_contents(self):
         plb = make_plb()
         state = make_state()
-        prim = prim_at(2, 2, 30, 10, state)
+        batch = batch_of(state, [prim_at(2, 2, 30, 10, state)])
         plb.begin_frame()
-        plb.bin_drawcall(state, batch_of(state, [prim]))
-        assert plb.parameter_buffer.tile_primitives(0) == [prim]
-        assert plb.parameter_buffer.tile_primitives(1) == [prim]
+        plb.bin_drawcall(state, batch)
+        assert listed(plb.parameter_buffer, 0) == [(batch, 0)]
+        assert listed(plb.parameter_buffer, 1) == [(batch, 0)]
         assert plb.parameter_buffer.occupied_tiles() == [0, 1]
+        assert plb.parameter_buffer.pairs(1) == 1
 
     def test_pb_offsets_assigned_sequentially(self):
         plb = make_plb()
         state = make_state()
         prims = [prim_at(2, 2, 10, 10, state), prim_at(20, 2, 28, 10, state)]
+        batch = batch_of(state, prims)
+        assert batch.pb_offsets.tolist() == [-1, -1]
         plb.begin_frame()
-        plb.bin_drawcall(state, batch_of(state, prims))
-        assert prims[0].pb_offset == 0
-        assert prims[1].pb_offset == prims[0].parameter_buffer_bytes()
+        plb.bin_drawcall(state, batch)
+        assert batch.pb_offsets.tolist() == [
+            0, prims[0].parameter_buffer_bytes()
+        ]
 
     def test_stats_and_traffic(self):
         plb = make_plb()
@@ -133,12 +145,11 @@ class TestBinning:
         listener = RecordingListener()
         plb = make_plb(listener)
         state = make_state()
-        prim = prim_at(2, 2, 10, 10, state)
+        batch = batch_of(state, [prim_at(2, 2, 10, 10, state)])
         plb.begin_frame()
-        plb.bin_drawcall(state, batch_of(state, [prim]))
+        plb.bin_drawcall(state, batch)
         assert listener.states == [state]
-        assert listener.primitives[0][0] is prim
-        assert listener.primitives[0][1] == [0]
+        assert listener.primitives == [(batch, 0, [0])]
 
     def test_offscreen_primitives_not_reported(self):
         listener = RecordingListener()
@@ -157,9 +168,10 @@ class TestBinning:
         plb.bin_drawcall(state, batch_of(state, [prim_at(2, 2, 10, 10, state)]))
         plb.begin_frame()
         assert plb.parameter_buffer.occupied_tiles() == []
-        new_prim = prim_at(2, 2, 10, 10, state)
-        plb.bin_drawcall(state, batch_of(state, [new_prim]))
-        assert new_prim.pb_offset == 0
+        assert plb.parameter_buffer.drawcalls == []
+        batch = batch_of(state, [prim_at(2, 2, 10, 10, state)])
+        plb.bin_drawcall(state, batch)
+        assert batch.pb_offsets.tolist() == [0]
 
     def test_tile_bytes_sums_primitives(self):
         plb = make_plb()
@@ -184,16 +196,19 @@ class TestBinning:
         second = [prim_at(10, 5, 60, 30, lit, wide),
                   prim_at(0, 0, 95, 63, lit, wide)]
         plb.begin_frame()
-        plb.bin_drawcall(plain, batch_of(plain, first))
-        plb.bin_drawcall(lit, batch_of(lit, second))
+        batches = batch_of(plain, first), batch_of(lit, second)
+        for batch in batches:
+            plb.bin_drawcall(batch.state, batch)
         pb = plb.parameter_buffer
         assert first[0].parameter_buffer_bytes() != second[0].parameter_buffer_bytes()
         for tile_id in range(CONFIG.num_tiles):
-            prims = pb.tile_primitives(tile_id)
             offsets, sizes = pb.tile_ranges(tile_id)
-            assert offsets == [p.pb_offset for p in prims]
-            assert sizes == [p.parameter_buffer_bytes() for p in prims]
-        assert pb.tile_primitives(0) == [first[0], second[0], second[1]]
+            rows = listed(pb, tile_id)
+            assert offsets == [batch.pb_offsets[row] for batch, row in rows]
+            assert sizes == [batch.parameter_buffer_bytes for batch, _ in rows]
+        assert listed(pb, 0) == [
+            (batches[0], 0), (batches[1], 0), (batches[1], 1)
+        ]
 
 
 class TestPrimitiveBatch:
@@ -302,18 +317,28 @@ def test_array_binning_matches_per_primitive_reference(drawcalls):
     memory = RecordingMemory()
     plb = PolygonListBuilder(config, memory, listeners=(listener,))
     plb.begin_frame()
-    for state, prims in built:
-        plb.bin_drawcall(state, batch_of(state, prims))
+    batches = [batch_of(state, prims) for state, prims in built]
+    for batch in batches:
+        plb.bin_drawcall(batch.state, batch)
 
     pb = plb.parameter_buffer
+    # Each primitive is row k of drawcall d's batch.
+    where = {id(prim): (batches[d], k)
+             for d, (_, prims) in enumerate(built)
+             for k, prim in enumerate(prims)}
     for tile_id in range(config.num_tiles):
-        got = pb.tile_primitives(tile_id)
-        assert [id(p) for p in got] == [id(p) for p in bins[tile_id]]
-    for prim in (p for _, prims in built for p in prims):
-        assert prim.pb_offset == offsets.get(id(prim), -1)
+        assert listed(pb, tile_id) == [where[id(p)] for p in bins[tile_id]]
+    for batch, (_, prims) in zip(batches, built):
+        assert batch.pb_offsets.tolist() == [
+            offsets.get(id(prim), -1) for prim in prims
+        ]
     assert plb.stats == stats
     assert memory.writes == writes
-    assert [(id(p), t) for p, t in listener.primitives] == [
-        (id(p), t) for p, t in events
-    ]
+    assert listener.primitives == [(*where[id(p)], t) for p, t in events]
     assert listener.states == [state for state, _ in built]
+    # The frame's drawcalls, in program order, with the very pair arrays
+    # the listeners received.
+    assert [batch for batch, _, _ in pb.drawcalls] == batches
+    assert [tuple(map(id, drawcall)) for drawcall in pb.drawcalls] == [
+        tuple(map(id, drawcall)) for drawcall in listener.drawcalls
+    ]

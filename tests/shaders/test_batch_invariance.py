@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GpuConfig
-from repro.geometry import DrawState, Primitive, mat4
+from repro.geometry import DrawState, mat4
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.fragment_stage import FragmentStage
 from repro.shaders import PROGRAMS, pack_constants
@@ -21,23 +21,18 @@ from repro.textures.texture import Texture
 MAX_FRAGMENTS = 300
 
 
-def random_primitive(rng, state) -> Primitive:
-    return Primitive(
-        screen=np.zeros((3, 2), np.float32),
-        depth=np.zeros(3, np.float32),
-        clip=np.zeros((3, 4), np.float32),
-        varyings={
-            "uv": rng.uniform(-4, 4, (3, 2)).astype(np.float32),
-            "normal": rng.uniform(-1, 1, (3, 3)).astype(np.float32),
-        },
-        state=state,
-    )
+def random_varyings(rng, prims) -> dict:
+    """Random varyings of ``prims`` primitives, one (3, k) row each."""
+    return {
+        "uv": rng.uniform(-4, 4, (prims, 3, 2)).astype(np.float32),
+        "normal": rng.uniform(-1, 1, (prims, 3, 3)).astype(np.float32),
+    }
 
 
-def shade_pieces(stage, state, prims, owners, xs, ys, bary, cuts):
+def shade_pieces(stage, state, varyings, owners, xs, ys, bary, cuts):
     """Shade rows ``cuts[i]:cuts[i + 1]`` one call each, row ``j``
-    belonging to ``prims[owners[j]]``; return the colors and the
-    per-fetch texel addresses, rows concatenated."""
+    belonging to primitive ``owners[j]`` of ``varyings``; return the
+    colors and the per-fetch texel addresses, rows concatenated."""
     colors, texels = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi == lo:
@@ -46,7 +41,9 @@ def shade_pieces(stage, state, prims, owners, xs, ys, bary, cuts):
         firsts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         counts = np.diff(np.r_[firsts, hi - lo])
         piece_colors, piece_texels = stage.shade(
-            state, [prims[rows[i]] for i in firsts], counts,
+            state,
+            {name: values[rows[firsts]] for name, values in varyings.items()},
+            counts,
             xs[lo:hi], ys[lo:hi], bary[lo:hi],
         )
         colors.append(piece_colors)
@@ -73,7 +70,7 @@ def test_shading_whole_equals_shading_split(program, seed, count, prims,
     state = DrawState(shader=PROGRAMS[program], constants=constants,
                       textures=(texture,))
     stage = FragmentStage(MemoryHierarchy(GpuConfig.small()))
-    primitives = [random_primitive(rng, state) for _ in range(prims)]
+    varyings = random_varyings(rng, prims)
     # Rows belong to the primitives in runs, in primitive order.
     owners = np.sort(rng.integers(0, prims, count))
     bary = rng.random((count, 3), dtype=np.float32)
@@ -82,10 +79,10 @@ def test_shading_whole_equals_shading_split(program, seed, count, prims,
     ys = rng.integers(0, 64, count).astype(np.int32)
 
     whole_colors, whole_texels = shade_pieces(
-        stage, state, primitives, owners, xs, ys, bary, [0, count])
+        stage, state, varyings, owners, xs, ys, bary, [0, count])
     split = sorted(min(cut, count) for cut in cuts)
     split_colors, split_texels = shade_pieces(
-        stage, state, primitives, owners, xs, ys, bary,
+        stage, state, varyings, owners, xs, ys, bary,
         [0] + split + [count])
     assert whole_colors.tobytes() == split_colors.tobytes()
     assert np.array_equal(whole_texels, split_texels)

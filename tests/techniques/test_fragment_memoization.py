@@ -129,36 +129,29 @@ class TestFragmentHash:
             "_screen": np.zeros((len(uv), 2), dtype=np.float32),
         }
 
-    def _prim(self, tint=(1, 1, 1, 1)):
-        from repro.geometry import DrawState, Primitive
-        state = DrawState(FLAT_COLOR, pack_constants(PROJ, tint=tint))
-        return Primitive(
-            screen=np.zeros((3, 2), np.float32),
-            depth=np.zeros(3, np.float32),
-            clip=np.zeros((3, 4), np.float32),
-            varyings={},
-            state=state,
-        )
+    def _state(self, tint=(1, 1, 1, 1)):
+        from repro.geometry import DrawState
+        return DrawState(FLAT_COLOR, pack_constants(PROJ, tint=tint))
 
     def test_screen_coords_excluded(self):
-        prim = self._prim()
+        state = self._state()
         a = self._varyings([[0.1, 0.2], [0.3, 0.4]])
         b = self._varyings([[0.1, 0.2], [0.3, 0.4]])
         b["_screen"] = np.ones((2, 2), dtype=np.float32) * 50
         assert np.array_equal(
-            fragment_input_hashes(prim, a), fragment_input_hashes(prim, b)
+            fragment_input_hashes(state, a), fragment_input_hashes(state, b)
         )
 
     def test_different_varyings_different_hash(self):
-        prim = self._prim()
-        a = fragment_input_hashes(prim, self._varyings([[0.1, 0.2]]))
-        b = fragment_input_hashes(prim, self._varyings([[0.5, 0.2]]))
+        state = self._state()
+        a = fragment_input_hashes(state, self._varyings([[0.1, 0.2]]))
+        b = fragment_input_hashes(state, self._varyings([[0.5, 0.2]]))
         assert a[0] != b[0]
 
     def test_different_constants_different_hash(self):
         varyings = self._varyings([[0.1, 0.2]])
-        a = fragment_input_hashes(self._prim((1, 0, 0, 1)), varyings)
-        b = fragment_input_hashes(self._prim((0, 1, 0, 1)), varyings)
+        a = fragment_input_hashes(self._state((1, 0, 0, 1)), varyings)
+        b = fragment_input_hashes(self._state((0, 1, 0, 1)), varyings)
         assert a[0] != b[0]
 
     def test_lut_config_validation(self):
