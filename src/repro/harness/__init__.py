@@ -3,7 +3,7 @@ parameter sweeps, fault-tolerant supervision, reporting."""
 
 from . import charts, images, reporting
 from .classify import TileClasses, classify_run, equal_tiles_fraction
-from .parallel import Cell, cell_label, cell_seed, merged_totals, run_cells, run_matrix
+from .parallel import Cell, cell_label, cell_seed, run_cells, run_matrix
 from .report import REPORT_ORDER, generate_report
 from .quality import FidelityReport, compare_runs, mse, psnr, tile_errors
 from .supervisor import (
@@ -45,7 +45,6 @@ __all__ = [
     "Cell",
     "cell_label",
     "cell_seed",
-    "merged_totals",
     "run_cells",
     "run_matrix",
     "CellOutcome",

@@ -104,15 +104,15 @@ class RunCache:
                  processes: int = None, policy=None,
                  journal_path=None, fault_spec=None) -> int:
         """Populate the cache for an ``aliases x techniques`` grid,
-        optionally fanning the missing cells across a process pool (see
-        :mod:`repro.harness.parallel`).  Returns the number of cells
-        actually simulated.
+        optionally fanning the missing cells across ``processes``
+        supervised workers (see :func:`repro.harness.parallel.run_cells`).
+        Returns the number of cells actually simulated.
 
-        ``policy`` / ``journal_path`` / ``fault_spec`` route the cells
-        through the fault-tolerant supervisor
-        (:mod:`repro.harness.supervisor`): timed-out or crashed cells
-        are retried from their last checkpoint instead of taking the
-        whole prefetch down.
+        ``policy`` / ``journal_path`` / ``fault_spec`` set the
+        supervisor's policy (:mod:`repro.harness.supervisor`): timed-out
+        or crashed cells are retried from their last checkpoint instead
+        of taking the whole prefetch down.  Without them a failed cell
+        raises :class:`~repro.errors.SupervisionError` unretried.
         """
         from .parallel import Cell, run_cells
 

@@ -1,10 +1,10 @@
-"""Process-pool harness runner: fan independent cells across workers.
+"""Harness cells and their one entry point, :func:`run_cells`.
 
 A *cell* is one independent (workload, technique) simulation —
 :func:`repro.harness.runner.run_workload` with fixed arguments.  Cells
 share no simulator state (each builds its own scene and GPU), so a run
-matrix parallelizes trivially across ``multiprocessing`` workers; the
-suite and the experiment cache both fan out through :func:`run_cells`.
+matrix parallelizes trivially across worker processes; the suite, the
+experiment cache and sweeps all fan out through :func:`run_cells`.
 
 Determinism: every cell derives a seed from its own identity
 (:func:`cell_seed`), and :func:`~repro.harness.runner.run_workload`
@@ -14,17 +14,13 @@ runs serially, in any worker, or in any order.  (Workload
 content already uses explicit per-scene generators; the reseeding
 guards any library code that reaches for global randomness.)
 
-``processes`` in ``(None, 0, 1)`` selects the serial fallback, which
-runs cells in-process (and therefore shares the in-process raster and
-tile memos — fastest on single-core machines).
-
-Fault tolerance: the plain pool path assumes every worker succeeds — a
-hung or crashed cell takes the whole ``pool.map`` down with it.  Passing
-``policy`` (and/or ``journal_path`` / ``fault_spec``) routes the run
-through :mod:`repro.harness.supervisor` instead: per-cell wall-clock
-timeouts, bounded retry with exponential backoff, crash isolation, and
-checkpoint-based recovery, with every attempt recorded in a JSONL run
-journal.
+``processes`` in ``(None, 0, 1)`` with no supervision argument runs
+cells serially in-process (sharing the caller's raster and tile memos
+— fastest on single-core machines).  Every other run goes through
+:func:`repro.harness.supervisor.supervise_cells`, the one runner that
+uses worker processes: persistent workers with crash isolation, and
+per-cell timeouts, retries with backoff and checkpoint recovery as
+policy, every attempt recorded in a JSONL run journal.
 """
 
 from __future__ import annotations
@@ -142,46 +138,14 @@ def coerce_cells(cells: typing.Sequence) -> list:
     return list(dict.fromkeys(coerced))
 
 
-#: Telemetry queue a pool worker posts to; installed per worker process
-#: by :func:`_pool_live_init` (queues travel to pool workers through the
-#: initializer, not through pickled map payloads).
-_LIVE_CHANNEL = None
-
-
-def _pool_live_init(queue) -> None:
-    global _LIVE_CHANNEL
-    _LIVE_CHANNEL = queue
-
-
-def _run_cell(payload: tuple, live=None) -> tuple:
-    """Worker body: run one cell; returns ``(cell, RunResult)``.
-
-    Live telemetry posts to ``live`` (the aggregator itself, on the
-    serial path) or else to the queue this pool worker was given."""
-    cell, config, trace_path, metrics_path = payload
-    channel = live if live is not None else _LIVE_CHANNEL
-    sink = None
-    if channel is not None:
-        from ..obs.live import ChannelLiveSink
-
-        sink = ChannelLiveSink(channel, cell_label(cell))
-    result = run_workload(
-        cell.alias, cell.technique, config=cell.config or config,
-        num_frames=cell.num_frames,
-        exact_signatures=cell.exact_signatures,
-        trace_path=trace_path, metrics_path=metrics_path, live=sink,
-    )
-    return cell, result
-
-
 def run_cells(cells: typing.Sequence, config: GpuConfig = None,
               processes: int = None, policy=None, journal_path=None,
               fault_spec=None, workdir=None, trace_path=None,
               metrics_path=None, live=None) -> dict:
     """Run every cell, returning ``{cell: RunResult}``.
 
-    ``processes`` > 1 fans cells across a process pool (capped at the
-    machine's CPU count); ``None``/``0``/``1`` runs serially in-process.
+    ``processes`` > 1 fans cells across that many worker processes (at
+    most one per cell); ``None``/``0``/``1`` runs serially in-process.
     Results are keyed by cell regardless of completion order, so callers
     see the same mapping either way.
 
@@ -192,85 +156,69 @@ def run_cells(cells: typing.Sequence, config: GpuConfig = None,
     sanitized names map to the same file raise instead of overwriting
     each other.
 
-    ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`: workers
+    ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`: cells
     stream per-frame progress/counters to it and it maintains the
-    status table + ``live.json`` heartbeat while the pool runs.
+    status table + ``live.json`` heartbeat while they run.
 
-    Passing any of ``policy`` (a
-    :class:`~repro.harness.supervisor.SupervisorPolicy`),
-    ``journal_path`` or ``fault_spec`` runs the cells under the
-    fault-tolerant supervisor instead of the bare pool; cells that still
-    fail after the policy's retries raise :class:`SupervisionError`
-    (successful cells' results are attached to the exception).
+    Worker runs go through
+    :func:`~repro.harness.supervisor.supervise_cells`.  Passing any of
+    ``policy`` (a :class:`~repro.harness.supervisor.SupervisorPolicy`),
+    ``journal_path`` or ``fault_spec`` applies that policy (the default
+    one when only a journal or fault is given), even serially; a plain
+    multi-process run gets no retries.  Cells that still fail raise
+    :class:`SupervisionError` (successful cells' results are attached
+    to the exception).
     """
     cells = coerce_cells(cells)
     config = config or GpuConfig.benchmark()
 
-    if policy is not None or journal_path is not None or fault_spec is not None:
-        from .supervisor import supervise_cells
+    unsupervised = (
+        policy is None and journal_path is None and fault_spec is None
+    )
+    if unsupervised and (processes in (None, 0, 1) or len(cells) <= 1):
+        return _run_serial(cells, config, trace_path, metrics_path, live)
+    from .supervisor import SupervisorPolicy, supervise_cells
 
-        return supervise_cells(
-            cells, config=config, policy=policy, processes=processes,
-            journal_path=journal_path, fault_spec=fault_spec,
-            workdir=workdir, trace_path=trace_path,
-            metrics_path=metrics_path, live=live,
-        ).raise_on_failure().results()
+    return supervise_cells(
+        cells, config=config,
+        policy=SupervisorPolicy(max_retries=0) if unsupervised else policy,
+        processes=processes,
+        journal_path=journal_path, fault_spec=fault_spec,
+        workdir=workdir, trace_path=trace_path,
+        metrics_path=metrics_path, live=live,
+    ).raise_on_failure().results()
 
+
+def _run_serial(cells: list, config: GpuConfig, trace_path, metrics_path,
+                live) -> dict:
+    """In-process body of :func:`run_cells`; live telemetry posts
+    straight to the aggregator."""
     many = len(cells) > 1
-    payloads = [
-        (cell, config,
-         per_cell_path(trace_path, cell, index, many),
-         per_cell_path(metrics_path, cell, index, many))
-        for index, cell in enumerate(cells)
-    ]
-    ensure_unique_paths([p[2] for p in payloads], "trace")
-    ensure_unique_paths([p[3] for p in payloads], "metrics")
-    if processes in (None, 0, 1) or len(cells) <= 1:
-        try:
-            return dict(_run_cell(payload, live) for payload in payloads)
-        finally:
-            if live is not None:
-                live.close()
-
-    import multiprocessing
-
-    # Capped by the cell count only: requesting more workers than cores
-    # merely timeslices, and single-core machines can still exercise the
-    # pool path.
-    workers = min(int(processes), len(cells))
-    if live is None:
-        with multiprocessing.Pool(workers) as pool:
-            return dict(pool.map(_run_cell, payloads))
-
-    queue = multiprocessing.Queue()
+    trace_paths = [per_cell_path(trace_path, cell, index, many)
+                   for index, cell in enumerate(cells)]
+    metrics_paths = [per_cell_path(metrics_path, cell, index, many)
+                     for index, cell in enumerate(cells)]
+    ensure_unique_paths(trace_paths, "trace")
+    ensure_unique_paths(metrics_paths, "metrics")
+    if live is not None:
+        from ..obs.live import ChannelLiveSink
+    results = {}
     try:
-        with multiprocessing.Pool(
-            workers, initializer=_pool_live_init, initargs=(queue,),
-        ) as pool:
-            async_result = pool.map_async(_run_cell, payloads)
-            while not async_result.ready():
-                _drain_live_queue(queue, live, timeout=0.1)
-                live.tick()
-            results = dict(async_result.get())
-        _drain_live_queue(queue, live, timeout=0.0)
-        return results
+        for cell, cell_trace, cell_metrics in zip(cells, trace_paths,
+                                                  metrics_paths):
+            sink = (ChannelLiveSink(live, cell_label(cell))
+                    if live is not None else None)
+            results[cell] = run_workload(
+                cell.alias, cell.technique, config=cell.config or config,
+                num_frames=cell.num_frames,
+                exact_signatures=cell.exact_signatures,
+                trace_path=cell_trace, metrics_path=cell_metrics,
+                live=sink,
+            )
     finally:
-        live.close()
-        queue.close()
-
-
-def _drain_live_queue(queue, live, timeout: float) -> None:
-    """Forward queued worker telemetry to the aggregator."""
-    import queue as queue_module
-
-    while True:
-        try:
-            message = queue.get(
-                timeout=timeout) if timeout else queue.get_nowait()
-        except (queue_module.Empty, OSError, EOFError):
-            return
-        live.update(message)
-        timeout = 0.0
+        if live is not None:
+            live.close()
+    return results
 
 
 def run_matrix(aliases: typing.Sequence, techniques: typing.Sequence,
@@ -290,27 +238,3 @@ def run_matrix(aliases: typing.Sequence, techniques: typing.Sequence,
     return {
         (cell.alias, cell.technique): run for cell, run in results.items()
     }
-
-
-def merged_totals(results: dict) -> dict:
-    """Aggregate stats across a :func:`run_matrix` result, per technique.
-
-    Returns ``{technique: {cells, frames, total_cycles, total_energy_nj,
-    fragments_shaded, tiles_skipped, traffic_bytes}}`` — the merged view
-    a fleet of workers reports back to the suite.
-    """
-    merged: dict = {}
-    for (_, technique), run in results.items():
-        bucket = merged.setdefault(technique, {
-            "cells": 0, "frames": 0, "total_cycles": 0,
-            "total_energy_nj": 0.0, "fragments_shaded": 0,
-            "tiles_skipped": 0, "traffic_bytes": 0,
-        })
-        bucket["cells"] += 1
-        bucket["frames"] += run.num_frames
-        bucket["total_cycles"] += run.total_cycles
-        bucket["total_energy_nj"] += run.total_energy_nj
-        bucket["fragments_shaded"] += run.fragments_shaded
-        bucket["tiles_skipped"] += run.tiles_skipped
-        bucket["traffic_bytes"] += run.total_traffic_bytes
-    return merged

@@ -169,7 +169,7 @@ def run_workload(alias: str, technique: str = "baseline",
     """Render ``num_frames`` of a benchmark under a technique.
 
     The one body every entry point executes a cell through: ``repro
-    run``, the process pool of :func:`~repro.harness.parallel.run_cells`,
+    run``, the serial path of :func:`~repro.harness.parallel.run_cells`,
     the supervisor's attempts and the service's
     :func:`~repro.service.pool.execute_job` all call it.  NumPy's global
     generator is reseeded from the run's identity

@@ -1,20 +1,22 @@
 """Supervised, fault-tolerant experiment orchestration.
 
-:func:`supervise_cells` runs a matrix of independent harness cells the
-way a production fleet would: every *attempt* of every cell executes in
-its own child process, so a crashed or wedged simulation loses only that
-cell — never the run.  The supervisor adds, on top of the bare process
-pool in :mod:`repro.harness.parallel`:
+:func:`supervise_cells` is the harness's one way to run cells in worker
+processes (:func:`repro.harness.parallel.run_cells` sends every run that
+is not serial and in-process here).  Up to ``processes`` forked workers
+live for the whole run and serve attempt after attempt over their
+pipes, so one game's cells share a worker's host memos; a crashed or
+wedged simulation loses only its attempt and its worker, which is
+replaced.  On top of that the supervisor adds:
 
-* **per-cell wall-clock timeouts** — an attempt that exceeds
-  ``SupervisorPolicy.timeout_s`` is terminated and treated like a crash;
+* **per-attempt wall-clock timeouts** — an attempt that exceeds
+  ``SupervisorPolicy.timeout_s`` from its dispatch is terminated with
+  its worker and treated like a crash;
 * **bounded retry with exponential backoff** — a failed cell is retried
-  up to ``max_retries`` times, waiting
-  ``backoff_base_s * backoff_factor**(attempt-1)`` (capped at
-  ``backoff_max_s``) between attempts;
+  up to ``max_retries`` times, waiting ``backoff_base_s * 2**(n-1)``
+  (capped at ``backoff_max_s``) after the n-th failure;
 * **crash detection** — a worker that dies without reporting (killed,
-  segfault, ``os._exit``) is detected by its closed result pipe and
-  exit code, and only its cell is rescheduled;
+  segfault, ``os._exit``) is detected by its closed pipe and exit code,
+  and only its cell is rescheduled;
 * **checkpoint recovery** — with ``checkpoint_stride > 0`` the worker
   saves a :class:`~repro.engine.session.RenderSession` checkpoint every
   ``stride`` frames (atomically; see
@@ -36,7 +38,8 @@ may be ``*`` to match every cell — e.g. ``*/*:1:hang`` hangs the whole
 fleet, exercising full-fleet stall detection:
 
 * ``crash`` — the worker hard-exits (``os._exit``), simulating a kill;
-* ``error`` — the worker raises an :class:`InjectedFault`;
+* ``error`` — the attempt raises an :class:`InjectedFault` (the worker
+  reports it and keeps serving);
 * ``hang``  — the worker sleeps forever, tripping the timeout.
 
 Because the fault fires *after* the boundary's checkpoint is on disk,
@@ -48,12 +51,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
-import multiprocessing.connection
 import os
 import shutil
 import tempfile
 import time
 import typing
+from multiprocessing.connection import wait
 
 from ..config import GpuConfig
 from ..engine.checkpoint import try_load_checkpoint
@@ -179,19 +182,16 @@ class SupervisorPolicy:
     timeout_s: float = None
     #: Retries after the first attempt (total attempts = retries + 1).
     max_retries: int = 2
-    #: First backoff delay; grows by ``backoff_factor`` per failure.
+    #: First backoff delay; doubles per failure.
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max_s: float = 5.0
     #: Frames between worker checkpoints; 0 disables mid-run checkpoints
     #: (retries then restart the cell from frame 0).
     checkpoint_stride: int = 0
-    #: Parent poll granularity; bounds timeout-detection latency.
-    poll_interval_s: float = 0.02
 
     def backoff(self, failed_attempt: int) -> float:
         """Delay before the attempt following ``failed_attempt`` (1-based)."""
-        delay = self.backoff_base_s * self.backoff_factor ** (failed_attempt - 1)
+        delay = self.backoff_base_s * 2 ** (failed_attempt - 1)
         return min(self.backoff_max_s, delay)
 
 
@@ -323,78 +323,10 @@ class SupervisedRun:
 # Worker side (child process)
 # ----------------------------------------------------------------------
 
-def _attempt_main(conn, cell: Cell, config: GpuConfig,
-                  policy: SupervisorPolicy, attempt: int, ckpt_path,
-                  fault: FaultSpec, trace_path=None,
-                  metrics_path=None, live_enabled: bool = False) -> None:
-    """Child body: run (or resume) one cell, reporting over ``conn``.
-
-    Messages: ``("progress", frames_rendered)`` after every stride
-    boundary (its checkpoint, if any, is already on disk), then exactly
-    one of ``("ok", RunResult, resumed_from_frame)`` or
-    ``("error", description)``.  A crash sends nothing — the parent
-    reads the EOF and the exit code instead.  With ``live_enabled`` the
-    same pipe also carries ``("telemetry", {...})`` records — one per
-    rendered frame — which the parent routes to its
-    :class:`~repro.obs.live.LiveAggregator`.
-
-    Observability: ``trace_path`` records a Chrome trace for this
-    attempt (rewritten per attempt, metadata stamped with the cell,
-    attempt number and resume frame, so the journal's ``attempt_start``
-    records correlate with the trace that survived); ``metrics_path`` is
-    appended to across attempts — each attempt contributes its own
-    stamped header and the frames it rendered, flushed per record so
-    even a crashed attempt leaves its completed frames on disk.
-    """
-    try:
-        state = try_load_checkpoint(ckpt_path)
-        resumed_from = len(state["frames"]) if state is not None else 0
-        live = None
-        if live_enabled:
-            from ..obs.live import ChannelLiveSink
-
-            live = ChannelLiveSink(conn, cell_label(cell), attempt=attempt)
-        fault_hook = fault.frame_hook(cell, attempt) if fault else None
-
-        def after_step(frames_rendered: int) -> None:
-            conn.send(("progress", frames_rendered))
-            if fault_hook is not None:
-                fault_hook(frames_rendered)
-
-        result = run_workload(
-            cell.alias, cell.technique, config=config,
-            num_frames=cell.num_frames,
-            exact_signatures=cell.exact_signatures, resume_from=state,
-            checkpoint_path=ckpt_path,
-            checkpoint_stride=policy.checkpoint_stride,
-            after_step=after_step, trace_path=trace_path,
-            metrics_path=metrics_path, metrics_mode="a", live=live,
-            header_fields={
-                "cell": cell_label(cell),
-                "attempt": attempt,
-                "resumed_from_frame": resumed_from,
-            },
-        )
-        conn.send(("ok", result, resumed_from))
-    except BaseException as exc:  # noqa: BLE001 - report, then die quietly
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (OSError, ValueError):
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Supervisor side (parent process)
-# ----------------------------------------------------------------------
-
 @dataclasses.dataclass
 class _CellState:
-    """Parent-side bookkeeping for one cell across attempts."""
+    """Parent-side bookkeeping for one cell across attempts; each
+    attempt message carries it to the worker."""
 
     cell: Cell
     config: GpuConfig
@@ -407,14 +339,91 @@ class _CellState:
     checkpoint_frame: int = 0
 
 
-@dataclasses.dataclass
-class _Active:
-    """One in-flight attempt."""
+def _run_attempt(conn, state: _CellState, checkpoint_stride: int,
+                 fault: FaultSpec, live_enabled: bool) -> tuple:
+    """Run (or resume) one attempt of ``state``'s cell; returns
+    ``(RunResult, resumed_from_frame)``.  The trace is rewritten per
+    attempt; the metrics log is appended to, flushed per record, so even
+    a crashed attempt leaves its completed frames on disk."""
+    cell, attempt = state.cell, state.attempt
+    checkpoint = try_load_checkpoint(state.ckpt_path)
+    resumed_from = len(checkpoint["frames"]) if checkpoint is not None else 0
+    live = None
+    if live_enabled:
+        from ..obs.live import ChannelLiveSink
 
-    state: _CellState
+        live = ChannelLiveSink(conn, cell_label(cell), attempt=attempt)
+    fault_hook = fault.frame_hook(cell, attempt) if fault else None
+
+    def after_step(frames_rendered: int) -> None:
+        conn.send(("progress", frames_rendered))
+        if fault_hook is not None:
+            fault_hook(frames_rendered)
+
+    result = run_workload(
+        cell.alias, cell.technique, config=state.config,
+        num_frames=cell.num_frames,
+        exact_signatures=cell.exact_signatures, resume_from=checkpoint,
+        checkpoint_path=state.ckpt_path,
+        checkpoint_stride=checkpoint_stride,
+        after_step=after_step, trace_path=state.trace_path,
+        metrics_path=state.metrics_path, metrics_mode="a", live=live,
+        header_fields={
+            "cell": cell_label(cell),
+            "attempt": attempt,
+            "resumed_from_frame": resumed_from,
+        },
+    )
+    return result, resumed_from
+
+
+def _worker_main(conn) -> None:
+    """Persistent worker body: serve attempts until ``("stop",)`` or EOF.
+
+    Messages in: ``("attempt", _CellState, checkpoint_stride, fault,
+    live_enabled)`` or ``("stop",)``.  Messages out, per attempt:
+    ``("progress", frames_rendered)`` after every stride boundary (its
+    checkpoint, if any, is already on disk), with ``live_enabled`` one
+    ``("telemetry", {...})`` record per rendered frame, then exactly one
+    of ``("ok", RunResult, resumed_from_frame)`` or ``("error",
+    description)``.
+
+    An exception fails only its attempt; the worker reports it and
+    serves the next one.  An injected ``crash``, a ``hang`` the parent
+    kills at its timeout, or any other ``BaseException`` ends the worker
+    without a reply — the parent reads the EOF and the exit code.
+    """
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message[0] == "stop":
+            return
+        try:
+            conn.send(("ok",) + _run_attempt(conn, *message[1:]))
+        except Exception as exc:  # noqa: BLE001 - report, keep serving
+            try:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            except (OSError, ValueError):       # the parent is gone
+                return
+
+
+# ----------------------------------------------------------------------
+# Supervisor side (parent process)
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass
+class _Worker:
+    """Parent-side record of one persistent worker process."""
+
     process: object
     conn: object
+    #: The attempt it is running; ``None`` while it is free.
+    state: _CellState = None
     deadline: float = None
+    #: Game of the last attempt it ran; dispatch prefers that game.
+    alias: str = None
 
 
 def _mp_context():
@@ -433,12 +442,18 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
     """Run every cell under supervision; never raises for cell failures.
 
     ``processes`` bounds how many attempts run concurrently (default 1 —
-    still fully supervised, one isolated worker at a time).  ``workdir``
-    holds the per-cell recovery checkpoints; if omitted a temporary
-    directory is used and removed afterwards.  In a caller-provided
-    ``workdir``, checkpoints of cells that never succeed are *kept*, so
-    re-running the same matrix resumes them; a successful cell's
-    checkpoint is always deleted.
+    still fully supervised, in one isolated worker).  Workers are forked
+    on demand up to that bound and serve attempt after attempt; a free
+    worker gets the next eligible cell of the game it rendered last
+    (else one of a game no busy worker is rendering, else the first
+    eligible cell), so one game's cells share its host memos.  A worker
+    that crashes or times out is replaced at the next dispatch.
+
+    ``workdir`` holds the per-cell recovery checkpoints; if omitted a
+    temporary directory is used and removed afterwards.  In a
+    caller-provided ``workdir``, checkpoints of cells that never succeed
+    are *kept*, so re-running the same matrix resumes them; a successful
+    cell's checkpoint is always deleted.
 
     ``trace_path`` / ``metrics_path`` enable observability
     (:mod:`repro.obs`) inside the workers: each attempt writes a Chrome
@@ -456,7 +471,7 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
 
     ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`: every
     worker then streams per-frame progress and key counters back over
-    its result pipe, and the aggregator renders a periodic status table,
+    its pipe, and the aggregator renders a periodic status table,
     writes its ``live.json`` heartbeat, and flags stalled workers —
     *before* the timeout kill fires, since its stall threshold is
     independent of (and should be below) ``policy.timeout_s``.
@@ -466,7 +481,7 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
     telemetry message (``hook(kind, payload)`` with kind ``"progress"``
     or ``"telemetry"``).  Fleet workers use it to renew their point
     lease per frame; passing a hook enables per-frame telemetry in the
-    children even when no ``live`` aggregator is attached.  Hook
+    workers even when no ``live`` aggregator is attached.  Hook
     exceptions propagate — a fleet worker that cannot renew its lease
     must not keep rendering.
     """
@@ -527,27 +542,30 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         fault=str(fault) if fault else None,
     )
 
-    active: dict = {}      # id(_CellState) -> _Active
+    workers: list = []     # live _Worker records, in spawn order
     outcomes: dict = {}    # Cell -> CellOutcome
+    live_enabled = live is not None or progress_hook is not None
 
-    def launch(state: _CellState) -> None:
-        state.attempt += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
-            target=_attempt_main,
-            args=(child_conn, state.cell, state.config, policy,
-                  state.attempt, state.ckpt_path, fault,
-                  state.trace_path, state.metrics_path,
-                  live is not None or progress_hook is not None),
-            daemon=True,
+            target=_worker_main, args=(child_conn,), daemon=True,
         )
         process.start()
         child_conn.close()
-        deadline = (
+        workers.append(_Worker(process, parent_conn))
+        return workers[-1]
+
+    def launch(worker: _Worker, state: _CellState) -> None:
+        state.attempt += 1
+        worker.conn.send(
+            ("attempt", state, policy.checkpoint_stride, fault, live_enabled)
+        )
+        worker.state, worker.alias = state, state.cell.alias
+        worker.deadline = (
             time.monotonic() + policy.timeout_s
             if policy.timeout_s else None
         )
-        active[id(state)] = _Active(state, process, parent_conn, deadline)
         extra = {}
         if state.trace_path is not None:
             extra["trace"] = str(state.trace_path)
@@ -556,18 +574,64 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         journal.append(
             "attempt_start", cell=cell_label(state.cell),
             attempt=state.attempt, resume_frame=state.checkpoint_frame,
-            num_frames=state.cell.num_frames, pid=process.pid, **extra,
+            num_frames=state.cell.num_frames, pid=worker.process.pid,
+            **extra,
         )
 
-    def reap(entry: _Active) -> None:
+    def dispatch() -> None:
+        """Hand eligible cells to free workers, forking up to ``width``;
+        the pairing rule is the one in the docstring above."""
+        now = time.monotonic()
+        busy = {w.state.cell.alias for w in workers if w.state is not None}
+        while True:
+            eligible = [s for s in pending if s.next_eligible <= now]
+            if not eligible:
+                return
+            free = [w for w in workers if w.state is None]
+            if not free:
+                if len(workers) >= width:
+                    return
+                free = [spawn()]
+            worker, state = min(
+                ((w, s) for w in free for s in eligible),
+                key=lambda pair: (pair[1].cell.alias != pair[0].alias,
+                                  pair[1].cell.alias in busy),
+            )
+            pending.remove(state)
+            busy.add(state.cell.alias)
+            launch(worker, state)
+
+    def next_timeout() -> float:
+        """Seconds until the nearest deadline (``None`` = none): a busy
+        worker's attempt timeout, a backing-off cell's eligibility while
+        a worker is free for it, the live aggregator's next tick."""
+        busy = [w for w in workers if w.state is not None]
+        deadlines = [w.deadline for w in busy if w.deadline is not None]
+        if pending and len(busy) < width:
+            deadlines.append(min(s.next_eligible for s in pending))
+        timeout = (
+            max(0.0, min(deadlines) - time.monotonic()) if deadlines
+            else None
+        )
+        if live is not None:
+            tick = live.seconds_until_tick()
+            timeout = tick if timeout is None else min(timeout, tick)
+        return timeout
+
+    def retire(worker: _Worker, terminate: bool = False) -> None:
+        """Reap a stopped or dead (or, with ``terminate``, an overdue)
+        worker; the next dispatch forks a replacement if one is needed."""
+        workers.remove(worker)
+        if terminate:
+            worker.process.terminate()
         try:
-            entry.conn.close()
+            worker.conn.close()
         except OSError:
             pass
-        entry.process.join(timeout=5)
-        if entry.process.is_alive():        # pragma: no cover - safety net
-            entry.process.kill()
-            entry.process.join()
+        worker.process.join(timeout=5)
+        if worker.process.is_alive():        # pragma: no cover - safety net
+            worker.process.kill()
+            worker.process.join()
 
     def retry_or_fail(state: _CellState, kind: str, **fields) -> None:
         journal.append(
@@ -619,15 +683,15 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         if state.ckpt_path is not None and os.path.exists(state.ckpt_path):
             os.remove(state.ckpt_path)
 
-    def drain(entry: _Active):
-        """Pull queued messages; returns the final message, ``("eof",)``
-        on a dead pipe, or ``None`` while the attempt is still going.
-        Telemetry records are routed to the live aggregator in passing."""
+    def drain(worker: _Worker):
+        """Pull queued messages; returns the attempt's reply, ``("eof",)``
+        on a dead pipe, or ``None`` while there is none.  Progress and
+        telemetry records are routed in passing."""
         while True:
             try:
-                if not entry.conn.poll():
+                if not worker.conn.poll():
                     return None
-                message = entry.conn.recv()
+                message = worker.conn.recv()
             except (EOFError, OSError):
                 return ("eof",)
             if message[0] == "telemetry":
@@ -641,65 +705,47 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             frames = int(message[1])
             if progress_hook is not None:
                 progress_hook("progress", frames)
-            if (entry.state.ckpt_path is not None
-                    and frames < entry.state.cell.num_frames):
-                entry.state.checkpoint_frame = frames
+            if (worker.state.ckpt_path is not None
+                    and frames < worker.state.cell.num_frames):
+                worker.state.checkpoint_frame = frames
 
     try:
-        while pending or active:
-            now = time.monotonic()
-
-            # Launch every eligible pending cell while there is room.
-            while len(active) < width:
-                eligible = [s for s in pending if s.next_eligible <= now]
-                if not eligible:
-                    break
-                state = eligible[0]
-                pending.remove(state)
-                launch(state)
-
-            if not active:
-                # Everything pending is backing off; sleep to eligibility.
-                wake = min(s.next_eligible for s in pending)
-                time.sleep(max(0.0, min(wake - time.monotonic(),
-                                        policy.poll_interval_s)))
-                continue
-
-            # Wait for worker traffic (bounded so deadlines stay live).
-            wait_s = policy.poll_interval_s
-            deadlines = [a.deadline for a in active.values() if a.deadline]
-            if deadlines:
-                wait_s = min(wait_s, max(0.0, min(deadlines) - now))
-            multiprocessing.connection.wait(
-                [a.conn for a in active.values()], timeout=wait_s
-            )
+        while pending or any(w.state is not None for w in workers):
+            dispatch()
+            timeout = next_timeout()
+            if workers:
+                wait([w.conn for w in workers], timeout=timeout)
+            else:
+                # Every cell is backing off and no worker is alive.
+                time.sleep(timeout)
             if live is not None:
                 live.tick()
 
-            for key in list(active):
-                entry = active[key]
-                state = entry.state
-                message = drain(entry)
+            for worker in list(workers):
+                state = worker.state
+                message = drain(worker)
                 if message is None:
-                    if (entry.deadline is not None
-                            and time.monotonic() >= entry.deadline):
-                        entry.process.terminate()
-                        reap(entry)
-                        del active[key]
+                    if (worker.deadline is not None
+                            and time.monotonic() >= worker.deadline):
+                        retire(worker, terminate=True)
                         retry_or_fail(
                             state, "timeout", timeout_s=policy.timeout_s,
                         )
                     continue
-                reap(entry)
-                del active[key]
+                if message[0] == "eof":
+                    # The worker died: mid-attempt, or (killed from
+                    # outside) while free.
+                    retire(worker)
+                    if state is not None:
+                        retry_or_fail(
+                            state, "crash", exitcode=worker.process.exitcode,
+                        )
+                    continue
+                worker.state = worker.deadline = None
                 if message[0] == "ok":
                     succeed(state, message[1], int(message[2]))
-                elif message[0] == "error":
+                else:
                     retry_or_fail(state, "error", error=message[1])
-                else:  # eof: worker died without reporting
-                    retry_or_fail(
-                        state, "crash", exitcode=entry.process.exitcode,
-                    )
 
         journal.append(
             "run_complete",
@@ -707,9 +753,13 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             failed=sum(1 for o in outcomes.values() if not o.succeeded),
         )
     finally:
-        for entry in active.values():       # pragma: no cover - safety net
-            entry.process.terminate()
-            reap(entry)
+        for worker in list(workers):
+            if worker.state is None:
+                try:
+                    worker.conn.send(("stop",))
+                except OSError:
+                    pass
+            retire(worker, terminate=worker.state is not None)
         journal.close()
         if live is not None:
             live.close()

@@ -126,11 +126,11 @@ def sweep(alias: str, technique: str, parameters: dict,
     Every point is one :class:`~repro.harness.parallel.Cell` and the
     grid runs through :func:`~repro.harness.parallel.run_cells`, so the
     rest of its arguments mean what they mean there: ``processes`` > 1
-    fans the grid across a process pool (the default runs serially and
-    returns identical results); ``policy`` / ``journal_path`` /
-    ``fault_spec`` route it through the fault-tolerant supervisor
-    (:mod:`repro.harness.supervisor`); ``live`` accepts a
-    :class:`~repro.obs.live.LiveAggregator`.
+    fans the grid across that many supervised worker processes (the
+    default runs serially and returns identical results); ``policy`` /
+    ``journal_path`` / ``fault_spec`` set the supervisor's retry,
+    timeout and checkpoint policy (:mod:`repro.harness.supervisor`);
+    ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`.
 
     With more than one point, each cell is tagged with its parameter
     assignment (:func:`point_tag`): the tag suffixes its ``trace_path``

@@ -17,9 +17,9 @@ Cost discipline mirrors the :class:`~repro.obs.tracer.Tracer`:
 :class:`LiveSink` is the falsy no-op — with telemetry disabled the
 render loop pays exactly one truthiness check per frame and never calls
 a method.  :class:`ChannelLiveSink` is the enabled worker side; it posts
-small dicts over whatever channel it is given (a multiprocessing
-``Connection``, a ``Queue``, or the aggregator itself when the run is
-in-process).  :class:`LiveAggregator` is the supervising side.
+small dicts over whatever channel it is given (a worker's
+multiprocessing ``Connection``, or the aggregator itself when the run
+is in-process).  :class:`LiveAggregator` is the supervising side.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 #: First element of the tuple a :class:`ChannelLiveSink` sends over a
-#: ``Connection``/``Queue`` channel, so mixed-protocol pipes (the
-#: supervisor's progress/result pipe) can route telemetry by tag.
+#: ``Connection``, so mixed-protocol pipes (the supervisor's and the
+#: daemon's worker pipes) can route telemetry by tag.
 TELEMETRY_TAG = "telemetry"
 
 
@@ -69,28 +69,17 @@ NULL_LIVE = LiveSink()
 class ChannelLiveSink(LiveSink):
     """Worker-side sink posting telemetry dicts over a channel.
 
-    ``channel`` may be a multiprocessing ``Connection`` (``.send``), a
-    ``Queue`` (``.put``), or a :class:`LiveAggregator` (``.update``) for
-    in-process runs.  ``min_interval_s`` rate-limits mid-run updates so
-    a fast worker cannot flood the pipe (the final frame and
-    :meth:`finish` always post).
+    ``channel`` may be a multiprocessing ``Connection`` (``.send``) or a
+    :class:`LiveAggregator` (``.update``) for in-process runs.
     """
 
     enabled = True
 
-    def __init__(self, channel, worker: str, attempt: int = 0,
-                 min_interval_s: float = 0.0,
-                 clock=time.monotonic) -> None:
+    def __init__(self, channel, worker: str, attempt: int = 0) -> None:
         self.worker = worker
         self.attempt = attempt
-        self.min_interval_s = min_interval_s
-        self._clock = clock
-        self._last_post = None      # first frame always posts
         if hasattr(channel, "send"):
             self._post = lambda payload: channel.send(
-                (TELEMETRY_TAG, payload))
-        elif hasattr(channel, "put"):
-            self._post = lambda payload: channel.put(
                 (TELEMETRY_TAG, payload))
         else:
             self._post = channel.update
@@ -104,13 +93,6 @@ class ChannelLiveSink(LiveSink):
 
     def frame_done(self, frames_rendered: int, num_frames: int,
                    **counters) -> None:
-        now = self._clock()
-        final = frames_rendered >= num_frames
-        if (not final and self.min_interval_s > 0.0
-                and self._last_post is not None
-                and now - self._last_post < self.min_interval_s):
-            return
-        self._last_post = now
         try:
             self._post(self._payload(
                 frames=int(frames_rendered), total=int(num_frames),

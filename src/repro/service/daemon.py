@@ -11,9 +11,9 @@ can share a worker's warm engines and memo state — onto one worker
 dispatch, and records every completed run into the submitting tenant's
 registry namespace (:meth:`~repro.obs.store.RunRegistry.for_tenant`).
 
-Worker substrate: the supervisor's process-per-attempt isolation,
-adapted for warmth.  Each worker is a *persistent* forked process
-owning its own :class:`~repro.service.pool.WarmEnginePool`; jobs travel
+Worker substrate: persistent forked workers, like the supervisor's,
+adapted for warmth.  Each worker owns its own
+:class:`~repro.service.pool.WarmEnginePool`; jobs travel
 over a duplex pipe.  A crashed job therefore kills one worker — never
 the daemon — and is detected exactly the way the supervisor detects
 crashed attempts: EOF on the worker's pipe.  The daemon respawns the

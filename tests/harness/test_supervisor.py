@@ -8,12 +8,14 @@ to an uninterrupted run — down to every per-frame per-tile CRC.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import GpuConfig
 from repro.errors import SupervisionError
+from repro.harness import supervisor
 from repro.harness.parallel import Cell, run_cells
 from repro.harness.runner import run_workload
 from repro.harness.supervisor import (
@@ -24,6 +26,7 @@ from repro.harness.supervisor import (
     attempt_history,
     supervise_cells,
 )
+from repro.obs.live import LiveAggregator
 
 CONFIG = GpuConfig.small()
 FRAMES = 6
@@ -173,6 +176,123 @@ class TestRunCellsDelegation:
             [cell], config=CONFIG, fault_spec="ccs/re:4:crash",
         )
         assert_bit_identical(results[cell], reference)
+
+
+def attempt_pids(run) -> dict:
+    """``{cell label: [pid of each attempt]}`` from the journal."""
+    pids: dict = {}
+    for record in run.records:
+        if record["event"] == "attempt_start":
+            pids.setdefault(record["cell"], []).append(record["pid"])
+    return pids
+
+
+class TestPersistentWorkers:
+    def test_one_worker_serves_every_attempt(self):
+        # An attempt that raises fails alone; its worker keeps serving.
+        cells = [Cell("ccs", "re", 2), Cell("cde", "re", 2),
+                 Cell("mst", "re", 2)]
+        run = supervise_cells(
+            cells, config=CONFIG, policy=fast_policy(),
+            fault_spec="cde/re:0:error",
+        )
+        assert all(o.succeeded for o in run.outcomes.values())
+        pids = attempt_pids(run)
+        assert len(pids["cde/re"]) == 2
+        assert len({pid for each in pids.values() for pid in each}) == 1
+
+    def test_a_game_stays_on_the_worker_that_rendered_it(
+            self, tmp_path, monkeypatch):
+        # Pace the workers so the dispatch rule alone decides: each
+        # attempt finishes only once the other worker has started as
+        # many attempts, so neither runs out of its own game early.
+        starts = tmp_path / "starts"
+        starts.mkdir()
+        finished = []          # per worker process, after the fork
+        real = supervisor.run_workload
+
+        def paced(alias, technique, **kwargs):
+            (starts / f"{alias}-{technique}").touch()
+            result = real(alias, technique, **kwargs)
+            finished.append(alias)
+            give_up = time.monotonic() + 30.0
+            while (len(os.listdir(starts)) < 2 * len(finished)
+                   and time.monotonic() < give_up):
+                time.sleep(0.01)
+            return result
+
+        monkeypatch.setattr(supervisor, "run_workload", paced)
+        cells = [Cell("ccs", "baseline", 2), Cell("ccs", "re", 2),
+                 Cell("cde", "baseline", 2), Cell("cde", "re", 2)]
+        run = supervise_cells(
+            cells, config=CONFIG, policy=fast_policy(max_retries=0),
+            processes=2,
+        )
+        assert all(o.succeeded for o in run.outcomes.values())
+        pids = attempt_pids(run)
+        ccs = set(pids["ccs/baseline"] + pids["ccs/re"])
+        cde = set(pids["cde/baseline"] + pids["cde/re"])
+        assert len(ccs) == 1 and len(cde) == 1 and ccs != cde
+
+    def test_crashed_worker_is_replaced(self, reference):
+        cells = [Cell("ccs", "re", FRAMES), Cell("cde", "re", 2)]
+        run = supervise_cells(
+            cells, config=CONFIG, policy=fast_policy(), processes=2,
+            fault_spec="ccs/re:4:crash",
+        )
+        assert all(o.succeeded for o in run.outcomes.values())
+        assert_bit_identical(run.outcomes[cells[0]].result, reference)
+        first, retry = attempt_pids(run)["ccs/re"]
+        assert first != retry
+
+    def test_unsupervised_jobs_raise_supervision_error(self):
+        bad, good = Cell("nope", "re", 2), Cell("cde", "re", 2)
+        with pytest.raises(SupervisionError) as excinfo:
+            run_cells([bad, good], config=CONFIG, processes=2)
+        supervised = excinfo.value.args[1]
+        assert supervised.results().keys() == {good}
+        assert "nope" in supervised.outcomes[bad].failure
+
+    def test_parent_sleeps_until_a_worker_has_news(self, monkeypatch):
+        # While both workers are busy, queued cells (one of them backing
+        # off) must not end the wait early: it returns about once per
+        # worker message (two per attempt without a stride), never in a
+        # loop.
+        calls = []
+        real = supervisor.wait
+
+        def counting(conns, timeout=None):
+            calls.append(timeout)
+            return real(conns, timeout)
+
+        monkeypatch.setattr(supervisor, "wait", counting)
+        cells = [Cell("ccs", "baseline", FRAMES), Cell("ccs", "re", FRAMES),
+                 Cell("cde", "baseline", FRAMES), Cell("cde", "re", FRAMES)]
+        run = supervise_cells(
+            cells, config=CONFIG, processes=2,
+            policy=fast_policy(checkpoint_stride=0, backoff_base_s=0.2,
+                               backoff_max_s=0.2),
+            fault_spec="ccs/baseline:0:error",
+        )
+        assert all(o.succeeded for o in run.outcomes.values())
+        attempts = sum(o.attempts for o in run.outcomes.values())
+        assert attempts == 5
+        assert len(calls) <= 3 * attempts
+
+    def test_live_ticks_end_the_wait_while_every_worker_hangs(self):
+        # No worker speaks, yet the aggregator's stall check must run
+        # at its own deadline, long before the timeout kill.
+        agg = LiveAggregator(path=None, stall_after_s=0.2, interval_s=1.0)
+        run = supervise_cells(
+            [Cell("ccs", "re", FRAMES)], config=CONFIG,
+            policy=fast_policy(timeout_s=2.0, max_retries=0),
+            fault_spec="ccs/re:2:hang", live=agg,
+        )
+        flagged = next(e["ts"] for e in agg.events
+                       if e["event"] == "stall_flagged")
+        killed = next(r["ts"] for r in run.records
+                      if r["event"] == "attempt_timeout")
+        assert killed - flagged > 0.8
 
 
 class TestJournalFile:

@@ -64,24 +64,6 @@ class TestLiveSink:
         assert frame["counters"] == {"tiles_skipped": 7}
         assert done["event"] == "done" and done["ok"]
 
-    def test_rate_limit_always_posts_final_frame(self):
-        posted = []
-        clock = FakeClock()
-
-        class Channel:
-            def put(self, message):
-                posted.append(message)
-
-        sink = ChannelLiveSink(Channel(), "w", min_interval_s=10.0,
-                               clock=clock)
-        for frame in range(1, 5):
-            clock.now += 1.0
-            sink.frame_done(frame, 4)
-        frames = [payload["frames"] for _, payload in posted]
-        assert frames[0] == 1          # first post goes through
-        assert frames[-1] == 4         # final frame bypasses the limit
-        assert 2 not in frames and 3 not in frames
-
     def test_broken_channel_is_swallowed(self):
         class Channel:
             def send(self, message):
