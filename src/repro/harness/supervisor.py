@@ -613,8 +613,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             max(0.0, min(deadlines) - time.monotonic()) if deadlines
             else None
         )
-        if live is not None:
-            tick = live.seconds_until_tick()
+        tick = live.seconds_until_tick() if live is not None else None
+        if tick is not None:
             timeout = tick if timeout is None else min(timeout, tick)
         return timeout
 

@@ -320,15 +320,25 @@ class LiveAggregator:
             print(self.render_status_table() + "\n", file=self.stream)
         return True
 
-    def seconds_until_tick(self) -> float:
+    def seconds_until_tick(self):
         """Seconds until :meth:`tick` next has work: the heartbeat
         interval, or sooner, the first running worker's stall
-        threshold."""
-        due = self._last_tick + self.interval_s
-        for state in self.workers.values():
-            if state["status"] == "running" and not state["stalled"]:
-                due = min(due, state["last_update"] + self.stall_after_s)
-        return max(0.0, due - self._clock())
+        threshold; ``None`` when neither is due.
+
+        With ``interval_s <= 0`` the heartbeat sets no deadline:
+        :meth:`tick` emits on every call anyway, and a waiting loop that
+        woke for it at once would spin.
+        """
+        deadlines = [
+            state["last_update"] + self.stall_after_s
+            for state in self.workers.values()
+            if state["status"] == "running" and not state["stalled"]
+        ]
+        if self.interval_s > 0:
+            deadlines.append(self._last_tick + self.interval_s)
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - self._clock())
 
     def status_output(self) -> str:
         """Everything printed so far when no stream was provided."""

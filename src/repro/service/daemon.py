@@ -643,8 +643,10 @@ class EngineDaemon:
                 for worker in self._workers.values()
                 if worker.dispatched_at is not None
             )
-        if self.live is not None:
-            delays.append(self.live.seconds_until_tick())
+        tick = (self.live.seconds_until_tick() if self.live is not None
+                else None)
+        if tick is not None:
+            delays.append(tick)
         flush = self.telemetry.seconds_until_flush(
             path=self.config.telemetry_log,
             registry=self.registry,

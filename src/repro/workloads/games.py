@@ -507,7 +507,13 @@ _TEXTURE_ID_STRIDE = 64
 
 
 def build_scene(alias: str) -> Scene:
-    """Instantiate the named workload scene (fresh node/texture state).
+    """Instantiate the named workload scene: new node and texture
+    objects on every call.
+
+    The textures are procedural recipes, so building the scene generates
+    no texel: each texture generates its texels the first time a frame
+    samples it (:mod:`repro.textures.texture`), and none is shared with
+    another call's scene.
 
     Builtin benchmarks resolve first; any other alias falls through to
     the declarative workload registry (:mod:`repro.workloads.dsl`), so a

@@ -253,11 +253,9 @@ class TestPersistentWorkers:
         assert supervised.results().keys() == {good}
         assert "nope" in supervised.outcomes[bad].failure
 
-    def test_parent_sleeps_until_a_worker_has_news(self, monkeypatch):
-        # While both workers are busy, queued cells (one of them backing
-        # off) must not end the wait early: it returns about once per
-        # worker message (two per attempt without a stride), never in a
-        # loop.
+    @staticmethod
+    def count_waits(monkeypatch) -> list:
+        """The timeouts of every wait the parent makes, as it makes them."""
         calls = []
         real = supervisor.wait
 
@@ -266,6 +264,14 @@ class TestPersistentWorkers:
             return real(conns, timeout)
 
         monkeypatch.setattr(supervisor, "wait", counting)
+        return calls
+
+    def test_parent_sleeps_until_a_worker_has_news(self, monkeypatch):
+        # While both workers are busy, queued cells (one of them backing
+        # off) must not end the wait early: it returns about once per
+        # worker message (two per attempt without a stride), never in a
+        # loop.
+        calls = self.count_waits(monkeypatch)
         cells = [Cell("ccs", "baseline", FRAMES), Cell("ccs", "re", FRAMES),
                  Cell("cde", "baseline", FRAMES), Cell("cde", "re", FRAMES)]
         run = supervise_cells(
@@ -293,6 +299,22 @@ class TestPersistentWorkers:
         killed = next(r["ts"] for r in run.records
                       if r["event"] == "attempt_timeout")
         assert killed - flagged > 0.8
+
+
+    def test_zero_interval_live_view_does_not_spin(self, monkeypatch):
+        # A live view that emits on every tick still wakes the parent
+        # only for worker news, the stall check and the timeout kill.
+        calls = self.count_waits(monkeypatch)
+        agg = LiveAggregator(path=None, stall_after_s=0.4, interval_s=0.0)
+        cell = Cell("ccs", "re", FRAMES)
+        run = supervise_cells(
+            [cell], config=CONFIG,
+            policy=fast_policy(timeout_s=1.5, max_retries=0),
+            fault_spec="ccs/re:2:hang", live=agg,
+        )
+        assert not run.outcomes[cell].succeeded
+        assert any(e["event"] == "stall_flagged" for e in agg.events)
+        assert len(calls) <= 12
 
 
 class TestJournalFile:

@@ -118,6 +118,21 @@ class TestLiveAggregator:
         assert any(e["event"] == "stall_flagged"
                    for e in heartbeat["events"])
 
+    def test_zero_interval_sets_only_stall_deadlines(self):
+        # interval_s=0 emits on every tick, so the heartbeat must not
+        # also be a deadline a waiting loop wakes for at once.
+        clock = FakeClock()
+        agg = LiveAggregator(path=None, stall_after_s=1.0,
+                             interval_s=0.0, clock=clock)
+        assert agg.seconds_until_tick() is None
+        agg.update({"worker": "a", "frames": 1, "total": 4})
+        clock.now = 0.25
+        assert agg.seconds_until_tick() == pytest.approx(0.75)
+        clock.now = 2.0
+        assert agg.tick() and agg.stalled() == ["a"]
+        assert agg.seconds_until_tick() is None
+        assert agg.tick() and agg.tick()
+
     def test_mark_status_records_terminal_events(self):
         agg = LiveAggregator(path=None, interval_s=0.0)
         agg.update({"worker": "a", "frames": 1, "total": 2})

@@ -21,7 +21,12 @@ from repro.geometry import VertexBuffer, mat4, quad_buffer
 from repro.harness.runner import make_technique
 from repro.pipeline import CommandStream, Gpu
 from repro.shaders import ALPHA_TEXTURED, FLAT_COLOR, TEXTURED, pack_constants
-from repro.textures import noise_texture
+from repro.textures import (
+    checker_texture,
+    flat_texture,
+    gradient_texture,
+    noise_texture,
+)
 from repro.workloads.games import build_scene
 
 PROJ = mat4.ortho2d()
@@ -65,13 +70,21 @@ def test_texture_line_size_is_part_of_the_key():
 SHADERS = (FLAT_COLOR, TEXTURED, ALPHA_TEXTURED)
 
 unit = st.floats(0.0, 1.0, allow_nan=False, width=32)
+color = st.tuples(unit, unit, unit, st.sampled_from([0.5, 1.0]))
+texture = st.fixed_dictionaries({
+    "kind": st.sampled_from(["flat", "checker", "gradient", "noise"]),
+    "colors": st.tuples(color, color),
+    "cells": st.sampled_from([2, 4]),
+    "seed": st.integers(0, 3),
+    "amplitude": st.sampled_from([0.25, 0.5]),
+})
 drawcall = st.fixed_dictionaries({
     "rect": st.tuples(unit, unit, unit, unit),
     "z": st.floats(0.05, 0.95, allow_nan=False),
     "uv_scale": st.sampled_from([1.0, 2.5]),
     "shader": st.integers(0, len(SHADERS) - 1),
     "tint": st.tuples(unit, unit, unit, st.sampled_from([0.5, 1.0])),
-    "texture_seed": st.integers(0, 3),
+    "texture": texture,
     "depth_test": st.booleans(),
     "depth_write": st.booleans(),
 })
@@ -81,11 +94,22 @@ frame = st.fixed_dictionaries({
     "line_bytes": st.just(64),
 })
 
+#: Each texture input: the constructor it belongs to, and its argument.
+TEXTURE_INPUTS = {
+    "texture_content": ("noise", "seed"),
+    "noise_base_color": ("noise", "colors"),
+    "noise_amplitude": ("noise", "amplitude"),
+    "flat_color": ("flat", "colors"),
+    "checker_colors": ("checker", "colors"),
+    "checker_cells": ("checker", "cells"),
+    "gradient_colors": ("gradient", "colors"),
+}
+
 #: One input of the frame, and how to change it.
 PERTURBATIONS = (
-    "vertex_position", "vertex_depth", "varying", "constants",
-    "texture_content", "shader", "depth_test", "depth_write",
-    "clear_color", "texture_line_size",
+    "vertex_position", "vertex_depth", "varying", "constants", "shader",
+    "depth_test", "depth_write", "clear_color", "texture_line_size",
+    *TEXTURE_INPUTS,
 )
 
 #: A frame whose colors both depth flags decide: a textured quad behind
@@ -94,10 +118,14 @@ PERTURBATIONS = (
 BEHIND = {
     "drawcalls": [
         {"rect": (0.0, 0.0, 0.95, 0.95), "z": 0.5, "uv_scale": 1.0,
-         "shader": 0, "tint": (0.2, 0.4, 0.6, 1.0), "texture_seed": 0,
+         "shader": 0, "tint": (0.2, 0.4, 0.6, 1.0),
+         "texture": {"kind": "noise", "colors": ((0.5, 0.5, 0.5, 1.0),) * 2,
+                     "cells": 2, "seed": 0, "amplitude": 0.5},
          "depth_test": True, "depth_write": True},
         {"rect": (0.2, 0.2, 0.6, 0.6), "z": 0.7, "uv_scale": 2.5,
-         "shader": 1, "tint": (1.0, 1.0, 1.0, 1.0), "texture_seed": 1,
+         "shader": 1, "tint": (1.0, 1.0, 1.0, 1.0),
+         "texture": {"kind": "noise", "colors": ((0.5, 0.5, 0.5, 1.0),) * 2,
+                     "cells": 2, "seed": 1, "amplitude": 0.5},
          "depth_test": True, "depth_write": True},
     ],
     "clear": (0.0, 0.0, 0.0),
@@ -112,25 +140,55 @@ def quad(spec) -> VertexBuffer:
                        uv_scale=spec["uv_scale"])
 
 
+def texture_of(spec):
+    """The drawcall's texture: always id 1 and 32x32 texels, so only
+    its recipe tells two apart."""
+    kind, (color_a, color_b) = spec["kind"], spec["colors"]
+    if kind == "flat":
+        return flat_texture(color_a, 1, size=32)
+    if kind == "checker":
+        return checker_texture(color_a, color_b, 1, size=32,
+                               cells=spec["cells"])
+    if kind == "gradient":
+        return gradient_texture(color_a, color_b, 1, size=32)
+    return noise_texture(1, size=32, seed=spec["seed"], base_color=color_a,
+                         amplitude=spec["amplitude"])
+
+
 def stream_of(spec) -> CommandStream:
     stream = CommandStream()
     for draw in spec["drawcalls"]:
         buffer = draw.get("buffer") or quad(draw)
         stream.set_shader(SHADERS[draw["shader"]])
-        stream.set_texture(0, noise_texture(
-            texture_id=1, size=32, seed=draw["texture_seed"],
-        ))
+        stream.set_texture(0, texture_of(draw["texture"]))
         stream.set_constants(pack_constants(PROJ, tint=draw["tint"]))
         stream.draw(buffer, depth_test=draw["depth_test"],
                     depth_write=draw["depth_write"])
     return stream
 
 
+def copied(spec, index: int):
+    """A copy of ``spec``, and the copy's drawcall ``index``."""
+    spec = {**spec, "drawcalls": [
+        {**d, "texture": dict(d["texture"])} for d in spec["drawcalls"]
+    ]}
+    return spec, spec["drawcalls"][index % len(spec["drawcalls"])]
+
+
+def retextured(spec, kind: str, index: int):
+    """``spec``, with drawcall ``index`` bound to a texture that has
+    the input ``kind`` when that input is a texture's."""
+    if kind not in TEXTURE_INPUTS:
+        return spec
+    spec, draw = copied(spec, index)
+    draw["texture"]["kind"] = TEXTURE_INPUTS[kind][0]
+    return spec
+
+
 def perturbed(spec, kind: str, index: int):
     """A copy of ``spec`` with one input changed, in drawcall ``index``
     where the input belongs to a drawcall."""
-    spec = {**spec, "drawcalls": [dict(d) for d in spec["drawcalls"]]}
-    draw = spec["drawcalls"][index % len(spec["drawcalls"])]
+    spec, draw = copied(spec, index)
     if kind in ("vertex_position", "vertex_depth", "varying"):
         buffer = quad(draw)
         positions = buffer.positions.copy()
@@ -144,8 +202,18 @@ def perturbed(spec, kind: str, index: int):
         draw["buffer"] = VertexBuffer(positions, buffer.indices, {"uv": uv})
     elif kind == "constants":
         draw["tint"] = (1.0 - draw["tint"][0],) + tuple(draw["tint"][1:])
-    elif kind == "texture_content":
-        draw["texture_seed"] += 10       # same texture_id, new texels
+    elif kind in TEXTURE_INPUTS:         # same texture_id, new texels
+        texture = draw["texture"]
+        argument = TEXTURE_INPUTS[kind][1]
+        if argument == "colors":
+            (first, *rest), other = texture["colors"]
+            texture["colors"] = (((first + 0.5) % 1.0, *rest), other)
+        elif argument == "seed":
+            texture["seed"] += 10
+        elif argument == "cells":
+            texture["cells"] = 6 - texture["cells"]               # 2 <-> 4
+        else:
+            texture["amplitude"] = 0.75 - texture["amplitude"]    # 0.25 <-> 0.5
     elif kind == "shader":
         draw["shader"] = (draw["shader"] + 1) % len(SHADERS)
     elif kind in ("depth_test", "depth_write"):
@@ -171,6 +239,7 @@ def render(spec, batched=True):
 @example(spec=BEHIND, index=0)
 @example(spec=BEHIND, index=1)
 def test_changing_any_input_never_replays_a_stale_tile(kind, spec, index):
+    spec = retextured(spec, kind, index)
     render(spec)                                 # seeds the TileMemo
     changed = perturbed(spec, kind, index)
     assert_same_frame(render(changed), render(changed, batched=False),
