@@ -539,6 +539,7 @@ def _cmd_serve(args) -> int:
     """Run the engine-pool daemon behind a Unix socket until shutdown."""
     import signal
 
+    from .errors import SupervisionError
     from .service import EngineDaemon, ServiceConfig, ServiceServer
 
     config = ServiceConfig(
@@ -550,12 +551,15 @@ def _cmd_serve(args) -> int:
         max_retries=args.retries if args.retries is not None else 1,
         job_timeout_s=args.timeout,
         live_path=getattr(args, "live", None),
-        telemetry=not args.no_telemetry,
         trace_dir=args.trace_dir,
         telemetry_log=args.stats_log,
         telemetry_interval_s=args.stats_interval,
     )
-    daemon = EngineDaemon(config, registry=_registry_from(args))
+    try:
+        daemon = EngineDaemon(config, registry=_registry_from(args))
+    except SupervisionError as exc:      # a malformed REPRO_FAULT_SPEC
+        print(f"serve failed: {exc.args[0]}", file=sys.stderr)
+        return 2
     server = ServiceServer(daemon, args.socket)
     daemon.start()
 
@@ -611,16 +615,11 @@ def _cmd_submit(args) -> int:
     else:
         payload["game"] = args.what
     if args.set:
-        parameters = {}
-        for spec in args.set:
-            name, _, values = spec.partition("=")
-            if not values:
-                print(f"bad --set {spec!r}: expected name=v1,v2,...",
-                      file=sys.stderr)
-                return 2
-            parameters[name] = [
-                _coerce_sweep_value(v) for v in values.split(",")
-            ]
+        try:
+            parameters = _parse_set_specs(args.set)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         payload["kind"] = "sweep"
         payload["parameters"] = parameters
     try:
@@ -736,11 +735,7 @@ def _render_stats(snapshot: dict) -> str:
         f"queue depth {snapshot['queue_depth']}, "
         f"up {snapshot['uptime_s']:.0f}s"
     ]
-    telemetry = snapshot.get("telemetry")
-    if not telemetry:
-        lines.append("telemetry disabled "
-                     "(the daemon runs with --no-telemetry)")
-        return "\n".join(lines)
+    telemetry = snapshot["telemetry"]
     labels = (
         ("queue_wait_s", "queue wait (s)"),
         ("execute_s", "execute (s)"),
@@ -1618,9 +1613,6 @@ def main(argv=None) -> int:
                        metavar="SECONDS",
                        help="seconds between telemetry snapshots "
                             "(default 30)")
-    serve.add_argument("--no-telemetry", action="store_true",
-                       help="disable the telemetry recorder (stats/top "
-                            "report daemon state only)")
     _add_registry_flags(serve, suppress=True)
     submit = sub.add_parser(
         "submit", help="submit a job to a running `repro serve` daemon"

@@ -198,7 +198,6 @@ class RenderSession:
         self.live = None
 
         self.frames: list = []          # FrameMetrics, one per frame
-        self.frame_stats: list = []     # FrameStats, one per frame
         self._color_crcs: list = []     # (num_tiles,) uint32 per frame
         self._track_sigs = hasattr(self.technique, "current_signatures")
         self._input_sigs: list = [] if self._track_sigs else None
@@ -278,7 +277,6 @@ class RenderSession:
         if num_frames is not None:
             self.num_frames = int(num_frames)
         self.frames = []
-        self.frame_stats = []
         self._color_crcs = []
         if self._track_sigs:
             self._input_sigs = []
@@ -355,7 +353,6 @@ class RenderSession:
             geometry_overhead_cycles=stats.technique_geometry_stall_cycles,
             raster_overhead_cycles=stats.technique_raster_overhead_cycles,
         ))
-        self.frame_stats.append(stats)
         self._color_crcs.append(tile_color_crcs(
             self.config, stats.frame_colors, self.gpu.framebuffer.tile_rect
         ))
@@ -439,7 +436,6 @@ class RenderSession:
             key: int(value) for key, value in state["events_before"].items()
         }
         self.frames = [_metrics_from_dict(d) for d in state["frames"]]
-        self.frame_stats = []  # raw FrameStats are not checkpointed
         self._color_crcs = [
             np.asarray(row, dtype=np.uint32) for row in state["color_crcs"]
         ]

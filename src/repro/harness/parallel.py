@@ -17,8 +17,9 @@ guards any library code that reaches for global randomness.)
 ``processes`` in ``(None, 0, 1)`` with no supervision argument runs
 cells serially in-process (sharing the caller's raster and tile memos
 — fastest on single-core machines).  Every other run goes through
-:func:`repro.harness.supervisor.supervise_cells`, the one runner that
-uses worker processes: persistent workers with crash isolation, and
+:func:`repro.harness.supervisor.supervise_cells`, the harness's one
+runner that uses worker processes: persistent
+:mod:`~repro.harness.workers` with crash isolation, and
 per-cell timeouts, retries with backoff and checkpoint recovery as
 policy, every attempt recorded in a JSONL run journal.
 """

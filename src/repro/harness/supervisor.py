@@ -2,11 +2,11 @@
 
 :func:`supervise_cells` is the harness's one way to run cells in worker
 processes (:func:`repro.harness.parallel.run_cells` sends every run that
-is not serial and in-process here).  Up to ``processes`` forked workers
-live for the whole run and serve attempt after attempt over their
-pipes, so one game's cells share a worker's host memos; a crashed or
-wedged simulation loses only its attempt and its worker, which is
-replaced.  On top of that the supervisor adds:
+is not serial and in-process here).  Up to ``processes`` persistent
+:class:`~repro.harness.workers.Worker` processes live for the whole run
+and serve attempt after attempt, so one game's cells share a worker's
+host memos; a crashed or wedged simulation loses only its attempt and
+its worker, which is replaced.  On top of that the supervisor adds:
 
 * **per-attempt wall-clock timeouts** — an attempt that exceeds
   ``SupervisorPolicy.timeout_s`` from its dispatch is terminated with
@@ -49,8 +49,8 @@ the retry demonstrably resumes mid-run rather than restarting.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -69,6 +69,7 @@ from .parallel import (
     per_cell_path,
 )
 from .runner import RunResult, run_workload
+from .workers import EOF, Worker
 
 __all__ = [
     "FAULT_ENV_VAR",
@@ -319,14 +320,10 @@ class SupervisedRun:
         return self
 
 
-# ----------------------------------------------------------------------
-# Worker side (child process)
-# ----------------------------------------------------------------------
-
 @dataclasses.dataclass
 class _CellState:
     """Parent-side bookkeeping for one cell across attempts; each
-    attempt message carries it to the worker."""
+    attempt request carries it to the worker."""
 
     cell: Cell
     config: GpuConfig
@@ -339,12 +336,17 @@ class _CellState:
     checkpoint_frame: int = 0
 
 
-def _run_attempt(conn, state: _CellState, checkpoint_stride: int,
+def _run_attempt(conn, label: str, state: _CellState, checkpoint_stride: int,
                  fault: FaultSpec, live_enabled: bool) -> tuple:
-    """Run (or resume) one attempt of ``state``'s cell; returns
-    ``(RunResult, resumed_from_frame)``.  The trace is rewritten per
-    attempt; the metrics log is appended to, flushed per record, so even
-    a crashed attempt leaves its completed frames on disk."""
+    """A worker's request handler: run (or resume) one attempt of the
+    cell labelled ``label``; returns ``(RunResult, resumed_from_frame)``.
+
+    It sends ``("progress", frames_rendered)`` after every stride
+    boundary (its checkpoint, if any, is already on disk) and, with
+    ``live_enabled``, one ``("telemetry", {...})`` record per rendered
+    frame.  The trace is rewritten per attempt; the metrics log is
+    appended to, flushed per record, so even a crashed attempt leaves
+    its completed frames on disk."""
     cell, attempt = state.cell, state.attempt
     checkpoint = try_load_checkpoint(state.ckpt_path)
     resumed_from = len(checkpoint["frames"]) if checkpoint is not None else 0
@@ -352,7 +354,7 @@ def _run_attempt(conn, state: _CellState, checkpoint_stride: int,
     if live_enabled:
         from ..obs.live import ChannelLiveSink
 
-        live = ChannelLiveSink(conn, cell_label(cell), attempt=attempt)
+        live = ChannelLiveSink(conn, label, attempt=attempt)
     fault_hook = fault.frame_hook(cell, attempt) if fault else None
 
     def after_step(frames_rendered: int) -> None:
@@ -369,68 +371,12 @@ def _run_attempt(conn, state: _CellState, checkpoint_stride: int,
         after_step=after_step, trace_path=state.trace_path,
         metrics_path=state.metrics_path, metrics_mode="a", live=live,
         header_fields={
-            "cell": cell_label(cell),
+            "cell": label,
             "attempt": attempt,
             "resumed_from_frame": resumed_from,
         },
     )
     return result, resumed_from
-
-
-def _worker_main(conn) -> None:
-    """Persistent worker body: serve attempts until ``("stop",)`` or EOF.
-
-    Messages in: ``("attempt", _CellState, checkpoint_stride, fault,
-    live_enabled)`` or ``("stop",)``.  Messages out, per attempt:
-    ``("progress", frames_rendered)`` after every stride boundary (its
-    checkpoint, if any, is already on disk), with ``live_enabled`` one
-    ``("telemetry", {...})`` record per rendered frame, then exactly one
-    of ``("ok", RunResult, resumed_from_frame)`` or ``("error",
-    description)``.
-
-    An exception fails only its attempt; the worker reports it and
-    serves the next one.  An injected ``crash``, a ``hang`` the parent
-    kills at its timeout, or any other ``BaseException`` ends the worker
-    without a reply — the parent reads the EOF and the exit code.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message[0] == "stop":
-            return
-        try:
-            conn.send(("ok",) + _run_attempt(conn, *message[1:]))
-        except Exception as exc:  # noqa: BLE001 - report, keep serving
-            try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            except (OSError, ValueError):       # the parent is gone
-                return
-
-
-# ----------------------------------------------------------------------
-# Supervisor side (parent process)
-# ----------------------------------------------------------------------
-
-@dataclasses.dataclass
-class _Worker:
-    """Parent-side record of one persistent worker process."""
-
-    process: object
-    conn: object
-    #: The attempt it is running; ``None`` while it is free.
-    state: _CellState = None
-    deadline: float = None
-    #: Game of the last attempt it ran; dispatch prefers that game.
-    alias: str = None
-
-
-def _mp_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:                       # pragma: no cover - non-POSIX
-        return multiprocessing.get_context()
 
 
 def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
@@ -533,7 +479,6 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             # Attempts append; start each supervised run from a clean log.
             open(state.metrics_path, "w", encoding="utf-8").close()
 
-    ctx = _mp_context()
     journal = RunJournal(journal_path)
     journal.append(
         "run_start", cells=len(cells), processes=width,
@@ -542,30 +487,28 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         fault=str(fault) if fault else None,
     )
 
-    workers: list = []     # live _Worker records, in spawn order
+    # Live workers in spawn order, each with the state of the last
+    # attempt it was sent (``None`` before its first).
+    workers: dict = {}
     outcomes: dict = {}    # Cell -> CellOutcome
-    live_enabled = live is not None or progress_hook is not None
+    handler = functools.partial(
+        _run_attempt, checkpoint_stride=policy.checkpoint_stride,
+        fault=fault, live_enabled=live is not None or progress_hook is not None,
+    )
 
-    def spawn() -> _Worker:
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        workers.append(_Worker(process, parent_conn))
-        return workers[-1]
+    def spawn() -> Worker:
+        worker = Worker(handler, timeout_s=policy.timeout_s or None)
+        workers[worker] = None
+        return worker
 
-    def launch(worker: _Worker, state: _CellState) -> None:
+    def last_game(worker: Worker) -> str:
+        state = workers[worker]
+        return state.cell.alias if state is not None else None
+
+    def launch(worker: Worker, state: _CellState) -> None:
         state.attempt += 1
-        worker.conn.send(
-            ("attempt", state, policy.checkpoint_stride, fault, live_enabled)
-        )
-        worker.state, worker.alias = state, state.cell.alias
-        worker.deadline = (
-            time.monotonic() + policy.timeout_s
-            if policy.timeout_s else None
-        )
+        worker.send(cell_label(state.cell), state)
+        workers[worker] = state
         extra = {}
         if state.trace_path is not None:
             extra["trace"] = str(state.trace_path)
@@ -582,19 +525,19 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         """Hand eligible cells to free workers, forking up to ``width``;
         the pairing rule is the one in the docstring above."""
         now = time.monotonic()
-        busy = {w.state.cell.alias for w in workers if w.state is not None}
+        busy = {s.cell.alias for w, s in workers.items() if not w.idle}
         while True:
             eligible = [s for s in pending if s.next_eligible <= now]
             if not eligible:
                 return
-            free = [w for w in workers if w.state is None]
+            free = [w for w in workers if w.idle]
             if not free:
                 if len(workers) >= width:
                     return
                 free = [spawn()]
             worker, state = min(
                 ((w, s) for w in free for s in eligible),
-                key=lambda pair: (pair[1].cell.alias != pair[0].alias,
+                key=lambda pair: (pair[1].cell.alias != last_game(pair[0]),
                                   pair[1].cell.alias in busy),
             )
             pending.remove(state)
@@ -605,9 +548,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         """Seconds until the nearest deadline (``None`` = none): a busy
         worker's attempt timeout, a backing-off cell's eligibility while
         a worker is free for it, the live aggregator's next tick."""
-        busy = [w for w in workers if w.state is not None]
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        if pending and len(busy) < width:
+        deadlines = [w.deadline for w in workers if w.deadline is not None]
+        if pending and sum(not w.idle for w in workers) < width:
             deadlines.append(min(s.next_eligible for s in pending))
         timeout = (
             max(0.0, min(deadlines) - time.monotonic()) if deadlines
@@ -618,20 +560,11 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             timeout = tick if timeout is None else min(timeout, tick)
         return timeout
 
-    def retire(worker: _Worker, terminate: bool = False) -> None:
-        """Reap a stopped or dead (or, with ``terminate``, an overdue)
-        worker; the next dispatch forks a replacement if one is needed."""
-        workers.remove(worker)
-        if terminate:
-            worker.process.terminate()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(timeout=5)
-        if worker.process.is_alive():        # pragma: no cover - safety net
-            worker.process.kill()
-            worker.process.join()
+    def retire(worker: Worker, terminate: bool = False) -> None:
+        """Reap a dead (or, with ``terminate``, an overdue) worker; the
+        next dispatch forks a replacement if one is needed."""
+        del workers[worker]
+        worker.retire(terminate)
 
     def retry_or_fail(state: _CellState, kind: str, **fields) -> None:
         journal.append(
@@ -683,34 +616,22 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         if state.ckpt_path is not None and os.path.exists(state.ckpt_path):
             os.remove(state.ckpt_path)
 
-    def drain(worker: _Worker):
-        """Pull queued messages; returns the attempt's reply, ``("eof",)``
-        on a dead pipe, or ``None`` while there is none.  Progress and
-        telemetry records are routed in passing."""
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return None
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                return ("eof",)
-            if message[0] == "telemetry":
-                if live is not None:
-                    live.update(message)
-                if progress_hook is not None:
-                    progress_hook("telemetry", message[1])
-                continue
-            if message[0] != "progress":
-                return message
-            frames = int(message[1])
+    def route(state: _CellState, message) -> None:
+        """Route an attempt's progress and telemetry records."""
+        if message[0] == "telemetry":
+            if live is not None:
+                live.update(message)
             if progress_hook is not None:
-                progress_hook("progress", frames)
-            if (worker.state.ckpt_path is not None
-                    and frames < worker.state.cell.num_frames):
-                worker.state.checkpoint_frame = frames
+                progress_hook("telemetry", message[1])
+            return
+        frames = int(message[1])
+        if progress_hook is not None:
+            progress_hook("progress", frames)
+        if state.ckpt_path is not None and frames < state.cell.num_frames:
+            state.checkpoint_frame = frames
 
     try:
-        while pending or any(w.state is not None for w in workers):
+        while pending or not all(w.idle for w in workers):
             dispatch()
             timeout = next_timeout()
             if workers:
@@ -721,31 +642,28 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             if live is not None:
                 live.tick()
 
-            for worker in list(workers):
-                state = worker.state
-                message = drain(worker)
-                if message is None:
-                    if (worker.deadline is not None
-                            and time.monotonic() >= worker.deadline):
-                        retire(worker, terminate=True)
-                        retry_or_fail(
-                            state, "timeout", timeout_s=policy.timeout_s,
-                        )
-                    continue
-                if message[0] == "eof":
-                    # The worker died: mid-attempt, or (killed from
-                    # outside) while free.
-                    retire(worker)
-                    if state is not None:
-                        retry_or_fail(
-                            state, "crash", exitcode=worker.process.exitcode,
-                        )
-                    continue
-                worker.state = worker.deadline = None
-                if message[0] == "ok":
-                    succeed(state, message[1], int(message[2]))
-                else:
-                    retry_or_fail(state, "error", error=message[1])
+            for worker, state in list(workers.items()):
+                replies = worker.drain(functools.partial(route, state))
+                for reply in replies:
+                    if reply is EOF:
+                        # The worker died: mid-attempt, or (killed from
+                        # outside) while free.
+                        busy = not worker.idle
+                        retire(worker)
+                        if busy:
+                            retry_or_fail(
+                                state, "crash",
+                                exitcode=worker.process.exitcode,
+                            )
+                    elif reply[0] == "ok":
+                        succeed(state, reply[2], int(reply[3]))
+                    else:
+                        retry_or_fail(state, "error", error=reply[2])
+                if not replies and worker.overdue():
+                    retire(worker, terminate=True)
+                    retry_or_fail(
+                        state, "timeout", timeout_s=policy.timeout_s,
+                    )
 
         journal.append(
             "run_complete",
@@ -753,13 +671,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             failed=sum(1 for o in outcomes.values() if not o.succeeded),
         )
     finally:
-        for worker in list(workers):
-            if worker.state is None:
-                try:
-                    worker.conn.send(("stop",))
-                except OSError:
-                    pass
-            retire(worker, terminate=worker.state is not None)
+        for worker in workers:
+            worker.retire(terminate=not worker.idle)
         journal.close()
         if live is not None:
             live.close()

@@ -12,7 +12,8 @@ get rebuilt per process.  This package keeps those resident:
   :func:`execute_job`, which runs a job on a pooled engine through
   :func:`~repro.harness.runner.run_workload`;
 * :mod:`.daemon` — :class:`EngineDaemon`, admission control, request
-  batching and persistent fault-isolated worker processes;
+  batching, and jobs run on the persistent fault-isolated workers of
+  :mod:`repro.harness.workers`, each with its own warm pool;
 * :mod:`.server` — the asyncio socket front-end (``repro serve``);
 * :mod:`.client` — the synchronous client (``repro submit/status``).
 
@@ -31,24 +32,16 @@ from .daemon import EngineDaemon, ServiceConfig
 from .jobs import DEFAULT_TENANT, JobSpec, expand_payload
 from .pool import WarmEnginePool, execute_job
 from .server import ServiceServer
-from .telemetry import (
-    NULL_TELEMETRY,
-    LogHistogram,
-    ServiceTelemetry,
-    TelemetryRecorder,
-    merge_histograms,
-)
+from .telemetry import LogHistogram, TelemetryRecorder, merge_histograms
 
 __all__ = [
     "DEFAULT_TENANT",
     "EngineDaemon",
     "JobSpec",
     "LogHistogram",
-    "NULL_TELEMETRY",
     "ServiceClient",
     "ServiceConfig",
     "ServiceServer",
-    "ServiceTelemetry",
     "TelemetryRecorder",
     "WarmEnginePool",
     "execute_job",

@@ -11,17 +11,19 @@ can share a worker's warm engines and memo state — onto one worker
 dispatch, and records every completed run into the submitting tenant's
 registry namespace (:meth:`~repro.obs.store.RunRegistry.for_tenant`).
 
-Worker substrate: persistent forked workers, like the supervisor's,
-adapted for warmth.  Each worker owns its own
-:class:`~repro.service.pool.WarmEnginePool`; jobs travel
-over a duplex pipe.  A crashed job therefore kills one worker — never
-the daemon — and is detected exactly the way the supervisor detects
-crashed attempts: EOF on the worker's pipe.  The daemon respawns the
-worker (cold pool, warmth is the only loss) and requeues its in-flight
-jobs until ``max_retries`` is exhausted.  The supervisor's
-deterministic fault injection carries over verbatim: workers honour
-``REPRO_FAULT_SPEC`` (``alias/technique:frame:kind[:times]``, ``*``
-wildcards) at frame boundaries through the same
+Workers: jobs run on :class:`~repro.harness.workers.Worker` processes,
+the persistent-worker substrate
+:func:`~repro.harness.supervisor.supervise_cells` runs its attempts on.
+Each worker owns its own :class:`~repro.service.pool.WarmEnginePool` and
+serves job after job; a batch puts several jobs in flight on one worker
+at once.  A crashed job therefore kills one worker — never the daemon —
+and shows as EOF on the worker's pipe.  The daemon respawns the worker
+(cold pool, warmth is the only loss) and requeues its in-flight jobs
+until ``max_retries`` is exhausted.  ``REPRO_FAULT_SPEC``
+(``alias/technique:frame:kind[:times]``, ``*`` wildcards) is parsed
+once, when the daemon is built, so a malformed spec raises
+:class:`~repro.errors.SupervisionError` before any worker forks; each
+job gets its frame-boundary hook from
 :meth:`~repro.harness.supervisor.FaultSpec.frame_hook`, so the recovery
 path is testable.
 
@@ -50,12 +52,13 @@ from ..errors import (
     ServiceError,
     TenantError,
 )
-from ..harness.supervisor import FAULT_ENV_VAR, FaultSpec, _mp_context
+from ..harness.supervisor import FAULT_ENV_VAR, FaultSpec
+from ..harness.workers import EOF, Worker
 from ..obs.distributed import ShardTracer, TraceShard
-from ..obs.live import TELEMETRY_TAG, ChannelLiveSink, LiveAggregator
+from ..obs.live import ChannelLiveSink, LiveAggregator
 from .jobs import JobSpec, expand_payload
 from .pool import WarmEnginePool, execute_job
-from .telemetry import NULL_TELEMETRY, TelemetryRecorder
+from .telemetry import TelemetryRecorder
 
 __all__ = [
     "EngineDaemon",
@@ -91,18 +94,16 @@ class ServiceConfig:
     #: Re-dispatches after a job's worker crashed (total attempts =
     #: retries + 1); the supervisor's retry policy, service-shaped.
     max_retries: int = 1
-    #: Wall-clock limit per dispatched batch; a worker that exceeds it
-    #: is terminated like a crash (``None`` = unlimited).
+    #: Wall-clock limit per job, counted from when its worker can start
+    #: on it (its dispatch to an idle worker, or the reply to the job
+    #: before it in the batch); a worker that exceeds it is terminated
+    #: like a crash (``None`` = unlimited).
     job_timeout_s: float = None
     #: Heartbeat file the daemon-owned aggregator writes (``None`` =
     #: no live telemetry).
     live_path: str = None
     #: No-telemetry threshold before a running job is flagged stalled.
     stall_after_s: float = 10.0
-    #: Service telemetry (histograms / tenant counters / events for the
-    #: ``stats`` and ``watch`` verbs).  ``False`` makes the recorder a
-    #: falsy no-op — one truthiness check per lifecycle transition.
-    telemetry: bool = True
     #: Directory for distributed trace shards (daemon + worker
     #: processes each write ``shard-<role>-<pid>.jsonl`` here;
     #: ``None`` = no request tracing).
@@ -188,94 +189,63 @@ def _summarize(result) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# Worker side (child process)
-# ----------------------------------------------------------------------
+class _JobRunner:
+    """One worker's request handler: runs each job on the worker's own
+    warm pool and, with ``trace_dir``, traces it into the worker's shard.
 
-def _worker_main(conn, worker_id: int, max_engines: int,
-                 trace_dir=None) -> None:
-    """Persistent worker body: serve jobs until ``stop`` or EOF.
+    Built in the daemon and forked with its worker.  ``execute_job`` is
+    looked up in this module when a job runs, so a wrapper installed
+    before the fork (the benchmark's traced service pass) reaches the
+    workers."""
 
-    Messages in: ``("job", job_id, spec_dict, attempt)`` or
-    ``("stop",)``.  Messages out: per-frame ``("telemetry", {...})``
-    (via :class:`ChannelLiveSink` on the same pipe), then exactly one of
-    ``("done", job_id, RunResult, info)`` or ``("fail", job_id,
-    description)`` per job.  An injected ``crash`` sends nothing — the
-    daemon reads the EOF, like the supervisor does.
+    def __init__(self, worker_id: int, max_engines: int, trace_dir,
+                 fault: FaultSpec) -> None:
+        self.worker_id = worker_id
+        self.trace_dir = trace_dir
+        self.fault = fault
+        self.pool = WarmEnginePool(max_engines=max_engines)
+        self.shard = None
 
-    With ``trace_dir`` the worker writes a distributed-trace shard:
-    each job gets an ``engine`` span (frame/stage spans nested inside,
-    via the :class:`ShardTracer` handed to :func:`execute_job`) on the
-    job's own track, stamped with the request's trace context.
-    """
-    fault_env = os.environ.get(FAULT_ENV_VAR)
-    fault = FaultSpec.parse(fault_env) if fault_env else None
-    pool = WarmEnginePool(max_engines=max_engines)
-    shard = (TraceShard(trace_dir, f"worker{worker_id}")
-             if trace_dir else None)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if message[0] == "stop":
-            break
-        _, job_id, spec_dict, attempt = message
+    def __call__(self, conn, job_id: str, spec_dict: dict,
+                 attempt: int) -> tuple:
+        """Run one job; returns ``(RunResult, info)``.  Per-frame
+        telemetry goes out on ``conn`` through a
+        :class:`ChannelLiveSink`.  With ``trace_dir`` the job gets an
+        ``engine`` span (frame/stage spans nested inside, via the
+        :class:`ShardTracer` handed to :func:`execute_job`) on the job's
+        own track, stamped with the request's trace context."""
+        spec = JobSpec.from_dict(spec_dict)
+        hook = (self.fault.frame_hook(spec.cell(), attempt)
+                if self.fault else None)
+        live = ChannelLiveSink(
+            conn, f"{spec.tenant}:{spec.label}", attempt=attempt,
+        )
         tracer = None
-        try:
-            spec = JobSpec.from_dict(spec_dict)
-            hook = fault.frame_hook(spec.cell(), attempt) if fault else None
-            live = ChannelLiveSink(
-                conn, f"{spec.tenant}:{spec.label}", attempt=attempt,
+        if self.trace_dir:
+            if self.shard is None:       # opened in the worker: its pid
+                self.shard = TraceShard(self.trace_dir,
+                                        f"worker{self.worker_id}")
+            context = spec.trace_context()
+            tracer = ShardTracer(
+                self.shard, tid=_job_tid(job_id),
+                trace_id=context.trace_id if context else None,
+                parent_span_id=context.span_id if context else None,
+                label=f"engine {job_id}",
             )
-            if shard is not None:
-                context = spec.trace_context()
-                tracer = ShardTracer(
-                    shard, tid=_job_tid(job_id),
-                    trace_id=context.trace_id if context else None,
-                    parent_span_id=context.span_id if context else None,
-                    label=f"engine {job_id}",
-                )
-                tracer.begin("engine", job_id=job_id, attempt=attempt,
-                             cell=spec.label, worker=worker_id)
+            tracer.begin("engine", job_id=job_id, attempt=attempt,
+                         cell=spec.label, worker=self.worker_id)
+        try:
             result, info = execute_job(
-                spec, pool=pool, live=live, frame_hook=hook,
+                spec, pool=self.pool, live=live, frame_hook=hook,
                 tracer=tracer,
             )
-        except Exception as exc:
+        except Exception:
             if tracer is not None:
                 tracer.close_open_spans()
-            try:
-                conn.send(("fail", job_id,
-                           f"{type(exc).__name__}: {exc}"))
-            except (OSError, ValueError):
-                break
-            continue
+            raise
         if tracer is not None:
             tracer.end("engine")
-        info = dict(info)
-        info["pool"] = pool.stats.as_dict()
-        try:
-            conn.send(("done", job_id, result, info))
-        except (OSError, ValueError):
-            break
-    if shard is not None:
-        shard.close()
-
-
-class _Worker:
-    """Daemon-side record of one persistent worker process."""
-
-    def __init__(self, worker_id: int, process, conn) -> None:
-        self.worker_id = worker_id
-        self.process = process
-        self.conn = conn
-        self.inflight: collections.deque = collections.deque()
-        self.dispatched_at: float = None
-
-    @property
-    def idle(self) -> bool:
-        return not self.inflight
+        return result, dict(info, pool=self.pool.stats.as_dict())
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +269,8 @@ class EngineDaemon:
     def __init__(self, config: ServiceConfig = None, registry=None,
                  live: LiveAggregator = None) -> None:
         self.config = config or ServiceConfig()
+        fault_spec = os.environ.get(FAULT_ENV_VAR)
+        self.fault = FaultSpec.parse(fault_spec) if fault_spec else None
         self.registry = registry
         if live is None and self.config.live_path:
             live = LiveAggregator(
@@ -307,8 +279,7 @@ class EngineDaemon:
                 owner=f"repro-serve:{os.getpid()}",
             )
         self.live = live
-        self.telemetry = (TelemetryRecorder() if self.config.telemetry
-                          else NULL_TELEMETRY)
+        self.telemetry = TelemetryRecorder()
         self.trace = (TraceShard(self.config.trace_dir, "daemon")
                       if self.config.trace_dir else None)
         self.stats = ServiceStats()
@@ -319,7 +290,6 @@ class EngineDaemon:
         self._ids = itertools.count(1)
         self._workers: dict = {}
         self._worker_ids = itertools.count(1)
-        self._ctx = _mp_context()
         self._scheduler: threading.Thread = None
         # The scheduler's wake pipe (read end, write end), open from
         # the scheduler thread's start until close().
@@ -347,7 +317,9 @@ class EngineDaemon:
     def close(self) -> None:
         """Stop the scheduler and tear the workers down.  Queued jobs
         that never ran stay ``queued`` — the daemon refuses new work
-        once closed, it does not pretend pending work finished."""
+        once closed, it does not pretend pending work finished.  Busy
+        workers are terminated at once: with the scheduler stopped,
+        nothing would read what they finish."""
         with self._lock:
             if not self._running:
                 return
@@ -360,27 +332,17 @@ class EngineDaemon:
             os.close(self._wake_r)
             os.close(self._wake_w)
             self._wake_r = self._wake_w = None
-        for worker in list(self._workers.values()):
-            try:
-                worker.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in list(self._workers.values()):
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            worker.conn.close()
+        for worker in self._workers.values():
+            worker.retire(terminate=not worker.idle)
         self._workers.clear()
         # The final sampling window must survive a short-lived daemon:
         # flush one last snapshot before anything else is torn down
         # (the `shutdown` verb and SIGTERM both route through here).
-        if self.telemetry:
-            self.telemetry.flush(
-                path=self.config.telemetry_log,
-                registry=self.registry,
-                reason="shutdown",
-            )
+        self.telemetry.flush(
+            path=self.config.telemetry_log,
+            registry=self.registry,
+            reason="shutdown",
+        )
         if self.trace is not None:
             self.trace.close()
         if self.live is not None:
@@ -426,8 +388,7 @@ class EngineDaemon:
                     self._queue.remove(job.job_id)
                     del self.jobs[job.job_id]
                     self.stats.submitted -= 1
-                    if self.telemetry:
-                        self.telemetry.job_withdrawn(job)
+                    self.telemetry.job_withdrawn(job)
                     if self.trace is not None:
                         tid = _job_tid(job.job_id)
                         self.trace.instant("withdrawn", tid=tid)
@@ -441,8 +402,7 @@ class EngineDaemon:
             raise ServiceError("service daemon is not running")
         if len(self._queue) >= self.config.max_queue:
             self.stats.rejected_backpressure += 1
-            if self.telemetry:
-                self.telemetry.job_refused(spec.tenant, "backpressure")
+            self.telemetry.job_refused(spec.tenant, "backpressure")
             raise BackpressureError(
                 f"job queue is full ({self.config.max_queue} "
                 "queued); the service applies backpressure instead "
@@ -455,8 +415,7 @@ class EngineDaemon:
         )
         if pending >= self.config.tenant_max_pending:
             self.stats.rejected_tenant += 1
-            if self.telemetry:
-                self.telemetry.job_refused(spec.tenant, "tenant")
+            self.telemetry.job_refused(spec.tenant, "tenant")
             raise TenantError(
                 f"tenant {spec.tenant!r} already has {pending} "
                 f"pending job(s) (cap "
@@ -467,8 +426,7 @@ class EngineDaemon:
         self.jobs[job.job_id] = job
         self._queue.append(job.job_id)
         self.stats.submitted += 1
-        if self.telemetry:
-            self.telemetry.job_admitted(job)
+        self.telemetry.job_admitted(job)
         if self.trace is not None:
             tid = _job_tid(job.job_id)
             context = spec.trace_context()
@@ -531,11 +489,11 @@ class EngineDaemon:
                 "started_at": self.started_at,
                 "queue_depth": len(self._queue),
                 "workers": {
-                    worker.worker_id: {
+                    worker_id: {
                         "pid": worker.process.pid,
                         "inflight": list(worker.inflight),
                     }
-                    for worker in self._workers.values()
+                    for worker_id, worker in self._workers.items()
                 },
                 "stats": self.stats.as_dict(),
                 "jobs": [job.public() for job in recent],
@@ -548,7 +506,7 @@ class EngineDaemon:
         Unlike :meth:`status` this carries the quantitative view —
         latency histograms with percentiles, warm-hit rates (daemon-
         and pool-level), per-tenant counters — and omits the per-job
-        listing.  ``telemetry`` is ``None`` when disabled.
+        listing.
         """
         with self._lock:
             snapshot = {
@@ -561,33 +519,25 @@ class EngineDaemon:
                 "workers": len(self._workers),
                 "stats": self.stats.as_dict(),
             }
-        snapshot["telemetry"] = (self.telemetry.snapshot()
-                                 if self.telemetry else None)
+        snapshot["telemetry"] = self.telemetry.snapshot()
         return snapshot
 
     def telemetry_seq(self) -> int:
         """The newest lifecycle-event sequence number (``watch``)."""
-        return self.telemetry.last_seq() if self.telemetry else 0
+        return self.telemetry.last_seq()
 
     def telemetry_events(self, since: int) -> list:
         """Lifecycle events newer than ``since`` (``watch`` streaming)."""
-        return (self.telemetry.events_since(since)
-                if self.telemetry else [])
+        return self.telemetry.events_since(since)
 
     # Scheduler ----------------------------------------------------------
-    def _spawn_worker(self) -> "_Worker":
+    def _spawn_worker(self) -> Worker:
         worker_id = next(self._worker_ids)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, worker_id, self.config.max_engines,
-                  self.config.trace_dir),
-            name=f"repro-service-worker-{worker_id}",
-            daemon=True,
+        worker = Worker(
+            _JobRunner(worker_id, self.config.max_engines,
+                       self.config.trace_dir, self.fault),
+            timeout_s=self.config.job_timeout_s,
         )
-        process.start()
-        child_conn.close()
-        worker = _Worker(worker_id, process, parent_conn)
         self._workers[worker_id] = worker
         return worker
 
@@ -607,8 +557,8 @@ class EngineDaemon:
                     return
                 self._dispatch_locked()
                 conns = {
-                    worker.conn: worker
-                    for worker in self._workers.values()
+                    worker.conn: worker_id
+                    for worker_id, worker in self._workers.items()
                 }
                 timeout = self._next_deadline_locked()
             ready = multiprocessing.connection.wait(
@@ -624,25 +574,21 @@ class EngineDaemon:
             self._check_timeouts()
             if self.live is not None:
                 self.live.tick()
-            if self.telemetry:
-                self.telemetry.maybe_flush(
-                    path=self.config.telemetry_log,
-                    registry=self.registry,
-                    interval_s=self.config.telemetry_interval_s,
-                )
+            self.telemetry.maybe_flush(
+                path=self.config.telemetry_log,
+                registry=self.registry,
+                interval_s=self.config.telemetry_interval_s,
+            )
 
     def _next_deadline_locked(self) -> float:
         """Seconds until the nearest timed duty (``None`` = none): an
-        in-flight batch's timeout, the heartbeat's next tick or stall
+        in-flight job's timeout, the heartbeat's next tick or stall
         check, the next periodic telemetry flush."""
-        delays = []
-        if self.config.job_timeout_s is not None:
-            now = time.monotonic()
-            delays.extend(
-                worker.dispatched_at + self.config.job_timeout_s - now
-                for worker in self._workers.values()
-                if worker.dispatched_at is not None
-            )
+        now = time.monotonic()
+        delays = [
+            worker.deadline - now for worker in self._workers.values()
+            if worker.deadline is not None
+        ]
         tick = (self.live.seconds_until_tick() if self.live is not None
                 else None)
         if tick is not None:
@@ -660,7 +606,8 @@ class EngineDaemon:
         """Send batches of digest-compatible queued jobs to idle
         workers.  Compatible jobs share a worker so the second one hits
         the engine (or at least the memo state) the first one warmed."""
-        idle = [w for w in self._workers.values() if w.idle]
+        idle = [(worker_id, worker)
+                for worker_id, worker in self._workers.items() if worker.idle]
         while idle and self._queue:
             head_id = self._queue[0]
             head = self.jobs[head_id]
@@ -670,7 +617,7 @@ class EngineDaemon:
                     break
                 if self.jobs[job_id].digest == head.digest:
                     batch.append(job_id)
-            worker = idle.pop(0)
+            worker_id, worker = idle.pop(0)
             self.stats.batches_dispatched += 1
             if len(batch) > 1:
                 self.stats.jobs_batched += len(batch)
@@ -679,54 +626,38 @@ class EngineDaemon:
                 job = self.jobs[job_id]
                 job.state = "running"
                 job.attempts += 1
-                job.worker = worker.worker_id
+                job.worker = worker_id
                 job.started_at = time.time()
-                if self.telemetry:
-                    self.telemetry.job_dispatched(
-                        job, len(batch),
-                        job.started_at - job.submitted_at,
-                    )
+                self.telemetry.job_dispatched(
+                    job, len(batch), job.started_at - job.submitted_at,
+                )
                 if self.trace is not None:
                     tid = _job_tid(job_id)
                     self.trace.end("queue", tid=tid)
                     self.trace.begin(
-                        "execute", tid=tid, worker=worker.worker_id,
+                        "execute", tid=tid, worker=worker_id,
                         batch=len(batch), attempt=job.attempts,
                     )
-                worker.conn.send(
-                    ("job", job_id, job.spec.to_dict(), job.attempts)
-                )
-                worker.inflight.append(job_id)
-            worker.dispatched_at = time.monotonic()
+                worker.send(job_id, job.spec.to_dict(), job.attempts)
 
-    def _drain_worker(self, worker: "_Worker") -> None:
-        try:
-            while worker.conn.poll(0):
-                self._handle_message(worker, worker.conn.recv())
-        except (EOFError, OSError):
-            self._worker_died(worker, "worker crashed (pipe EOF)")
-
-    def _handle_message(self, worker: "_Worker", message) -> None:
-        if message[0] == TELEMETRY_TAG:
-            if self.live is not None:
-                self.live.update(message)
-            return
-        kind, job_id = message[0], message[1]
+    def _drain_worker(self, worker_id: int) -> None:
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                return
-            if job_id in worker.inflight:
-                worker.inflight.remove(job_id)
-            worker.dispatched_at = (
-                time.monotonic() if worker.inflight else None
+            worker = self._workers[worker_id]
+            replies = worker.drain(
+                self.live.update if self.live is not None else None
             )
-            if kind == "fail":
-                self._job_failed_locked(job, message[2])
-                return
+        for reply in replies:
+            if reply is EOF:
+                self._worker_died(worker_id, "worker crashed (pipe EOF)")
+            elif reply[0] == "error":
+                with self._lock:
+                    self._job_failed_locked(self.jobs[reply[1]], reply[2])
+            else:
+                self._job_done(worker_id, self.jobs[reply[1]], *reply[2:])
+
+    def _job_done(self, worker_id: int, job: Job, result, info) -> None:
         # Record *before* the job turns terminal: a waiter woken by the
         # state flip must already see the tenant-registry run_id.
-        result, info = message[2], message[3]
         job.warm = bool(info.get("warm"))
         job.summary = _summarize(result)
         job.result = result
@@ -739,12 +670,8 @@ class EngineDaemon:
                 self.stats.warm_jobs += 1
             else:
                 self.stats.cold_jobs += 1
-            if self.telemetry:
-                if "pool" in info:
-                    self.telemetry.worker_pool(
-                        worker.worker_id, info["pool"],
-                    )
-                self.telemetry.job_finished(job, job.warm)
+            self.telemetry.worker_pool(worker_id, info["pool"])
+            self.telemetry.job_finished(job, job.warm)
             if self.trace is not None:
                 tid = _job_tid(job.job_id)
                 self.trace.end("execute", tid=tid)
@@ -760,8 +687,7 @@ class EngineDaemon:
             job.state = "queued"
             job.error = None
             self._queue.appendleft(job.job_id)
-            if self.telemetry:
-                self.telemetry.job_retried(job)
+            self.telemetry.job_retried(job)
             if self.trace is not None:
                 tid = _job_tid(job.job_id)
                 self.trace.instant("retry", tid=tid, error=error,
@@ -772,51 +698,39 @@ class EngineDaemon:
         job.error = error
         job.finished_at = time.time()
         self.stats.failed += 1
-        if self.telemetry:
-            self.telemetry.job_failed(job)
+        self.telemetry.job_failed(job)
         if self.trace is not None:
             tid = _job_tid(job.job_id)
             self.trace.instant("failed", tid=tid, error=error)
             self.trace.end("job", tid=tid)
         self._done.notify_all()
 
-    def _worker_died(self, worker: "_Worker", reason: str) -> None:
+    def _worker_died(self, worker_id: int, reason: str,
+                     terminate: bool = False) -> None:
+        """Requeue (or fail) a lost worker's in-flight jobs, respawn it
+        while the daemon runs, and reap it (``terminate``: still alive)."""
         with self._lock:
-            if worker.worker_id not in self._workers:
-                return
-            del self._workers[worker.worker_id]
+            worker = self._workers.pop(worker_id)
             self.stats.worker_crashes += 1
-            for job_id in list(worker.inflight):
-                job = self.jobs[job_id]
-                self._job_failed_locked(job, reason)
-            worker.inflight.clear()
-            respawn = self._running
-            if respawn:
+            for job_id in worker.inflight:
+                self._job_failed_locked(self.jobs[job_id], reason)
+            if self._running:
                 self._spawn_worker()
                 self.stats.worker_restarts += 1
-        worker.conn.close()
-        worker.process.join(timeout=2.0)
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(timeout=2.0)
+        worker.retire(terminate=terminate)
 
     def _check_timeouts(self) -> None:
-        if self.config.job_timeout_s is None:
-            return
         with self._lock:
-            overdue = [
-                worker for worker in self._workers.values()
-                if worker.dispatched_at is not None
-                and time.monotonic() - worker.dispatched_at
-                > self.config.job_timeout_s
-            ]
-        for worker in overdue:
-            # Terminate like a crash: the EOF path requeues its jobs.
-            worker.process.terminate()
+            overdue = [worker_id
+                       for worker_id, worker in self._workers.items()
+                       if worker.overdue()]
+        for worker_id in overdue:
+            # Terminated like a crash: its jobs are requeued.
             self._worker_died(
-                worker,
+                worker_id,
                 f"job exceeded timeout "
                 f"({self.config.job_timeout_s:.1f}s); worker terminated",
+                terminate=True,
             )
 
     # Registry -----------------------------------------------------------

@@ -19,11 +19,6 @@ dispatch, retry, terminal — and keeps:
   failed / refused) with monotone sequence numbers, which the server's
   ``watch`` verb streams incrementally.
 
-The disabled implementation is the falsy base class — the same
-contract as :class:`~repro.obs.tracer.Tracer` and
-:class:`~repro.obs.live.LiveSink`: hot paths guard with
-``if telemetry:`` and pay one truthiness check when it is off.
-
 Snapshots flush periodically (and finally, on shutdown) as JSONL and
 into the content-addressed run registry under kind
 ``service-telemetry``.
@@ -39,9 +34,7 @@ import time
 from ..errors import ReproError
 
 __all__ = [
-    "NULL_TELEMETRY",
     "LogHistogram",
-    "ServiceTelemetry",
     "TelemetryRecorder",
     "fleet_execute_histogram",
     "merge_histograms",
@@ -197,78 +190,8 @@ def merge_histograms(dicts) -> dict:
     return merged.to_dict()
 
 
-class ServiceTelemetry:
-    """No-op telemetry: the API surface, and the disabled default.
-
-    Falsy, so the daemon guards with ``if self.telemetry:`` — disabled
-    telemetry costs one truthiness check per lifecycle transition.
-    """
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return self.enabled
-
-    # Lifecycle observations ---------------------------------------------
-    def job_admitted(self, job) -> None:
-        """A job passed admission and entered the queue."""
-
-    def job_withdrawn(self, job) -> None:
-        """An admitted job was rolled back (atomic payload refusal)."""
-
-    def job_refused(self, tenant: str, kind: str) -> None:
-        """Admission refused a spec (``backpressure`` / ``tenant``)."""
-
-    def job_dispatched(self, job, batch_size: int,
-                       queue_wait_s: float) -> None:
-        """A job left the queue for a worker."""
-
-    def job_retried(self, job) -> None:
-        """A failed attempt was requeued."""
-
-    def job_finished(self, job, warm: bool) -> None:
-        """A job reached ``done``."""
-
-    def job_failed(self, job) -> None:
-        """A job reached ``failed`` (retries exhausted)."""
-
-    def worker_pool(self, worker_id: int, stats: dict) -> None:
-        """A worker reported its lifetime :class:`PoolStats`."""
-
-    # Reading ------------------------------------------------------------
-    def last_seq(self) -> int:
-        return 0
-
-    def events_since(self, seq: int) -> list:
-        return []
-
-    def snapshot(self) -> dict:
-        return {}
-
-    # Flushing -----------------------------------------------------------
-    def flush(self, path=None, registry=None,
-              reason: str = "interval") -> None:
-        """Write one snapshot record (JSONL + registry, best-effort)."""
-
-    def maybe_flush(self, path=None, registry=None,
-                    interval_s: float = 30.0) -> None:
-        """Flush if at least ``interval_s`` passed since the last one."""
-
-    def seconds_until_flush(self, path=None, registry=None,
-                            interval_s: float = 30.0) -> float:
-        """Seconds until :meth:`maybe_flush` next writes (``None`` when
-        it never will: disabled, or nowhere to write)."""
-        return None
-
-
-#: Shared ready-made disabled telemetry for non-None defaults.
-NULL_TELEMETRY = ServiceTelemetry()
-
-
-class TelemetryRecorder(ServiceTelemetry):
+class TelemetryRecorder:
     """Recording telemetry: histograms, tenant counters, event ring."""
-
-    enabled = True
 
     def __init__(self, clock=time.time) -> None:
         self._clock = clock
@@ -314,22 +237,26 @@ class TelemetryRecorder(ServiceTelemetry):
 
     # Lifecycle observations ---------------------------------------------
     def job_admitted(self, job) -> None:
+        """A job passed admission and entered the queue."""
         with self._lock:
             self._tenant(job.spec.tenant)["submitted"] += 1
             self._push_event("admitted", job)
 
     def job_withdrawn(self, job) -> None:
+        """An admitted job was rolled back (atomic payload refusal)."""
         with self._lock:
             self._tenant(job.spec.tenant)["submitted"] -= 1
             self._push_event("withdrawn", job)
 
     def job_refused(self, tenant: str, kind: str) -> None:
+        """Admission refused a spec (``backpressure`` / ``tenant``)."""
         with self._lock:
             self._tenant(tenant)["refused"] += 1
             self._push_event("refused", tenant=tenant, kind=kind)
 
     def job_dispatched(self, job, batch_size: int,
                        queue_wait_s: float) -> None:
+        """A job left the queue for a worker."""
         with self._lock:
             self.histograms["queue_wait_s"].observe(max(queue_wait_s, 0.0))
             self.histograms["batch_size"].observe(batch_size)
@@ -337,11 +264,13 @@ class TelemetryRecorder(ServiceTelemetry):
                              batch=batch_size, attempt=job.attempts)
 
     def job_retried(self, job) -> None:
+        """A failed attempt was requeued."""
         with self._lock:
             self._tenant(job.spec.tenant)["retried"] += 1
             self._push_event("retried", job, attempt=job.attempts)
 
     def job_finished(self, job, warm: bool) -> None:
+        """A job reached ``done``."""
         with self._lock:
             if warm:
                 self.warm_jobs += 1
@@ -360,11 +289,13 @@ class TelemetryRecorder(ServiceTelemetry):
                              run_id=job.run_id)
 
     def job_failed(self, job) -> None:
+        """A job reached ``failed`` (retries exhausted)."""
         with self._lock:
             self._tenant(job.spec.tenant)["crashed"] += 1
             self._push_event("failed", job, error=job.error)
 
     def worker_pool(self, worker_id: int, stats: dict) -> None:
+        """A worker reported its lifetime :class:`PoolStats`."""
         with self._lock:
             self._pools[int(worker_id)] = dict(stats)
 
@@ -426,6 +357,7 @@ class TelemetryRecorder(ServiceTelemetry):
     # Flushing -----------------------------------------------------------
     def flush(self, path=None, registry=None,
               reason: str = "interval") -> None:
+        """Write one snapshot record (JSONL + registry, best-effort)."""
         self._last_flush = time.monotonic()
         snapshot = self.snapshot()
         record = {
@@ -456,11 +388,14 @@ class TelemetryRecorder(ServiceTelemetry):
 
     def maybe_flush(self, path=None, registry=None,
                     interval_s: float = 30.0) -> None:
+        """Flush if at least ``interval_s`` passed since the last one."""
         if self.seconds_until_flush(path, registry, interval_s) == 0.0:
             self.flush(path=path, registry=registry, reason="interval")
 
     def seconds_until_flush(self, path=None, registry=None,
                             interval_s: float = 30.0) -> float:
+        """Seconds until :meth:`maybe_flush` next writes (``None`` when
+        it never will: nowhere to write)."""
         if path is None and registry is None:
             return None
         return max(0.0, self._last_flush + interval_s - time.monotonic())

@@ -27,8 +27,24 @@ def frame_fingerprint(stats):
     return data, colors
 
 
+def record_frame_stats(session) -> list:
+    """Wrap ``session.gpu.render_frame``; the returned list collects the
+    FrameStats of every frame the session renders from now on."""
+    recorded = []
+    render_frame = session.gpu.render_frame
+
+    def recording(*args, **kwargs):
+        stats = render_frame(*args, **kwargs)
+        recorded.append(stats)
+        return stats
+
+    session.gpu.render_frame = recording
+    return recorded
+
+
 def interrupted_run(technique, tmp_path):
-    """Render k frames, checkpoint to disk, reload, finish the run."""
+    """Render k frames, checkpoint to disk, reload, finish the run;
+    returns the resumed session and its post-restore FrameStats."""
     first = RenderSession(
         "ccs", technique, config=CONFIG, num_frames=NUM_FRAMES
     )
@@ -40,9 +56,10 @@ def interrupted_run(technique, tmp_path):
     resumed = RenderSession.from_checkpoint(path)
     assert resumed.frames_rendered == CHECKPOINT_FRAME
     assert len(resumed.frames) == CHECKPOINT_FRAME
+    frame_stats = record_frame_stats(resumed)
     resumed.run()
     assert resumed.frames_rendered == NUM_FRAMES
-    return resumed
+    return resumed, frame_stats
 
 
 @pytest.mark.parametrize("technique", ["baseline", "re", "re+te"])
@@ -51,13 +68,14 @@ class TestCheckpointRestore:
         full = RenderSession(
             "ccs", technique, config=CONFIG, num_frames=NUM_FRAMES
         )
+        full_stats = record_frame_stats(full)
         full.run()
-        resumed = interrupted_run(technique, tmp_path)
+        resumed, resumed_stats = interrupted_run(technique, tmp_path)
 
         # Post-restore FrameStats match the uninterrupted run's exactly.
-        assert len(resumed.frame_stats) == NUM_FRAMES - CHECKPOINT_FRAME
+        assert len(resumed_stats) == NUM_FRAMES - CHECKPOINT_FRAME
         for expected, actual in zip(
-            full.frame_stats[CHECKPOINT_FRAME:], resumed.frame_stats
+            full_stats[CHECKPOINT_FRAME:], resumed_stats
         ):
             expected_data, expected_colors = frame_fingerprint(expected)
             actual_data, actual_colors = frame_fingerprint(actual)
@@ -83,7 +101,7 @@ class TestCheckpointRestore:
             "ccs", technique, config=CONFIG, num_frames=NUM_FRAMES
         )
         full.run()
-        resumed = interrupted_run(technique, tmp_path)
+        resumed, _ = interrupted_run(technique, tmp_path)
         total = lambda s: sum(f.cycles.total_cycles for f in s.frames)  # noqa: E731
         assert total(resumed) == total(full)
         energy = lambda s: sum(f.energy.total_nj for f in s.frames)  # noqa: E731

@@ -5,6 +5,7 @@ import pytest
 from repro.__main__ import main
 from repro.config import GpuConfig
 from repro.engine.session import RenderSession
+from repro.harness.supervisor import FAULT_ENV_VAR
 from repro.obs.live import LiveAggregator
 from repro.service.daemon import EngineDaemon, ServiceConfig
 from repro.service.server import ServiceServer
@@ -121,6 +122,22 @@ class TestSubmitAndStatus:
         missing = str(tmp_path / "nope.sock")
         assert main(["submit", "ccs", "--socket", missing]) == 1
         assert "cannot reach service socket" in capsys.readouterr().err
+
+    def test_submit_rejects_malformed_set(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.sock")
+        assert main(["submit", "ccs", "--socket", missing,
+                     "--set", "tile_size"]) == 2
+        assert "bad --set" in capsys.readouterr().err
+
+
+class TestServeRefusals:
+    def test_malformed_fault_spec_exits_before_binding(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(FAULT_ENV_VAR, "bogus")
+        sock = tmp_path / "bad.sock"
+        assert main(["serve", "--socket", str(sock)]) == 2
+        assert "bad fault spec 'bogus'" in capsys.readouterr().err
+        assert not sock.exists()
 
 
 class TestStatusHeartbeatFallback:

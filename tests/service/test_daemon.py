@@ -8,6 +8,7 @@ first dispatch always sees the complete queue and batching decisions
 are reproducible.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -15,7 +16,12 @@ import time
 
 import pytest
 
-from repro.errors import BackpressureError, ServiceError, TenantError
+from repro.errors import (
+    BackpressureError,
+    ServiceError,
+    SupervisionError,
+    TenantError,
+)
 from repro.harness.supervisor import FAULT_ENV_VAR
 from repro.obs.live import read_heartbeat
 from repro.obs.store import RunRegistry
@@ -151,6 +157,15 @@ class TestScheduling:
 
 
 class TestFaultRecovery:
+    def test_malformed_fault_spec_refused_before_any_fork(self, monkeypatch):
+        # The spec is parsed in the daemon: parsed in each worker, a bad
+        # one would kill every worker at startup and its respawn too.
+        monkeypatch.setenv(FAULT_ENV_VAR, "bogus")
+        before = set(multiprocessing.active_children())
+        with pytest.raises(SupervisionError, match="bad fault spec"):
+            EngineDaemon(ServiceConfig())
+        assert set(multiprocessing.active_children()) == before
+
     def test_worker_crash_retries_and_daemon_survives(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV_VAR, "ccs/re:1:crash:1")
         daemon = EngineDaemon(ServiceConfig(workers=1, max_retries=1))

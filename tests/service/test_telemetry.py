@@ -19,7 +19,6 @@ from repro.obs.distributed import merge_shards
 from repro.obs.store import RunRegistry
 from repro.obs.validate import validate_trace
 from repro.service import (
-    NULL_TELEMETRY,
     JobSpec,
     LogHistogram,
     ServiceClient,
@@ -123,22 +122,6 @@ class TestLogHistogram:
         assert merged["count"] == 2
         with pytest.raises(ReproError, match="no histograms"):
             merge_histograms([])
-
-
-class TestNullTelemetry:
-    def test_is_falsy_and_inert(self, tmp_path):
-        assert not NULL_TELEMETRY
-        NULL_TELEMETRY.job_admitted(None)
-        NULL_TELEMETRY.job_refused("t", "backpressure")
-        assert NULL_TELEMETRY.snapshot() == {}
-        assert NULL_TELEMETRY.last_seq() == 0
-        assert NULL_TELEMETRY.events_since(0) == []
-        path = tmp_path / "stats.jsonl"
-        NULL_TELEMETRY.flush(path=path)
-        assert not path.exists()
-
-    def test_recorder_is_truthy(self):
-        assert TelemetryRecorder()
 
 
 class TestTelemetryRecorder:
@@ -450,16 +433,3 @@ class TestShutdownFlush:
             daemon.close()
         records = [json.loads(line) for line in open(log)]
         assert records[-1]["reason"] == "shutdown"
-
-    def test_disabled_telemetry_stays_dark(self, tmp_path):
-        log = tmp_path / "stats.jsonl"
-        daemon = EngineDaemon(ServiceConfig(
-            workers=1, telemetry=False, telemetry_log=str(log),
-        )).start()
-        try:
-            assert daemon.stats_snapshot()["telemetry"] is None
-            assert daemon.telemetry_seq() == 0
-            assert daemon.telemetry_events(0) == []
-        finally:
-            daemon.close()
-        assert not log.exists()
