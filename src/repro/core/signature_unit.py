@@ -23,7 +23,9 @@ counts (property-tested):
 * ``exact=False`` — :meth:`SignatureUnit.on_drawcall` signs a whole
   drawcall with array operations.  Its primitives share one attribute
   layout, hence one shift amount: one table pass signs all their blocks
-  (:func:`~repro.hashing.tables.crc32_rows`), and the fold takes the
+  (:func:`~repro.hashing.tables.crc32_rows`), once per batch geometry
+  and block size (a drawcall replayed from the geometry memo reuses the
+  row CRCs; its counters are charged every time), and the fold takes the
   tiles' primitives in rank steps, step r shifting every tile that has
   an r-th primitive and XORing that primitive's block CRC in.  Activity
   counters come from the formulas the hardware models count one by one.
@@ -116,6 +118,21 @@ class SignatureUnit:
         self._count_compute(len(rows), shift)
         return crc32_rows(rows, length), shift
 
+    def _row_crcs(self, batch: PrimitiveBatch) -> tuple:
+        """Every row's attribute-block CRC and their shared shift
+        amount, computed once per batch geometry and block size (kept in
+        ``batch.derived``); counts nothing."""
+        key = ("row_crcs", self.block_bytes)
+        cached = batch.derived.get(key)
+        if cached is None:
+            length = padded_length(batch.attributes.shape[1],
+                                   self.block_bytes)
+            cached = batch.derived[key] = (
+                crc32_rows(batch.attributes, length),
+                length // self.block_bytes,
+            )
+        return cached
+
     def _sign_block(self, block: bytes) -> tuple:
         """CRC + shift amount (subblocks) of one block."""
         if self.exact:
@@ -163,7 +180,9 @@ class SignatureUnit:
         signed = np.flatnonzero(per_row)
         per_prim = per_row[signed]
         slots = np.repeat(np.arange(len(signed)), per_prim)
-        block_crcs, shift = self._sign_rows(batch.attributes[signed])
+        row_crcs, shift = self._row_crcs(batch)
+        block_crcs = row_crcs[signed]
+        self._count_compute(len(signed), shift)
 
         # Sort the pairs stably by tile, so each tile's run of pairs is
         # in program order, and take the tiles with the most pairs

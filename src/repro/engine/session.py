@@ -202,7 +202,8 @@ class RenderSession:
         self._track_sigs = hasattr(self.technique, "current_signatures")
         self._input_sigs: list = [] if self._track_sigs else None
         self._events_before = technique_event_counts(self.technique)
-        self.final_frame_crc = 0
+        self._final_frame = None
+        self._final_frame_crc = 0
 
     # Observability ------------------------------------------------------
     @property
@@ -281,7 +282,8 @@ class RenderSession:
         if self._track_sigs:
             self._input_sigs = []
         self._events_before = technique_event_counts(self.technique)
-        self.final_frame_crc = 0
+        self._final_frame = None
+        self._final_frame_crc = 0
 
     # Frame loop ---------------------------------------------------------
     @property
@@ -358,7 +360,8 @@ class RenderSession:
         ))
         if self._track_sigs:
             self._input_sigs.append(self.technique.current_signatures())
-        self.final_frame_crc = zlib.crc32(stats.frame_colors.tobytes())
+        self._final_frame = stats.frame_colors
+        self._final_frame_crc = None
         if metrics is not None:
             from ..obs.metrics import frame_record
 
@@ -377,6 +380,16 @@ class RenderSession:
             )
 
     # Result views -------------------------------------------------------
+    @property
+    def final_frame_crc(self) -> int:
+        """CRC32 of the last rendered frame's color bytes (0 before the
+        first frame), computed when first read."""
+        if self._final_frame_crc is None:
+            self._final_frame_crc = zlib.crc32(
+                np.ascontiguousarray(self._final_frame)
+            )
+        return self._final_frame_crc
+
     @property
     def color_crcs(self) -> np.ndarray:
         """(frames_rendered, num_tiles) uint32 matrix of tile CRCs."""
@@ -444,7 +457,8 @@ class RenderSession:
                 np.asarray(row, dtype=np.uint32)
                 for row in state["input_sigs"]
             ]
-        self.final_frame_crc = int(state["final_frame_crc"])
+        self._final_frame = None
+        self._final_frame_crc = int(state["final_frame_crc"])
 
     @classmethod
     def from_checkpoint(cls, source,

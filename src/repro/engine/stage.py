@@ -45,6 +45,16 @@ class Stage:
         if self.metrics_group is not None:
             registry.register_counters(self.metrics_group, self.stats)
 
+    def counters(self) -> tuple:
+        """The stats counters' current values, in field order."""
+        return tuple(vars(self.stats).values())
+
+    def add_counters(self, delta) -> None:
+        """Add ``delta``, laid out as :meth:`counters`, to the stats."""
+        stats = self.stats
+        for name, value in zip(vars(stats), delta):
+            setattr(stats, name, getattr(stats, name) + value)
+
     def begin_frame(self, ctx: FrameContext = None) -> None:
         """Reset per-frame working state (never the stats counters)."""
 

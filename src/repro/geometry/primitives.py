@@ -22,8 +22,8 @@ the position plus each varying (padded to vec4) as one attribute each.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import functools
 import typing
 
 import numpy as np
@@ -32,20 +32,25 @@ from ..errors import PipelineError
 from .vec import as_points
 
 
+#: Bytes of the address region each vertex buffer owns: buffer ``b``'s
+#: vertices live at ``b << 24`` onward (:meth:`VertexBuffer.vertex_addresses`).
+BUFFER_REGION_BYTES = 1 << 24
+
+
 class VertexBuffer:
-    """Indexed triangle mesh with named per-vertex attributes."""
+    """Indexed triangle mesh with named per-vertex attributes.
+
+    The buffer owns its arrays: each is copied at construction and made
+    read-only, so its bytes, named once by :attr:`content_token`, stay
+    what they were.  ``buffer_id`` picks the buffer's address region; it
+    may be reassigned (scenes number their buffers after building them).
+    """
 
     def __init__(self, positions, indices, attributes=None,
                  buffer_id: int = 0) -> None:
-        self.buffer_id = buffer_id
-        self.positions = as_points(positions, 3)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        if self.indices.ndim != 2 or self.indices.shape[1] != 3:
-            raise PipelineError(
-                f"indices must be (m, 3) triangles, got {self.indices.shape}"
-            )
-        if self.indices.size and self.indices.max() >= len(self.positions):
-            raise PipelineError("index out of range of vertex positions")
+        self.positions = _owned(as_points(positions, 3))
+        self.indices = _owned(_triangle_indices(indices,
+                                                len(self.positions)))
         self.attributes: dict = {}
         for name, values in (attributes or {}).items():
             values = np.asarray(values, dtype=np.float32)
@@ -53,7 +58,41 @@ class VertexBuffer:
                 raise PipelineError(
                     f"attribute {name!r} must have one row per vertex"
                 )
-            self.attributes[name] = values
+            self.attributes[name] = _owned(values)
+        size = self.num_vertices * self.vertex_bytes()
+        if size > BUFFER_REGION_BYTES:
+            raise PipelineError(
+                f"vertex buffer of {size} bytes exceeds its "
+                f"{BUFFER_REGION_BYTES}-byte address region"
+            )
+        self.buffer_id = buffer_id
+        self._content_token = None
+
+    @property
+    def buffer_id(self) -> int:
+        return self._buffer_id
+
+    @buffer_id.setter
+    def buffer_id(self, value: int) -> None:
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 0):
+            raise PipelineError(
+                f"buffer_id must be a non-negative integer, got {value!r}"
+            )
+        self._buffer_id = int(value)
+
+    @property
+    def content_token(self) -> tuple:
+        """The buffer's vertex data as bytes, computed once: positions,
+        indices, then each attribute's name, width and values in
+        insertion order.  ``buffer_id`` is not part of it."""
+        if self._content_token is None:
+            self._content_token = (
+                self.positions.tobytes(), self.indices.tobytes(),
+                tuple((name, values.shape[1], values.tobytes())
+                      for name, values in self.attributes.items()),
+            )
+        return self._content_token
 
     @property
     def num_vertices(self) -> int:
@@ -73,10 +112,38 @@ class VertexBuffer:
     def vertex_addresses(self, vertex_indices) -> "np.ndarray":
         """Simulated byte addresses of the fetched vertices, placing each
         buffer in a disjoint 16-MB region keyed by ``buffer_id``."""
-        base = self.buffer_id * (1 << 24)
+        base = self.buffer_id * BUFFER_REGION_BYTES
         stride = self.vertex_bytes()
         indices = np.asarray(vertex_indices, dtype=np.int64)
         return base + indices * stride
+
+
+def _owned(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array``."""
+    owned = array.copy()
+    owned.flags.writeable = False
+    return owned
+
+
+def _triangle_indices(indices, num_vertices: int) -> np.ndarray:
+    """``indices`` as an ``(m, 3)`` int32 array, refusing any index that
+    is not a whole number in ``[0, num_vertices)``."""
+    raw = np.asarray(indices)
+    if raw.ndim != 2 or raw.shape[1] != 3:
+        raise PipelineError(
+            f"indices must be (m, 3) triangles, got {raw.shape}"
+        )
+    if not raw.size:
+        return raw.astype(np.int32)
+    if raw.dtype.kind not in "iuf" or (
+            raw.dtype.kind == "f"
+            and not np.array_equal(raw, np.floor(raw))):
+        raise PipelineError("indices must be whole numbers")
+    if raw.min() < 0:
+        raise PipelineError("negative vertex index")
+    if raw.max() >= num_vertices:
+        raise PipelineError("index out of range of vertex positions")
+    return raw.astype(np.int32)
 
 
 @dataclasses.dataclass
@@ -199,7 +266,10 @@ class PrimitiveBatch:
 
     Every primitive of a drawcall has the same varying layout, so they
     share the row length L, the attribute count and the Parameter-Buffer
-    size.  All arrays but ``pb_offsets`` are read-only.
+    size.  All arrays but ``pb_offsets`` are read-only, and ``derived``
+    caches what later stages compute from them alone (:attr:`row_bytes`,
+    the Signature Unit's block CRCs); :meth:`rebind` shares both with a
+    batch for another drawcall of the same geometry.
     """
 
     def __init__(self, state: DrawState, screen: np.ndarray,
@@ -216,6 +286,16 @@ class PrimitiveBatch:
                       *varyings.values()):
             array.flags.writeable = False
         self.pb_offsets = np.full(len(screen), -1, dtype=np.int64)
+        self.derived: dict = {}
+
+    def rebind(self, state: DrawState) -> "PrimitiveBatch":
+        """A batch of the same primitives drawn under ``state``: it
+        shares this batch's read-only arrays and ``derived`` cache, and
+        has its own state and unbinned ``pb_offsets``."""
+        twin = copy.copy(self)
+        twin.state = state
+        twin.pb_offsets = np.full(len(self.screen), -1, dtype=np.int64)
+        return twin
 
     @classmethod
     def from_primitives(cls, state: DrawState,
@@ -259,27 +339,39 @@ class PrimitiveBatch:
         """Each primitive's :attr:`Primitive.num_attributes`."""
         return 1 + len(self.varyings)
 
-    @functools.cached_property
-    def row_bytes(self) -> list:
-        """Each row's ``(geometry, attributes)`` bytes: its screen
-        positions then vertex depths, which decide the pixels it covers
-        and their barycentrics, and its :attr:`attributes` row.
+    @property
+    def geometry_bytes(self) -> bytes:
+        """Every row's screen positions then vertex depths, row after
+        row: the bytes that decide the pixels the batch covers and their
+        barycentrics."""
+        return self._bytes()[0]
 
-        Built once per batch, so every memo key that names a row holds
+    @property
+    def row_bytes(self) -> list:
+        """Each row's ``(geometry, attributes)`` bytes: its slice of
+        :attr:`geometry_bytes` and its :attr:`attributes` row.
+
+        Built once per geometry, so every memo key that names a row holds
         these two objects, not a copy of its own.
         """
-        n = len(self.screen)
-        geometry = np.concatenate([
-            self.screen.reshape(n, 6).view(np.uint8),
-            self.depth.reshape(n, 3).view(np.uint8),
-        ], axis=1)
-        geom_len, attr_len = geometry.shape[1], self.attributes.shape[1]
-        geometry, attr = geometry.tobytes(), self.attributes.tobytes()
-        return [
-            (geometry[g:g + geom_len], attr[a:a + attr_len])
-            for g, a in zip(range(0, n * geom_len, geom_len),
-                            range(0, n * attr_len, attr_len))
-        ]
+        return self._bytes()[1]
+
+    def _bytes(self) -> tuple:
+        cached = self.derived.get("bytes")
+        if cached is None:
+            n = len(self.screen)
+            geometry = np.concatenate([
+                self.screen.reshape(n, 6).view(np.uint8),
+                self.depth.reshape(n, 3).view(np.uint8),
+            ], axis=1)
+            geom_len, attr_len = geometry.shape[1], self.attributes.shape[1]
+            geometry, attr = geometry.tobytes(), self.attributes.tobytes()
+            cached = self.derived["bytes"] = (geometry, [
+                (geometry[g:g + geom_len], attr[a:a + attr_len])
+                for g, a in zip(range(0, n * geom_len, geom_len),
+                                range(0, n * attr_len, attr_len))
+            ])
+        return cached
 
     def primitive(self, row: int) -> Primitive:
         """Row ``row`` as one :class:`Primitive` of read-only row views."""

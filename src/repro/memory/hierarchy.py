@@ -76,13 +76,16 @@ class MemoryHierarchy:
         self._flushes = []
 
     # --- Producers: append one entry each, in program order -------------
-    def fetch_vertices(self, addresses: np.ndarray, stats) -> None:
-        """A drawcall's vertex reads, as byte addresses in fetch order."""
+    def vertex_lines(self, addresses: np.ndarray) -> np.ndarray:
+        """Vertex byte addresses, in fetch order, as the vertex cache's
+        line stream."""
+        return line_addresses(addresses, self.caches["vertex"].line_bytes)
+
+    def fetch_vertices(self, lines: np.ndarray, stats) -> None:
+        """A drawcall's vertex reads, as a :meth:`vertex_lines` stream."""
         self._kinds.append(VERTEX)
         self._payers[VERTEX] = stats
-        self._vertex_lines.append(
-            line_addresses(addresses, self.caches["vertex"].line_bytes)
-        )
+        self._vertex_lines.append(lines)
 
     def write_parameters(self, sizes: list, stats) -> None:
         """One Parameter-Buffer write per primitive, of these sizes."""

@@ -41,7 +41,9 @@ from .command_processor import CommandProcessor
 from .commands import CommandStream
 from .depth import DepthStats
 from .fragment_stage import FragmentStage, FragmentStats
+from ..geometry.primitives import PrimitiveBatch
 from .framebuffer import DEFAULT_CLEAR_COLOR, FrameBuffer
+from .memo import MemoStore
 from .primitive_assembly import AssemblyStats, PrimitiveAssembly
 from .rasterizer import shared_raster_memo
 from .tile_scheduler import RasterPipeline, RasterStats, shared_tile_memo
@@ -58,6 +60,44 @@ _STAT_GROUPS = (
     ("fragment", "fragment", FragmentStats),
     ("blend", "blend", BlendStats),
 )
+
+
+#: The geometry memo's budget, in bytes of retained arrays (about).
+GEOMETRY_MEMO_BUDGET = 64 << 20
+
+#: Process-wide geometry memo: keys hold the drawcall's inputs by
+#: content, so hits are exact across independent Gpu instances.
+_SHARED_GEOMETRY_MEMO = MemoStore(GEOMETRY_MEMO_BUDGET)
+
+
+def shared_geometry_memo() -> MemoStore:
+    """The process-wide geometry memo used by batched-mode GPUs (see
+    :meth:`Gpu._draw_geometry`)."""
+    return _SHARED_GEOMETRY_MEMO
+
+
+@dataclasses.dataclass(frozen=True)
+class DrawcallGeometry:
+    """A geometry memo entry: what vertex shading, assembly and binning
+    compute from a drawcall's inputs alone."""
+
+    batch: PrimitiveBatch        # the assembled triangles, no state bound
+    vertex_lines: np.ndarray     # the vertex fetch's cache-line stream
+    vertex_delta: tuple          # VertexStage counters, as counters()
+    assembly_delta: tuple        # PrimitiveAssembly counters, likewise
+    overlaps: tuple              # PolygonListBuilder.overlaps(batch)
+    shader: object               # pinned: its id is in the key
+
+    @property
+    def cost(self) -> int:
+        """Retained bytes, counting the row bytes and block CRCs later
+        stages derive from the batch as much again as its arrays."""
+        batch = self.batch
+        arrays = (batch.screen, batch.depth, batch.clip, batch.bounds,
+                  batch.attributes, *batch.varyings.values())
+        return (2 * sum(array.nbytes for array in arrays)
+                + self.vertex_lines.nbytes
+                + sum(array.nbytes for array in self.overlaps))
 
 
 @dataclasses.dataclass
@@ -146,6 +186,7 @@ class Gpu:
             if batched else None
         )
         self._tile_memo = shared_tile_memo() if batched else None
+        self._geometry_memo = shared_geometry_memo() if batched else None
 
         # --- Persistent stage graph (constructed once, reused) --------
         self.command_processor = CommandProcessor()
@@ -167,6 +208,13 @@ class Gpu:
         self.stages = (
             self.command_processor, self.vertex_stage, self.assembly,
             self.plb, self.raster, self.fragment_stage,
+        )
+
+        # What a geometry memo key holds of this GPU: the screen, the
+        # tile grid and the vertex-cache lines.
+        self._geometry_config = (
+            config.screen_width, config.screen_height, config.tile_size,
+            self.memory.caches["vertex"].line_bytes,
         )
 
         # --- Metric registry ------------------------------------------
@@ -221,19 +269,7 @@ class Gpu:
         if tracer:
             tracer.begin("geometry")
         for invocation in self.command_processor.process(commands):
-            if tracer:
-                tracer.begin("vertex")
-            shaded = self.vertex_stage.run(invocation)
-            if tracer:
-                tracer.end("vertex")
-                tracer.begin("assembly")
-            primitives = self.assembly.assemble(invocation, shaded)
-            if tracer:
-                tracer.end("assembly")
-                tracer.begin("binning")
-            self.plb.bin_drawcall(invocation.state, primitives)
-            if tracer:
-                tracer.end("binning")
+            self._draw_geometry(invocation, tracer)
 
         self.technique.on_geometry_complete()
         if tracer:
@@ -313,6 +349,65 @@ class Gpu:
         self.frame_index += 1
         return stats
 
+    def _draw_geometry(self, invocation, tracer) -> None:
+        """Vertex-shade, assemble and bin one drawcall.
+
+        A batched GPU first looks the drawcall up in the geometry memo,
+        keyed on its inputs: the vertex buffer's bytes and
+        ``buffer_id``, the shader, the constants bytes, the cull flag,
+        and this GPU's screen size, tile size and vertex-cache line
+        size.  A hit takes the assembled batch, bound to this drawcall's
+        state, and the tile overlaps from the entry instead of computing
+        them.  Hit or miss, the drawcall adds the same vertex and
+        assembly counters, appends the same vertex line stream to the
+        frame's memory log, and is binned by
+        :meth:`~.tiling.PolygonListBuilder.bin_drawcall`, which gives it
+        this frame's Parameter-Buffer offsets and tile lists.
+        """
+        memo = self._geometry_memo
+        state = invocation.state
+        entry = key = None
+        if memo is not None:
+            buffer = invocation.buffer
+            key = (buffer.content_token, buffer.buffer_id, id(state.shader),
+                   state.constants_bytes(), invocation.cull_backfaces,
+                   self._geometry_config)
+            entry = memo.get(key)
+        if tracer:
+            tracer.begin("vertex")
+        if entry is None:
+            vertex_before = self.vertex_stage.counters()
+            shaded = self.vertex_stage.run(invocation)
+        else:
+            self.vertex_stage.replay(entry.vertex_lines, entry.vertex_delta)
+        if tracer:
+            tracer.end("vertex")
+            tracer.begin("assembly")
+        if entry is None:
+            assembly_before = self.assembly.counters()
+            batch = self.assembly.assemble(invocation, shaded)
+        else:
+            self.assembly.add_counters(entry.assembly_delta)
+            batch = entry.batch.rebind(state)
+        if tracer:
+            tracer.end("assembly")
+            tracer.begin("binning")
+        overlaps = self.plb.bin_drawcall(
+            state, batch, None if entry is None else entry.overlaps
+        )
+        if tracer:
+            tracer.end("binning")
+        if entry is None and memo is not None:
+            for array in (shaded.lines, *overlaps):
+                array.flags.writeable = False
+            entry = DrawcallGeometry(
+                batch.rebind(None), shaded.lines,
+                _delta(self.vertex_stage.counters(), vertex_before),
+                _delta(self.assembly.counters(), assembly_before),
+                overlaps, state.shader,
+            )
+            memo.put(key, entry, entry.cost)
+
     def _assemble_stats(self, ctx: FrameContext, before: dict) -> FrameStats:
         """Build a frame's :class:`FrameStats` from the registry delta."""
         registry = self.stats_registry
@@ -388,10 +483,15 @@ class Gpu:
           :meth:`state_dict` (per-frame stats are snapshot-deltas) but
           *are* visible in end-of-run registry snapshots.
 
-        The shared raster and tile memos are left warm on purpose:
-        they are content-keyed, so hits change wall-clock only, never
-        output — that cross-request warmth is the service's payoff.
+        The shared geometry, raster and tile memos are left warm on
+        purpose: they are content-keyed, so hits change wall-clock only,
+        never output — that cross-request warmth is the service's
+        payoff.
         """
         self.load_state_dict(copy.deepcopy(self._pristine_state))
         for stage in self.stages:
             stage.reset()
+
+
+def _delta(after: tuple, before: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(after, before))

@@ -16,6 +16,8 @@ import dataclasses
 
 import numpy as np
 
+from .memo import MemoStore
+
 #: Strict margin for the full-tile coverage test: an edge function must
 #: clear every corner pixel center by at least this much before a
 #: primitive counts as covering the tile.  Coverage then holds at every
@@ -257,151 +259,115 @@ def _empty_batch() -> FragmentBatch:
     )
 
 
-class TiledRaster:
-    """One primitive's full-screen raster output, grouped by tile.
+class DrawcallRaster:
+    """A drawcall's full-screen raster output: every row's fragments,
+    grouped by (row, tile).
 
     The per-drawcall raster path rasterizes each primitive *once*
-    against the whole screen and takes each tile's slice of the fragment
-    arrays.  Because every per-pixel quantity in :func:`rasterize` is
-    computed elementwise from absolute pixel coordinates, each slice is
-    bit-exact with what a per-tile :func:`rasterize` call would have
-    produced.
+    against the whole screen, with :func:`rasterize`, and takes the
+    fragments that fall in the tiles it renders.  Every per-pixel
+    quantity :func:`rasterize` computes is elementwise in absolute pixel
+    coordinates, so a (row, tile) group is bit-exact with what a
+    per-tile :func:`rasterize` call would have produced.
 
-    The fragment arrays are stored sorted by tile id; the sort is stable,
-    so fragments keep their row-major order within each tile.  Tile
-    ``tiles[i]`` owns rows ``starts[i]:starts[i + 1]``.
+    The fragment arrays ``xs``, ``ys``, ``depth`` and ``bary`` are
+    sorted by row, then tile (stably: row-major within each group).
+    Each non-empty (row, tile) group is one *segment*: segment ``i`` is
+    row ``seg_rows[i]`` on tile ``seg_tiles[i]`` and owns fragments
+    ``seg_starts[i]:seg_starts[i] + seg_sizes[i]``.
 
-    Holds no reference to the primitive: fragment geometry depends only
-    on the screen positions and depths, so the same ``TiledRaster`` can
-    serve look-alike primitives from later frames (see
-    :class:`RasterMemo`).
+    Holds no reference to the batch: fragment geometry depends only on
+    the screen positions and depths, so the same raster serves every
+    later drawcall with the same geometry (see :class:`RasterMemo`).
+    All arrays are read-only.
     """
 
-    __slots__ = ("xs", "ys", "depth", "bary", "fragment_count", "tiles",
-                 "starts")
+    __slots__ = ("xs", "ys", "depth", "bary", "seg_rows", "seg_tiles",
+                 "seg_starts", "seg_sizes")
 
-    def __init__(self, batch: FragmentBatch, tile_size: int,
-                 tiles_x: int) -> None:
-        self.fragment_count = len(batch.xs)
-        tile_ids = (
-            (batch.ys // tile_size).astype(np.int64) * tiles_x
-            + batch.xs // tile_size
-        )
-        order = np.argsort(tile_ids, kind="stable")
-        self.xs = batch.xs[order]
-        self.ys = batch.ys[order]
-        self.depth = batch.depth[order]
-        self.bary = batch.bary[order]
-        self.tiles, starts = np.unique(tile_ids[order], return_index=True)
-        self.starts = np.append(starts, self.fragment_count)
-
-    def tile(self, tile_id: int) -> FragmentBatch:
-        """The fragments that fall inside ``tile_id``."""
-        i = int(np.searchsorted(self.tiles, tile_id))
-        if i == len(self.tiles) or self.tiles[i] != tile_id:
-            return _empty_batch()
-        lo, hi = self.starts[i], self.starts[i + 1]
-        return FragmentBatch(
-            xs=self.xs[lo:hi],
-            ys=self.ys[lo:hi],
-            depth=self.depth[lo:hi],
-            bary=self.bary[lo:hi],
-        )
-
-
-class RasterMemoStore:
-    """Retained-fragment accounting shared by every :class:`RasterMemo`
-    bound to it.
-
-    Entries from all bound memos live in one insertion-ordered dict, so
-    the fragment budget and its LRU eviction apply *globally*: a
-    long-lived process sweeping many screen geometries can no longer pin
-    one full-budget memo per configuration (the former unbounded
-    ``_SHARED_RASTER_MEMOS`` leak) — cold configurations age out as hot
-    ones insert.
-    """
-
-    def __init__(self, fragment_budget: int = 4_000_000) -> None:
-        self.fragment_budget = fragment_budget
-        self._entries: "dict[tuple, TiledRaster]" = {}
-        self._retained_fragments = 0
-        self.evictions = 0
+    def __init__(self, screen: np.ndarray, depth: np.ndarray,
+                 screen_rect: tuple, tile_size: int, tiles_x: int) -> None:
+        parts = [rasterize(screen[row], depth[row], screen_rect)
+                 for row in range(len(screen))]
+        parts.append(_empty_batch())
+        rows = np.repeat(np.arange(len(parts)),
+                         [len(part.xs) for part in parts])
+        xs = np.concatenate([part.xs for part in parts])
+        ys = np.concatenate([part.ys for part in parts])
+        tiles = (ys // tile_size).astype(np.int64) * tiles_x + xs // tile_size
+        # Rows are already in order: a stable sort by tile within each
+        # row is a sort by the pair.
+        pair = rows * (int(tiles.max(initial=0)) + 1) + tiles
+        order = np.argsort(pair, kind="stable")
+        self.xs, self.ys = xs[order], ys[order]
+        self.depth = np.concatenate([part.depth for part in parts])[order]
+        self.bary = np.concatenate([part.bary for part in parts])[order]
+        _, starts = np.unique(pair[order], return_index=True)
+        self.seg_starts = starts
+        self.seg_sizes = np.diff(np.append(starts, len(xs)))
+        self.seg_rows = rows[order][starts]
+        self.seg_tiles = tiles[order][starts]
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
 
     @property
-    def retained_fragments(self) -> int:
-        return self._retained_fragments
+    def fragment_count(self) -> int:
+        return len(self.xs)
 
-    def __len__(self) -> int:
-        return len(self._entries)
 
-    def get(self, key: tuple):
-        entries = self._entries
-        tiled = entries.get(key)
-        if tiled is not None:
-            # Re-insert to mark as most recently used.
-            del entries[key]
-            entries[key] = tiled
-        return tiled
-
-    def put(self, key: tuple, tiled: TiledRaster) -> None:
-        entries = self._entries
-        self._retained_fragments += tiled.fragment_count
-        entries[key] = tiled
-        while (self._retained_fragments > self.fragment_budget
-               and len(entries) > 1):
-            evicted = entries.pop(next(iter(entries)))
-            self._retained_fragments -= evicted.fragment_count
-            self.evictions += 1
+#: The raster memo's budget, in retained fragments plus one per entry,
+#: shared by every screen geometry in the process.
+RASTER_MEMO_BUDGET = 4_000_000
 
 
 class RasterMemo:
-    """Cross-frame raster memo, keyed by primitive *content*.
+    """Cross-frame raster memo for one screen geometry, keyed by the
+    drawcall's geometry *content*.
 
-    Frame-coherent workloads resubmit geometrically identical primitives
+    Frame-coherent workloads resubmit geometrically identical drawcalls
     every frame; their coverage and barycentrics are pure functions of
     the screen-space positions and depths, so the rasterization can be
-    reused.  Entries live in a :class:`RasterMemoStore` (private unless
-    one is passed in) whose retained-fragment budget evicts LRU-first.
+    reused.  Entries live in a :class:`~repro.pipeline.memo.MemoStore`
+    (private unless one is passed in), whose budget evicts LRU-first.
+    ``hits`` and ``misses`` count this memo's lookups, one per drawcall.
     Purely an execution-speed cache: it changes no simulated state, and
     the scalar reference path never consults it.
     """
 
-    def __init__(self, tile_size: int, tiles_x: int,
-                 fragment_budget: int = 4_000_000,
-                 store: RasterMemoStore = None) -> None:
+    def __init__(self, tile_size: int, tiles_x: int, screen_rect: tuple,
+                 store: MemoStore = None) -> None:
         self.tile_size = tile_size
         self.tiles_x = tiles_x
+        self.screen_rect = screen_rect
         self.store = (store if store is not None
-                      else RasterMemoStore(fragment_budget))
+                      else MemoStore(RASTER_MEMO_BUDGET))
         self.hits = 0
         self.misses = 0
 
-    def get(self, batch, row: int, screen_rect: tuple) -> TiledRaster:
-        """The :class:`TiledRaster` of row ``row`` of the
+    def get(self, batch) -> DrawcallRaster:
+        """The :class:`DrawcallRaster` of the
         :class:`~repro.geometry.primitives.PrimitiveBatch` ``batch``,
-        computed or reused, keyed on the row's geometry bytes."""
+        computed or reused, keyed on its geometry bytes."""
         # The grid geometry and clip rect are part of the key: memos
         # sharing one store must never hand each other fragments tiled
         # for a different grid or clipped to a different screen.
-        key = (self.tile_size, self.tiles_x, screen_rect,
-               batch.row_bytes[row][0])
-        tiled = self.store.get(key)
-        if tiled is not None:
+        key = (self.tile_size, self.tiles_x, self.screen_rect,
+               batch.geometry_bytes)
+        raster = self.store.get(key)
+        if raster is not None:
             self.hits += 1
-            return tiled
+            return raster
         self.misses += 1
-        tiled = TiledRaster(
-            rasterize(batch.screen[row], batch.depth[row], screen_rect),
-            self.tile_size, self.tiles_x,
-        )
-        self.store.put(key, tiled)
-        return tiled
+        raster = DrawcallRaster(batch.screen, batch.depth, self.screen_rect,
+                                self.tile_size, self.tiles_x)
+        self.store.put(key, raster, raster.fragment_count + 1)
+        return raster
 
 
 #: Process-wide fragment pool behind every shared memo: one budget, one
 #: LRU order, however many (tile grid, screen rect) configurations the
 #: process touches.
-_SHARED_RASTER_STORE = RasterMemoStore()
+_SHARED_RASTER_STORE = MemoStore(RASTER_MEMO_BUDGET)
 
 #: Process-wide raster memos, one per (tile grid, screen rect): content
 #: keys make hits exact across independent Gpu instances of equal
@@ -417,6 +383,7 @@ def shared_raster_memo(tile_size: int, tiles_x: int,
     key = (tile_size, tiles_x, screen_rect)
     memo = _SHARED_RASTER_MEMOS.get(key)
     if memo is None:
-        memo = RasterMemo(tile_size, tiles_x, store=_SHARED_RASTER_STORE)
+        memo = RasterMemo(tile_size, tiles_x, screen_rect,
+                          store=_SHARED_RASTER_STORE)
         _SHARED_RASTER_MEMOS[key] = memo
     return memo

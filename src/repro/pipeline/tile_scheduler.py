@@ -45,63 +45,23 @@ from .blending import BlendStage
 from .depth import DepthStage
 from .fragment_stage import FragmentStage
 from .framebuffer import DEFAULT_CLEAR_DEPTH, FrameBuffer, TileBuffers
+from .memo import MemoStore
 from .rasterizer import RasterMemo, rasterize
 from .tiling import ParameterBuffer
 
 
-class TileMemo:
-    """Cross-frame memo of whole-tile render results, keyed by content.
-
-    A tile's colors and every activity counter it produces are a pure
-    function of its primitive list (screen positions, depths, attributes,
-    bound state), the tile rect and the clear color, and its texel line
-    streams also of the texture cache's line size; the key holds all of
-    them.  Frame-coherent workloads re-render identical tiles every
-    frame; on a hit the memo re-applies the recorded stat deltas and
-    appends the recorded texel line streams to the frame's memory log,
-    so cache behaviour, DRAM pressure and all counters evolve exactly as
-    a recomputation.  Purely an execution-speed cache — only the
-    per-drawcall path uses it — bounded by retained colors + replay
-    lines with LRU eviction.
-
-    Entries pin their shader objects: shader ``id`` participates in the
-    key, so the ids must stay unrecycled while an entry lives.
-    """
-
-    def __init__(self, element_budget: int = 24_000_000) -> None:
-        self.element_budget = element_budget
-        self._entries: dict = {}
-        self._retained = 0
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: tuple):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            # Re-insert to mark as most recently used.
-            del self._entries[key]
-            self._entries[key] = entry
-        else:
-            self.misses += 1
-        return entry
-
-    def put(self, key: tuple, entry: tuple, cost: int) -> None:
-        entries = self._entries
-        entries[key] = entry + (cost,)
-        self._retained += cost
-        while self._retained > self.element_budget and len(entries) > 1:
-            evicted = entries.pop(next(iter(entries)))
-            self._retained -= evicted[-1]
-
+#: The tile memo's budget, in retained color elements plus replayed
+#: texel lines.
+TILE_MEMO_BUDGET = 24_000_000
 
 #: Process-wide tile memo: keys are content-stable (tile rect included),
 #: so hits are exact across independent Gpu instances.
-_SHARED_TILE_MEMO = TileMemo()
+_SHARED_TILE_MEMO = MemoStore(TILE_MEMO_BUDGET)
 
 
-def shared_tile_memo() -> TileMemo:
-    """The process-wide :class:`TileMemo` used by batched-mode GPUs."""
+def shared_tile_memo() -> MemoStore:
+    """The process-wide tile memo used by batched-mode GPUs (see
+    :meth:`RasterPipeline.render_drawcalls`)."""
     return _SHARED_TILE_MEMO
 
 
@@ -127,7 +87,7 @@ class RasterPipeline(Stage):
     def __init__(self, config: GpuConfig, memory: MemoryHierarchy,
                  framebuffer: FrameBuffer, fragment_stage: FragmentStage,
                  raster_memo: RasterMemo = None,
-                 tile_memo: TileMemo = None) -> None:
+                 tile_memo: MemoStore = None) -> None:
         self.config = config
         self.memory = memory
         self.framebuffer = framebuffer
@@ -137,12 +97,11 @@ class RasterPipeline(Stage):
         self.buffers = TileBuffers(config.tile_size)
         self.stats = RasterStats()
         # The per-drawcall path, which needs both memos, rasterizes each
-        # primitive once for the whole screen (bit-identical to per-tile
-        # calls; see rasterizer.TiledRaster).  render_tile rasterizes per
-        # tile and never touches either memo.
+        # drawcall once for the whole screen (bit-identical to per-tile
+        # calls; see rasterizer.DrawcallRaster).  render_tile rasterizes
+        # per tile and never touches either memo.
         self._memo = raster_memo
         self._tile_memo = tile_memo
-        self._screen_rect = (0, 0, config.screen_width, config.screen_height)
         # Screen-sized color, depth and pixel-stamp scratch of the
         # per-drawcall path, allocated on its first frame.
         self._screen = None
@@ -177,7 +136,7 @@ class RasterPipeline(Stage):
         return parameter_buffer.runs[tile_id]
 
     def _apply_stats_delta(self, delta: tuple) -> None:
-        """Re-apply a TileMemo entry's counter delta, laid out as
+        """Re-apply a tile memo entry's counter delta, laid out as
         :data:`TILE_DELTA_KEYS`.  Texture cache accesses and texture
         stall cycles are not in it: those come from replaying its texel
         lines."""
@@ -263,11 +222,22 @@ class RasterPipeline(Stage):
         """Render the tiles ``tile_ids`` one drawcall at a time, for
         :meth:`render_tile` to hand out in tile order.
 
-        Each tile is first looked up in the TileMemo.  The tiles that
-        miss are then rendered together, drawcall by drawcall in program
-        order, into screen-sized depth and color buffers: a drawcall's
-        fragments inside those tiles come from its primitives'
-        full-screen rasters, and early-Z, shading and blending run once
+        Each tile is first looked up in the tile memo.  A tile's colors
+        and every activity counter it produces are a pure function of
+        its primitive list (screen positions, depths, attributes, bound
+        state), the tile rect and the clear color, and its texel line
+        streams also of the texture cache's line size; the key holds all
+        of them.  A hit re-applies the recorded counter delta and
+        appends the recorded texel lines to the frame's memory log, so
+        cache behaviour, DRAM pressure and all counters evolve exactly
+        as a recomputation.  Entries pin their shader objects: shader
+        ``id`` is in the key, so the ids must stay unrecycled while an
+        entry lives.
+
+        The tiles that miss are then rendered together, drawcall by
+        drawcall in program order, into screen-sized depth and color
+        buffers: a drawcall's fragments inside those tiles come from its
+        full-screen raster, and early-Z, shading and blending run once
         per ordered pass of the drawcall (see :meth:`_render_drawcall`).
         Tiles are disjoint, so this equals rendering each tile alone.
         Nothing reaches the memory log here.
@@ -306,7 +276,7 @@ class RasterPipeline(Stage):
 
     def _render_missed(self, missed: list, parameter_buffer: ParameterBuffer,
                        clear: np.ndarray) -> None:
-        """Render the TileMemo-missed tiles and record, per tile, its
+        """Render the tile-memo-missed tiles and record, per tile, its
         counter delta and texel line stream."""
         if self._screen is None:
             height, width = self.config.screen_height, self.config.screen_width
@@ -320,12 +290,9 @@ class RasterPipeline(Stage):
         in_missed = np.zeros(self.config.num_tiles, dtype=bool)
         in_missed[missed] = True
         segments, texels = [], []
-        for batch, prims, tiles in parameter_buffer.drawcalls:
-            # The rows with a pair in a missed tile, in program order.
-            rows = np.unique(prims[in_missed[tiles]])
-            if len(rows):
-                self._render_drawcall(batch, rows, in_missed, segments,
-                                      texels)
+        for batch, _, tiles in parameter_buffer.drawcalls:
+            if in_missed[tiles].any():
+                self._render_drawcall(batch, in_missed, segments, texels)
 
         # Per tile: counters from its (primitive, tile) segments, and its
         # texel lines, segment after segment in bin order.
@@ -358,60 +325,43 @@ class RasterPipeline(Stage):
                 )
             pending[tile_id] = (None, pending[tile_id][1], delta, traffic)
 
-    def _render_drawcall(self, batch, rows: np.ndarray,
-                         in_missed: np.ndarray, segments: list,
-                         texels: list) -> None:
-        """Render the fragments of the batch's rows ``rows`` inside the
-        missed tiles.
+    def _render_drawcall(self, batch, in_missed: np.ndarray,
+                         segments: list, texels: list) -> None:
+        """Render the batch's fragments inside the missed tiles.
 
-        The fragments are laid out row by row in program order, and
-        within a row tile by tile, row-major inside each tile: one run
-        per (primitive, tile) *segment*.  Fragments at the same pixel are
-        split into ordered passes: pass r holds each pixel's r-th
-        fragment, so per-pixel order is program order and no pass writes
-        a pixel twice, which is what early-Z and blending need to run
-        vectorized.  Appends the segments' tiles and six counts per
-        segment -- fragments, fragments x attributes, fragments passing
-        early-Z, their shader instructions, alpha blends and texel
-        fetches -- to ``segments``, and their texel lines with each
-        line's tile to ``texels``.
+        The fragments are its full-screen raster's (row, tile) segments
+        in the missed tiles, picked with one mask: row by row in program
+        order, within a row tile by tile, row-major inside each tile.
+        Fragments at the same pixel are split into ordered passes: pass
+        r holds each pixel's r-th fragment, so per-pixel order is
+        program order and no pass writes a pixel twice, which is what
+        early-Z and blending need to run vectorized.  Appends the
+        segments' tiles and six counts per segment -- fragments,
+        fragments x attributes, fragments passing early-Z, their shader
+        instructions, alpha blends and texel fetches -- to ``segments``,
+        and their texel lines with each line's tile to ``texels``.
         """
         state = batch.state
-        users, xs, ys, depth, bary, seg_tiles, seg_sizes = (
-            [], [], [], [], [], [], []
-        )
-        for row in rows.tolist():
-            tiled = self._memo.get(batch, row, self._screen_rect)
-            if not tiled.fragment_count:
-                continue
-            keep = in_missed[tiled.tiles]
-            sizes = np.diff(tiled.starts)
-            if keep.all():
-                xs.append(tiled.xs)
-                ys.append(tiled.ys)
-                depth.append(tiled.depth)
-                bary.append(tiled.bary)
-                seg_tiles.append(tiled.tiles)
-            elif keep.any():
-                sizes = sizes[keep]
-                frags = _ranges(tiled.starts[:-1][keep], sizes)
-                xs.append(tiled.xs[frags])
-                ys.append(tiled.ys[frags])
-                depth.append(tiled.depth[frags])
-                bary.append(tiled.bary[frags])
-                seg_tiles.append(tiled.tiles[keep])
-            else:
-                continue
-            seg_sizes.append(sizes)
-            users.append(row)
-        if not users:
+        raster = self._memo.get(batch)
+        keep = in_missed[raster.seg_tiles]
+        if not keep.any():
             return
-        prim_ends = np.cumsum([len(part) for part in xs])
-        xs, ys, depth, bary = (
-            np.concatenate(parts) for parts in (xs, ys, depth, bary)
-        )
-        seg_tile = np.concatenate(seg_tiles)
-        seg_size = np.concatenate(seg_sizes)
+        if keep.all():
+            xs, ys = raster.xs, raster.ys
+            depth, bary = raster.depth, raster.bary
+            seg_row, seg_tile = raster.seg_rows, raster.seg_tiles
+            seg_size = raster.seg_sizes
+        else:
+            seg_row, seg_tile = raster.seg_rows[keep], raster.seg_tiles[keep]
+            seg_size = raster.seg_sizes[keep]
+            frags = _ranges(raster.seg_starts[keep], seg_size)
+            xs, ys = raster.xs[frags], raster.ys[frags]
+            depth, bary = raster.depth[frags], raster.bary[frags]
+        # The rows with fragments here, and where each row's fragments
+        # end.
+        last = np.append(seg_row[1:] != seg_row[:-1], True)
+        users = seg_row[last]
+        prim_ends = np.cumsum(seg_size)[last]
         attributes = batch.num_attributes
         varyings = {
             name: values[users] for name, values in batch.varyings.items()
@@ -501,7 +451,7 @@ class RasterPipeline(Stage):
         per-tile path would have: its Parameter-Buffer fetch, then its
         texel lines; returns its final colors.
 
-        A TileMemo miss is recorded into the memo here.  Its entry holds
+        A tile memo miss is recorded into the memo here.  Its entry holds
         the colors, the counter delta laid out as
         :data:`TILE_DELTA_KEYS`, the texel line streams as
         ``(raw_count, lines)`` pairs, and the shaders it pins.
@@ -530,7 +480,7 @@ class RasterPipeline(Stage):
         self.memory.write_colors(nbytes, self.stats)
 
 
-#: The registry counters a TileMemo entry's delta holds, in order.  A
+#: The registry counters a tile memo entry's delta holds, in order.  A
 #: missed tile's delta is built from its segments' counts, not read from
 #: the stages, so summed over a frame's missed tiles it must equal what
 #: the stages counted (``tests/pipeline/test_drawcall_path.py``).

@@ -142,8 +142,10 @@ class PolygonListBuilder(Stage):
         )
         return binned, counts, tiles
 
-    def bin_drawcall(self, state, batch: PrimitiveBatch) -> None:
-        """Sort one drawcall's primitives into tiles.
+    def bin_drawcall(self, state, batch: PrimitiveBatch,
+                     overlaps: tuple = None) -> tuple:
+        """Sort one drawcall's primitives into tiles; returns its
+        :meth:`overlaps`, computed unless given.
 
         Each binned primitive takes the next slot of the Parameter
         Buffer, and each touched tile's list gets one run of the
@@ -151,7 +153,9 @@ class PolygonListBuilder(Stage):
         """
         for listener in self.listeners:
             listener.on_draw_state(state)
-        binned, counts, tiles = self.overlaps(batch)
+        if overlaps is None:
+            overlaps = self.overlaps(batch)
+        binned, counts, tiles = overlaps
         size = batch.parameter_buffer_bytes
         batch.pb_offsets[binned] = (
             self._pb_cursor + size * np.arange(len(binned))
@@ -181,6 +185,7 @@ class PolygonListBuilder(Stage):
         self.memory.write_parameters(written.tolist(), self.stats)
         for listener in self.listeners:
             listener.on_drawcall(batch, prims, tiles)
+        return overlaps
 
     def begin_frame(self, ctx=None) -> None:
         self.parameter_buffer.clear()

@@ -40,6 +40,7 @@ class ShadedVertices:
 
     clip: np.ndarray      # (n, 4) clip-space positions
     varyings: dict        # name -> (n, k)
+    lines: np.ndarray = None   # the vertex fetch's cache-line stream
 
 
 class VertexStage(Stage):
@@ -62,7 +63,8 @@ class VertexStage(Stage):
         per_vertex = buffer.vertex_bytes()
         # A vertex may straddle cache lines; touch both end lines.
         all_addrs = np.concatenate([addresses, addresses + per_vertex - 1])
-        self.memory.fetch_vertices(np.sort(all_addrs), self.stats)
+        lines = self.memory.vertex_lines(np.sort(all_addrs))
+        self.memory.fetch_vertices(lines, self.stats)
 
         self.stats.vertices_fetched += len(used)
         self.stats.fetch_bytes += len(used) * per_vertex
@@ -76,4 +78,10 @@ class VertexStage(Stage):
         self.stats.shader_instructions += (
             buffer.num_vertices * state.shader.vertex_instructions
         )
-        return ShadedVertices(clip=clip, varyings=varyings)
+        return ShadedVertices(clip=clip, varyings=varyings, lines=lines)
+
+    def replay(self, lines: np.ndarray, delta: tuple) -> None:
+        """Charge a drawcall's vertex work recorded from an earlier,
+        identical drawcall: its fetch line stream and counter delta."""
+        self.memory.fetch_vertices(lines, self.stats)
+        self.add_counters(delta)

@@ -6,7 +6,7 @@ reproducible without asset files.  A procedural texture is a recipe: it
 records its generator and the generator's arguments, generates its
 texels the first time something reads :attr:`Texture.data`, and names
 its content by the recipe.  A cell whose tiles all come from the
-TileMemo or are skipped therefore never generates or hashes a texel.
+tile memo or are skipped therefore never generates or hashes a texel.
 Each texture owns a ``texture_id`` that places it in a disjoint region
 of the simulated address space, letting the texture caches distinguish
 fetches from different textures.

@@ -7,6 +7,7 @@ color CRCs, RE's input signatures, and the final frame CRC.
 """
 
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -160,3 +161,49 @@ class TestCheckpointGuards:
         assert session.run(until=2) == 0
         assert session.run(until=99) == 1
         assert session.run() == 0
+
+
+class TestFinalFrameCrc:
+    """The final frame CRC is computed when read, from the last frame."""
+
+    @staticmethod
+    def crc_of(stats) -> int:
+        return zlib.crc32(stats.frame_colors.tobytes())
+
+    def test_equals_crc_of_the_last_frames_bytes(self):
+        session = RenderSession("hop", "re", config=CONFIG,
+                                num_frames=NUM_FRAMES)
+        assert session.final_frame_crc == 0
+        frames = record_frame_stats(session)
+        session.run()
+        assert session.final_frame_crc == self.crc_of(frames[-1])
+        assert self.crc_of(frames[-1]) != self.crc_of(frames[0])
+
+    def test_checkpoint_after_frame_k_stores_frame_ks_crc(self):
+        session = RenderSession("hop", "re", config=CONFIG,
+                                num_frames=NUM_FRAMES)
+        frames = record_frame_stats(session)
+        for k in (1, CHECKPOINT_FRAME):
+            session.run(until=k)
+            assert (session.checkpoint()["final_frame_crc"]
+                    == self.crc_of(frames[k - 1]))
+
+    def test_restore_and_reset_keep_their_values(self):
+        full = RenderSession("hop", "re", config=CONFIG,
+                             num_frames=NUM_FRAMES)
+        full.run()
+        partial = RenderSession("hop", "re", config=CONFIG,
+                                num_frames=NUM_FRAMES)
+        partial.run(until=CHECKPOINT_FRAME)
+        state = partial.checkpoint()
+
+        resumed = RenderSession("hop", "re", config=CONFIG,
+                                num_frames=NUM_FRAMES)
+        resumed.restore(state)
+        assert resumed.final_frame_crc == state["final_frame_crc"]
+        resumed.run()
+        assert resumed.final_frame_crc == full.final_frame_crc
+        resumed.reset()
+        assert resumed.final_frame_crc == 0
+        resumed.run()
+        assert resumed.final_frame_crc == full.final_frame_crc

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.geometry import DrawState, Primitive, VertexBuffer, quad_buffer
+from repro.geometry.primitives import BUFFER_REGION_BYTES
 from repro.shaders import FLAT_COLOR, pack_constants
 from repro.geometry import mat4
 
@@ -53,6 +54,68 @@ class TestVertexBuffer:
         quad = quad_buffer(0.0, 0.0, 1.0, 1.0)
         # 3 floats position + 2 floats uv = 20 bytes.
         assert quad.vertex_bytes() == 20
+
+    TRIANGLE = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+    def test_rejects_negative_index(self):
+        # Index -1 would shade positions[-1] and fetch below the buffer's
+        # own address region, inside the previous buffer's.
+        with pytest.raises(PipelineError, match="negative"):
+            VertexBuffer(self.TRIANGLE, [[0, 1, -1]], buffer_id=2)
+
+    def test_rejects_non_integral_index(self):
+        with pytest.raises(PipelineError, match="whole numbers"):
+            VertexBuffer(self.TRIANGLE, [[0, 1, 1.7]])
+        # Whole-valued floats name the same vertices as ints.
+        floats = VertexBuffer(self.TRIANGLE, [[0.0, 1.0, 2.0]])
+        assert floats.indices.dtype == np.int32
+        assert floats.indices.tolist() == [[0, 1, 2]]
+
+    def test_rejects_negative_buffer_id(self):
+        with pytest.raises(PipelineError, match="buffer_id"):
+            VertexBuffer(self.TRIANGLE, [[0, 1, 2]], buffer_id=-1)
+        buffer = VertexBuffer(self.TRIANGLE, [[0, 1, 2]])
+        with pytest.raises(PipelineError, match="buffer_id"):
+            buffer.buffer_id = -3
+        assert buffer.buffer_id == 0
+
+    def test_rejects_buffer_larger_than_its_address_region(self):
+        # 12-byte vertices: one more than the 16-MB region holds.
+        count = BUFFER_REGION_BYTES // 12 + 1
+        positions = np.broadcast_to(np.zeros(3, dtype=np.float32),
+                                    (count, 3))
+        with pytest.raises(PipelineError, match="address region"):
+            VertexBuffer(positions, [[0, 1, 2]])
+
+    def test_owns_read_only_copies_of_its_arrays(self):
+        positions = np.array(self.TRIANGLE, dtype=np.float32)
+        indices = np.array([[0, 1, 2]], dtype=np.int32)
+        uv = np.zeros((3, 2), dtype=np.float32)
+        buffer = VertexBuffer(positions, indices, {"uv": uv})
+        token = buffer.content_token
+        positions[0, 0] = 9.0
+        indices[0, 0] = 2
+        uv[0, 0] = 9.0
+        assert buffer.positions[0, 0] == 0.0
+        assert buffer.indices[0, 0] == 0
+        assert buffer.attributes["uv"][0, 0] == 0.0
+        assert buffer.content_token is token
+        for array in (buffer.positions, buffer.indices,
+                      buffer.attributes["uv"]):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_content_token_names_data_not_buffer_id(self):
+        a = quad_buffer(0.0, 0.0, 1.0, 1.0)
+        b = quad_buffer(0.0, 0.0, 1.0, 1.0)
+        b.buffer_id = 5
+        assert a.content_token == b.content_token
+        renamed = VertexBuffer(a.positions, a.indices,
+                               {"st": a.attributes["uv"]})
+        assert renamed.content_token != a.content_token
+        flipped = VertexBuffer(a.positions, a.indices[:, ::-1],
+                               a.attributes)
+        assert flipped.content_token != a.content_token
 
 
 class TestPrimitive:

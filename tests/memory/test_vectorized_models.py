@@ -210,7 +210,8 @@ def hierarchy_resolve(config: GpuConfig, log: list) -> tuple:
     pay = payers()
     for kind, payload in log:
         if kind == "vertex":
-            memory.fetch_vertices(payload, pay["vertex"])
+            memory.fetch_vertices(memory.vertex_lines(payload),
+                                  pay["vertex"])
         elif kind == "pb_write":
             memory.write_parameters(payload, pay["tiling"])
         elif kind == "pb_fetch":

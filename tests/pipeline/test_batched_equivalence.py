@@ -1,8 +1,9 @@
 """The batched raster path is bit-identical to the scalar reference.
 
 The batched path (``Gpu(batched=True)``, the default) rasterizes each
-primitive once for the whole screen, renders one drawcall at a time,
-and reuses raster and tile memos across frames and GPU instances.  The
+drawcall once for the whole screen, renders one drawcall at a time,
+and reuses geometry, raster and tile memos across frames and GPU
+instances.  The
 scalar path (``batched=False``) rasterizes per (primitive, tile) and
 never touches a memo — it is the reference semantics, and a batched GPU
 whose technique installs a memo filter renders on it too.  Every frame's
@@ -20,10 +21,10 @@ from repro.config import GpuConfig
 from repro.geometry import DrawState, Primitive, PrimitiveBatch, mat4
 from repro.harness.runner import make_technique
 from repro.pipeline import Gpu
+from repro.pipeline.memo import MemoStore
 from repro.pipeline.rasterizer import (
+    DrawcallRaster,
     RasterMemo,
-    RasterMemoStore,
-    TiledRaster,
     rasterize,
     shared_raster_memo,
 )
@@ -96,6 +97,7 @@ class TestBatchedEquivalence:
         gpu = Gpu(config, batched=False)
         assert gpu._raster_memo is None
         assert gpu._tile_memo is None
+        assert gpu._geometry_memo is None
 
 
 def make_prim(screen, depth):
@@ -110,116 +112,152 @@ def make_prim(screen, depth):
     )
 
 
-def make_batch(screen, depth):
-    """A drawcall of one primitive, for :meth:`RasterMemo.get`'s row 0."""
-    prim = make_prim(screen, depth)
-    return PrimitiveBatch.from_primitives(prim.state, [prim])
+def make_batch(*triangles, depth=(0.5, 0.5, 0.5)):
+    """A drawcall of the given screen-space triangles."""
+    prims = [make_prim(screen, depth) for screen in triangles]
+    return PrimitiveBatch.from_primitives(prims[0].state, prims)
 
 
 coordinate = st.floats(
     min_value=-8.0, max_value=40.0, allow_nan=False, width=32
 )
+point = st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def drawcall_triangles(draw):
+    """One drawcall's screen triangles, ``(n, 3, 2)``: random ones, some
+    off-screen, and ones that reuse the previous triangle's vertices --
+    sharing an edge, degenerate, or the same triangle wound the other
+    way."""
+    triangles = [draw(st.tuples(point, point, point))]
+    for _ in range(draw(st.integers(0, 5))):
+        a, b, c = triangles[-1]
+        kind = draw(st.sampled_from(
+            ["random", "shared_edge", "degenerate", "flipped"]
+        ))
+        if kind == "random":
+            triangles.append(draw(st.tuples(point, point, point)))
+        elif kind == "shared_edge":
+            triangles.append((b, a, draw(point)))
+        elif kind == "degenerate":
+            triangles.append((a, a, b))
+        else:
+            triangles.append((a, c, b))
+    return np.asarray(triangles, dtype=np.float32)
 
 
 class TestTiledRasterProperty:
-    """Full-screen rasterization sliced per tile equals per-tile calls."""
+    """A drawcall's full-screen raster, grouped by (row, tile), equals
+    per-row, per-tile :func:`rasterize` calls; and the raster memo that
+    holds such rasters."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(coordinate, min_size=6, max_size=6),
-           st.lists(st.floats(0.0, 1.0, width=32), min_size=3, max_size=3))
-    def test_slices_match_per_tile_rasterize(self, coords, depths):
+    @settings(max_examples=60, deadline=None)
+    @given(drawcall_triangles(), st.data())
+    def test_slices_match_per_tile_rasterize(self, screen, data):
         tile_size, tiles_x, tiles_y = 8, 4, 4
         screen_rect = (0, 0, tile_size * tiles_x, tile_size * tiles_y)
-        prim = make_prim(np.asarray(coords).reshape(3, 2), depths)
+        depth = np.asarray(data.draw(st.lists(
+            st.floats(0.0, 1.0, width=32),
+            min_size=screen.size // 2, max_size=screen.size // 2,
+        )), dtype=np.float32).reshape(-1, 3)
 
-        tiled = TiledRaster(
-            rasterize(prim.screen, prim.depth, screen_rect), tile_size,
-            tiles_x
-        )
+        raster = DrawcallRaster(screen, depth, screen_rect, tile_size,
+                                tiles_x)
+        segments = {
+            (row, tile): (start, start + size)
+            for row, tile, start, size in zip(
+                raster.seg_rows.tolist(), raster.seg_tiles.tolist(),
+                raster.seg_starts.tolist(), raster.seg_sizes.tolist())
+        }
         total = 0
-        for tile_id in range(tiles_x * tiles_y):
-            ty, tx = divmod(tile_id, tiles_x)
-            rect = (tx * tile_size, ty * tile_size,
-                    (tx + 1) * tile_size, (ty + 1) * tile_size)
-            reference = rasterize(prim.screen, prim.depth, rect)
-            sliced = tiled.tile(tile_id)
-            assert np.array_equal(sliced.xs, reference.xs)
-            assert np.array_equal(sliced.ys, reference.ys)
-            # Bit-exact, not approximately-equal: same float32 words.
-            assert sliced.depth.tobytes() == reference.depth.tobytes()
-            assert sliced.bary.tobytes() == reference.bary.tobytes()
-            total += sliced.count
-        assert total == tiled.fragment_count
+        for row in range(len(screen)):
+            for tile_id in range(tiles_x * tiles_y):
+                ty, tx = divmod(tile_id, tiles_x)
+                rect = (tx * tile_size, ty * tile_size,
+                        (tx + 1) * tile_size, (ty + 1) * tile_size)
+                reference = rasterize(screen[row], depth[row], rect)
+                lo, hi = segments.get((row, tile_id), (0, 0))
+                assert hi - lo == reference.count
+                assert np.array_equal(raster.xs[lo:hi], reference.xs)
+                assert np.array_equal(raster.ys[lo:hi], reference.ys)
+                # Bit-exact, not approximately-equal: same float32 words.
+                assert (raster.depth[lo:hi].tobytes()
+                        == reference.depth.tobytes())
+                assert (raster.bary[lo:hi].tobytes()
+                        == reference.bary.tobytes())
+                total += reference.count
+        assert total == raster.fragment_count
+        # Segments run in (row, tile) order and tile the fragment arrays.
+        assert np.array_equal(np.cumsum(raster.seg_sizes)[:-1],
+                              raster.seg_starts[1:])
+        pairs = raster.seg_rows * tiles_x * tiles_y + raster.seg_tiles
+        assert np.all(np.diff(pairs) > 0)
 
     def test_memo_hit_serves_lookalike_primitive(self):
-        memo = RasterMemo(tile_size=8, tiles_x=2)
-        rect = (0, 0, 16, 16)
+        memo = RasterMemo(tile_size=8, tiles_x=2, screen_rect=(0, 0, 16, 16))
         screen = [[1.0, 1.0], [14.0, 2.0], [3.0, 14.0]]
-        first = memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
-        second = memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
+        first = memo.get(make_batch(screen))
+        second = memo.get(make_batch(screen))
         assert second is first
         assert (memo.hits, memo.misses) == (1, 1)
         # Different content misses.
-        memo.get(make_batch(screen, [0.4, 0.5, 0.5]), 0, rect)
+        memo.get(make_batch(screen, depth=[0.4, 0.5, 0.5]))
         assert memo.misses == 2
 
     def test_memo_eviction_bounded_by_fragment_budget(self):
-        memo = RasterMemo(tile_size=8, tiles_x=2, fragment_budget=64)
-        rect = (0, 0, 16, 16)
+        store = MemoStore(64)
+        memo = RasterMemo(tile_size=8, tiles_x=2,
+                          screen_rect=(0, 0, 16, 16), store=store)
         for seed in range(16):
             screen = [[0.0, 0.0], [15.0 - seed * 0.25, 0.0],
                       [0.0, 15.0 - seed * 0.25]]
-            memo.get(make_batch(screen, [0.5, 0.5, 0.5]), 0, rect)
-        store = memo.store
-        retained = sum(
-            entry.fragment_count for entry in store._entries.values()
-        )
-        assert retained == store.retained_fragments
+            memo.get(make_batch(screen))
+        retained = sum(cost for _, cost in store._entries.values())
+        assert retained == store.retained
+        assert store.evictions == memo.misses - len(store)
         # The budget may be exceeded only by the single newest entry.
         assert len(store) >= 1
-        evicted_state = retained - store._entries[
-            next(reversed(store._entries))
-        ].fragment_count
-        assert evicted_state <= store.fragment_budget
+        newest = store._entries[next(reversed(store._entries))]
+        assert retained - newest[1] <= store.budget
 
     def test_budget_is_global_across_memos_sharing_a_store(self):
-        # The former leak: per-configuration memos each retained a full
-        # budget.  A shared store evicts the *oldest entry of any memo*,
+        # Per-configuration memos each retaining a full budget would
+        # leak.  A shared store evicts the *oldest entry of any memo*,
         # so hot configurations age cold ones out.
-        store = RasterMemoStore(fragment_budget=200)
-        memo_a = RasterMemo(tile_size=8, tiles_x=2, store=store)
-        memo_b = RasterMemo(tile_size=8, tiles_x=4, store=store)
-        rect_a, rect_b = (0, 0, 16, 16), (0, 0, 32, 32)
-        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect_a)
+        store = MemoStore(200)
+        memo_a = RasterMemo(tile_size=8, tiles_x=2,
+                            screen_rect=(0, 0, 16, 16), store=store)
+        memo_b = RasterMemo(tile_size=8, tiles_x=4,
+                            screen_rect=(0, 0, 32, 32), store=store)
+        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]]))
         assert len(store) == 1
         for seed in range(8):
-            screen = [[0, 0], [31 - seed, 0], [0, 31 - seed]]
-            memo_b.get(make_batch(screen, [0.5] * 3), 0, rect_b)
+            memo_b.get(make_batch([[0, 0], [31 - seed, 0], [0, 31 - seed]]))
         # memo_a's entry was the coldest and must have been evicted to
         # make room for memo_b's large triangles.
         assert store.evictions > 0
-        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect_a)
+        memo_a.get(make_batch([[0, 0], [15, 0], [0, 15]]))
         assert memo_a.misses == 2 and memo_a.hits == 0
         # Invariant: everything but possibly the newest entry fits.
         newest = store._entries[next(reversed(store._entries))]
-        assert (store.retained_fragments - newest.fragment_count
-                <= store.fragment_budget)
+        assert store.retained - newest[1] <= store.budget
 
     def test_lru_refresh_on_hit(self):
-        store = RasterMemoStore(fragment_budget=300)
-        memo = RasterMemo(tile_size=8, tiles_x=2, store=store)
-        rect = (0, 0, 16, 16)
-        hot = make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3)
-        memo.get(hot, 0, rect)
-        memo.get(make_batch([[0, 0], [12, 0], [0, 12]], [0.5] * 3), 0, rect)
+        # Costs (fragments + 1): 106, 67 and 92; any two fit.
+        store = MemoStore(200)
+        memo = RasterMemo(tile_size=8, tiles_x=2,
+                          screen_rect=(0, 0, 16, 16), store=store)
+        memo.get(make_batch([[0, 0], [15, 0], [0, 15]]))
+        memo.get(make_batch([[0, 0], [12, 0], [0, 12]]))
         # Touch the older entry, making the 12px triangle the LRU one.
-        memo.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect)
+        memo.get(make_batch([[0, 0], [15, 0], [0, 15]]))
         assert memo.hits == 1
-        memo.get(make_batch([[0, 0], [14, 0], [0, 14]], [0.5] * 3), 0, rect)
-        if store.evictions:
-            # The refreshed hot entry survived the eviction.
-            memo.get(make_batch([[0, 0], [15, 0], [0, 15]], [0.5] * 3), 0, rect)
-            assert memo.hits == 2
+        memo.get(make_batch([[0, 0], [14, 0], [0, 14]]))
+        assert store.evictions == 1
+        # The refreshed hot entry survived the eviction.
+        memo.get(make_batch([[0, 0], [15, 0], [0, 15]]))
+        assert memo.hits == 2
 
     def test_shared_memos_bind_one_store(self):
         memo_a = shared_raster_memo(8, 2, (0, 0, 16, 16))

@@ -17,10 +17,11 @@ from repro.geometry import Primitive, VertexBuffer, mat4, quad_buffer
 from repro.harness.runner import make_technique
 from repro.pipeline import CommandStream, Gpu
 from repro.pipeline.depth import DepthStage
+from repro.pipeline.memo import MemoStore
 from repro.pipeline.tile_scheduler import (
     TILE_DELTA_KEYS,
+    TILE_MEMO_BUDGET,
     RasterPipeline,
-    TileMemo,
 )
 from repro.shaders import ALPHA_TEXTURED, FLAT_COLOR, TEXTURED, pack_constants
 from repro.textures import checker_texture, noise_texture
@@ -76,7 +77,7 @@ def frame_stream(frame: int) -> CommandStream:
     stream.draw(merged(quad_buffer(0.0, 0.0, 0.3, 0.3, z=0.2),
                        quad_buffer(0.15, 0.1, 0.4, 0.35, z=0.95)),
                 depth_test=False)
-    # A mover: the tiles it leaves or enters miss the TileMemo, the
+    # A mover: the tiles it leaves or enters miss the tile memo, the
     # others hit it.
     x = 0.05 if frame % 2 == 0 else 0.6
     stream.set_constants(pack_constants(PROJ, tint=(1.0, 1.0, 1.0, 1.0)))
@@ -95,7 +96,7 @@ def test_per_drawcall_path_equals_per_tile_reference(technique, monkeypatch):
     batched = Gpu(config, make_technique(technique, config))
     scalar = Gpu(config, make_technique(technique, config), batched=False)
     # A memo of its own: frame 0 must miss whatever ran before.
-    memo = batched.raster._tile_memo = TileMemo()
+    memo = batched.raster._tile_memo = MemoStore(TILE_MEMO_BUDGET)
     tests = []
     test = DepthStage.test
 
@@ -127,13 +128,13 @@ def test_per_drawcall_path_equals_per_tile_reference(technique, monkeypatch):
 
 
 def test_missed_tile_deltas_sum_to_the_stage_counts(monkeypatch):
-    """A missed tile's TileMemo delta is built from per-segment counts;
+    """A missed tile's tile memo delta is built from per-segment counts;
     over a frame's missed tiles the deltas must add up to what the
     raster, early-Z, shading and blend stages counted themselves, or
-    TileMemo hits would replay counts that no render produced."""
+    tile memo hits would replay counts that no render produced."""
     config = GpuConfig.small()
     gpu = Gpu(config, make_technique("baseline", config))
-    gpu.raster._tile_memo = TileMemo()
+    gpu.raster._tile_memo = MemoStore(TILE_MEMO_BUDGET)
     registry = gpu.stats_registry
     missed = []
     render_drawcalls = RasterPipeline.render_drawcalls
@@ -174,7 +175,7 @@ def test_batched_path_builds_no_primitive(technique, monkeypatch):
     config = GpuConfig.small()
     gpu = Gpu(config, make_technique(technique, config))
     # A memo of its own, so that every tile of frame 0 is rendered.
-    gpu.raster._tile_memo = TileMemo()
+    gpu.raster._tile_memo = MemoStore(TILE_MEMO_BUDGET)
     scene = build_scene("ccs")
     frames = [gpu.render_frame(stream, clear_color=scene.clear_color)
               for stream in scene.frames(2)]

@@ -1,11 +1,13 @@
-"""The TileMemo key is complete: no change to a tile's inputs is a hit.
+"""The host memo keys are complete: no change to an input is a hit.
 
-The TileMemo is process-wide, so a tile rendered by one batched GPU can
-be replayed by any later one.  A replay is exact only if the key holds
-everything that decides the tile's colors, counters and texel line
-streams.  Each test renders a frame once to seed the memo, then renders
-a copy with one input changed on a fresh batched GPU and on the scalar
-reference, ``Gpu(batched=False)``, which never consults a memo: every
+The geometry, raster and tile memos are process-wide, so a drawcall or
+tile computed by one batched GPU can be replayed by any later one.  A
+replay is exact only if the key holds everything that decides the
+result: a drawcall's batch, vertex line stream, counters and tile
+overlaps, or a tile's colors, counters and texel line streams.  Each
+test renders a frame once to seed the memos, then renders a copy with
+one input changed on a fresh batched GPU and on the scalar reference,
+``Gpu(batched=False)``, which never consults a memo: every
 :class:`FrameStats` field and every color must agree.
 """
 
@@ -36,6 +38,13 @@ def with_texture_lines(config: GpuConfig, line_bytes: int) -> GpuConfig:
     """``config`` with texture-cache lines of ``line_bytes`` bytes."""
     return dataclasses.replace(config, texture_cache=dataclasses.replace(
         config.texture_cache, line_bytes=line_bytes,
+    ))
+
+
+def with_vertex_lines(config: GpuConfig, line_bytes: int) -> GpuConfig:
+    """``config`` with vertex-cache lines of ``line_bytes`` bytes."""
+    return dataclasses.replace(config, vertex_cache=dataclasses.replace(
+        config.vertex_cache, line_bytes=line_bytes,
     ))
 
 
@@ -92,6 +101,8 @@ frame = st.fixed_dictionaries({
     "drawcalls": st.lists(drawcall, min_size=1, max_size=3),
     "clear": st.tuples(unit, unit, unit),
     "line_bytes": st.just(64),
+    "vertex_line_bytes": st.just(64),
+    "screen_width": st.just(96),
 })
 
 #: Each texture input: the constructor it belongs to, and its argument.
@@ -109,6 +120,8 @@ TEXTURE_INPUTS = {
 PERTURBATIONS = (
     "vertex_position", "vertex_depth", "varying", "constants", "shader",
     "depth_test", "depth_write", "clear_color", "texture_line_size",
+    "buffer_id", "index_order", "cull_backfaces", "renamed_attribute",
+    "vertex_line_size", "screen_size",
     *TEXTURE_INPUTS,
 )
 
@@ -130,6 +143,24 @@ BEHIND = {
     ],
     "clear": (0.0, 0.0, 0.0),
     "line_bytes": 64,
+    "vertex_line_bytes": 64,
+    "screen_width": 96,
+}
+
+
+#: One textured quad in front: every change to its drawcall shows.
+FRONT = {
+    "drawcalls": [
+        {"rect": (0.1, 0.15, 0.5, 0.6), "z": 0.5, "uv_scale": 1.0,
+         "shader": 1, "tint": (1.0, 1.0, 1.0, 1.0),
+         "texture": {"kind": "noise", "colors": ((0.5, 0.5, 0.5, 1.0),) * 2,
+                     "cells": 2, "seed": 2, "amplitude": 0.5},
+         "depth_test": True, "depth_write": True},
+    ],
+    "clear": (0.0, 0.0, 0.0),
+    "line_bytes": 64,
+    "vertex_line_bytes": 64,
+    "screen_width": 96,
 }
 
 
@@ -138,6 +169,21 @@ def quad(spec) -> VertexBuffer:
     return quad_buffer(min(x0, x1), min(y0, y1), max(x0, x1) + 0.05,
                        max(y0, y1) + 0.05, z=spec["z"],
                        uv_scale=spec["uv_scale"])
+
+
+def overlapping_quads(spec) -> VertexBuffer:
+    """The drawcall's quad, then a copy shifted to overlap it with uv
+    twice as dense, in one buffer: their triangle order decides which
+    one's texels the overlap shows."""
+    first = quad(spec)
+    second = quad({**spec, "rect": tuple(c + 0.1 for c in spec["rect"]),
+                   "uv_scale": 2 * spec["uv_scale"]})
+    return VertexBuffer(
+        np.concatenate([first.positions, second.positions]),
+        np.concatenate([first.indices, second.indices + first.num_vertices]),
+        {"uv": np.concatenate([first.attributes["uv"],
+                               second.attributes["uv"]])},
+    )
 
 
 def texture_of(spec):
@@ -163,7 +209,8 @@ def stream_of(spec) -> CommandStream:
         stream.set_texture(0, texture_of(draw["texture"]))
         stream.set_constants(pack_constants(PROJ, tint=draw["tint"]))
         stream.draw(buffer, depth_test=draw["depth_test"],
-                    depth_write=draw["depth_write"])
+                    depth_write=draw["depth_write"],
+                    cull_backfaces=draw.get("cull_backfaces", False))
     return stream
 
 
@@ -175,13 +222,27 @@ def copied(spec, index: int):
     return spec, spec["drawcalls"][index % len(spec["drawcalls"])]
 
 
-def retextured(spec, kind: str, index: int):
-    """``spec``, with drawcall ``index`` bound to a texture that has
-    the input ``kind`` when that input is a texture's."""
-    if kind not in TEXTURE_INPUTS:
-        return spec
+def prepared(spec, kind: str, index: int):
+    """``spec``, with drawcall ``index`` given what changing the input
+    ``kind`` needs: a texture that has the input, when it is a
+    texture's; or a buffer whose triangle order shows in its colors,
+    whose triangles face away (so culling shows), or with a second
+    attribute to trade names with "uv"."""
     spec, draw = copied(spec, index)
-    draw["texture"]["kind"] = TEXTURE_INPUTS[kind][0]
+    if kind in TEXTURE_INPUTS:
+        draw["texture"]["kind"] = TEXTURE_INPUTS[kind][0]
+    elif kind == "index_order":
+        draw["buffer"] = overlapping_quads(draw)
+    elif kind == "cull_backfaces":
+        buffer = quad(draw)
+        draw["buffer"] = VertexBuffer(buffer.positions,
+                                      buffer.indices[:, [0, 2, 1]],
+                                      buffer.attributes)
+    elif kind == "renamed_attribute":
+        buffer = quad(draw)
+        uv = buffer.attributes["uv"]
+        draw["buffer"] = VertexBuffer(buffer.positions, buffer.indices,
+                                      {"uv": uv, "st": uv * 2.5})
     return spec
 
 
@@ -220,13 +281,42 @@ def perturbed(spec, kind: str, index: int):
         draw[kind] = not draw[kind]
     elif kind == "clear_color":
         spec["clear"] = (1.0 - spec["clear"][0],) + tuple(spec["clear"][1:])
-    else:
+    elif kind == "texture_line_size":
         spec["line_bytes"] = 32
+    elif kind == "buffer_id":
+        # The same vertex data in another address region: its lines no
+        # longer meet the other drawcalls' (all in region 0).
+        buffer = quad(draw)
+        buffer.buffer_id = 3
+        draw["buffer"] = buffer
+    elif kind == "index_order":
+        buffer = draw["buffer"]
+        draw["buffer"] = VertexBuffer(buffer.positions, buffer.indices[::-1],
+                                      buffer.attributes)
+    elif kind == "cull_backfaces":
+        draw["cull_backfaces"] = True
+    elif kind == "renamed_attribute":
+        # The same arrays in the same order, under each other's names.
+        attributes = draw["buffer"].attributes
+        draw["buffer"] = VertexBuffer(
+            draw["buffer"].positions, draw["buffer"].indices,
+            {"st": attributes["uv"], "uv": attributes["st"]},
+        )
+    elif kind == "vertex_line_size":
+        spec["vertex_line_bytes"] = 32
+    else:
+        spec["screen_width"] = 80
     return spec
 
 
 def render(spec, batched=True):
-    config = with_texture_lines(GpuConfig.small(), spec["line_bytes"])
+    config = dataclasses.replace(
+        with_vertex_lines(
+            with_texture_lines(GpuConfig.small(), spec["line_bytes"]),
+            spec["vertex_line_bytes"],
+        ),
+        screen_width=spec["screen_width"],
+    )
     gpu = Gpu(config, batched=batched)
     return gpu.render_frame(stream_of(spec),
                             clear_color=(*spec["clear"], 1.0))
@@ -238,9 +328,10 @@ def render(spec, batched=True):
 @given(spec=frame, index=st.integers(0, 2))
 @example(spec=BEHIND, index=0)
 @example(spec=BEHIND, index=1)
+@example(spec=FRONT, index=0)
 def test_changing_any_input_never_replays_a_stale_tile(kind, spec, index):
-    spec = retextured(spec, kind, index)
-    render(spec)                                 # seeds the TileMemo
+    spec = prepared(spec, kind, index)
+    render(spec)                                 # seeds the memos
     changed = perturbed(spec, kind, index)
     assert_same_frame(render(changed), render(changed, batched=False),
                       f"{kind} changed")

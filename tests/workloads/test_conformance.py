@@ -9,6 +9,7 @@ silent drift.  After an *intentional* output change, refresh with
 ``python -m repro goldens record``.
 """
 
+import functools
 import math
 import os
 import types
@@ -16,6 +17,7 @@ import types
 import pytest
 
 from repro.config import GpuConfig
+from repro.engine import session as session_module
 from repro.harness.goldens import (
     GOLDEN_FRAMES,
     GOLDEN_TECHNIQUES,
@@ -26,6 +28,9 @@ from repro.harness.goldens import (
 from repro.harness.runner import run_workload
 from repro.memory import dram
 from repro.obs.store import RunRegistry
+from repro.pipeline import Gpu
+from repro.pipeline.gpu import shared_geometry_memo
+from repro.pipeline.tile_scheduler import shared_tile_memo
 from repro.workloads import all_workload_aliases
 from repro.workloads.dsl import PACK_DIR, load_path
 from repro.workloads.dsl import registry as dsl_registry
@@ -126,6 +131,31 @@ def test_float_totals_tolerate_rounding_but_not_a_cycle(goldens):
         detail = _model_drift_detail(
             summary, fresh(**{key: summary[key] + delta}))
         assert detail.startswith("1/") and key in detail, detail
+
+
+@pytest.mark.slow
+def test_reference_path_and_a_replayed_pass_match_every_golden(
+        goldens, monkeypatch):
+    """Every golden point on the scalar reference path, which consults no
+    memo, then batched twice in one process, the second pass replaying
+    every drawcall from the geometry memo and most tiles from the tile
+    memo: CRC matrices, skip counts and every registry counter match."""
+    monkeypatch.setattr(session_module, "Gpu",
+                        functools.partial(Gpu, batched=False))
+    report = check_goldens(goldens)
+    assert report.ok, report.summary()
+    monkeypatch.undo()
+
+    geometry, tiles = shared_geometry_memo(), shared_tile_memo()
+    assert check_goldens(goldens).ok
+    before = (geometry.hits, geometry.misses, tiles.hits, tiles.misses)
+    report = check_goldens(goldens)
+    assert report.ok, report.summary()
+    assert len(report.checks) == 2 * len(all_workload_aliases())
+    hits, misses = geometry.hits - before[0], geometry.misses - before[1]
+    assert hits > 0 and misses == 0
+    hits, misses = tiles.hits - before[2], tiles.misses - before[3]
+    assert hits > misses
 
 
 @pytest.mark.slow
