@@ -52,10 +52,10 @@ Subcommands:
   ``check`` exits non-zero on any output or model drift.
 * ``fleet``          — distributed sweeps over a shared registry
   directory: ``launch`` expands a grid into a fleet spec and spawns N
-  worker processes that idempotently claim points (atomic lease
-  records, heartbeats, crash-safe requeue); ``work`` runs one worker
-  (how another host joins); ``status``/``watch`` merge heartbeats and
-  claims into a live claim map with stall detection.  ``trend`` and
+  worker processes that idempotently claim points (atomic lease and
+  done records, crash-safe requeue); ``work`` runs one worker (how
+  another host joins); ``status``/``watch`` read the claim, done and
+  reaped records into a claim map with stall detection.  ``trend`` and
   ``diff --fleet`` read the recorded fleets back.
 
 Every entry point that renders — ``run``, ``sweep``, ``experiment``,
@@ -901,6 +901,10 @@ def _cmd_fleet(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        if args.workers < 1:
+            print(f"fleet launch failed: --workers must be at least 1, "
+                  f"got {args.workers}", file=sys.stderr)
+            return 2
         crash_after = {}
         for spec in args.crash_worker or []:
             worker, _, count = spec.partition(":")
@@ -909,6 +913,10 @@ def _cmd_fleet(args) -> int:
             except ValueError:
                 print(f"bad --crash-worker {spec!r}: expected "
                       "WORKER:CLAIMS (e.g. w1:2)", file=sys.stderr)
+                return 2
+            if crash_after[worker] < 1:
+                print(f"bad --crash-worker {spec!r}: the claim count "
+                      "must be at least 1", file=sys.stderr)
                 return 2
         fleet_id = args.fleet_id or time_module.strftime(
             "fleet-%Y%m%d-%H%M%S")
@@ -931,9 +939,7 @@ def _cmd_fleet(args) -> int:
             print(f"fleet launch failed: {exc.args[0]}", file=sys.stderr)
             return 2
         coordinator = FleetCoordinator(root, fleet_id)
-        coordinator.refresh()
         print(coordinator.render_status(width=_terminal_width()))
-        coordinator.close()
         crashed = [w for w, code in sorted(status["exit_codes"].items())
                    if code != 0]
         if crashed:
@@ -951,11 +957,17 @@ def _cmd_fleet(args) -> int:
     if args.fleet_action == "work":
         from .fleet import FleetWorker
 
+        if (args.crash_after_claims is not None
+                and args.crash_after_claims < 1):
+            print(f"fleet work failed: --crash-after-claims must be at "
+                  f"least 1, got {args.crash_after_claims}",
+                  file=sys.stderr)
+            return 2
         supervised = _supervision_requested(args)
         try:
             worker = FleetWorker(
                 root, args.fleet_id, args.worker,
-                poll_s=args.poll, max_wait_s=args.max_wait,
+                max_wait_s=args.max_wait,
                 crash_after_claims=args.crash_after_claims,
                 policy=_policy_from(args) if supervised else None,
                 trace=args.fleet_trace,
@@ -996,7 +1008,6 @@ def _cmd_fleet(args) -> int:
     frames = 0
     try:
         while True:
-            coordinator.refresh()
             if getattr(args, "reap", False):
                 for point in coordinator.reap_orphans():
                     print(f"reaped expired claim on {point}")
@@ -1014,8 +1025,6 @@ def _cmd_fleet(args) -> int:
             time_module.sleep(getattr(args, "interval", 1.0))
     except KeyboardInterrupt:
         pass
-    finally:
-        coordinator.close()
     return 1 if coordinator.failed_points() else 0
 
 
@@ -1768,13 +1777,13 @@ def main(argv=None) -> int:
     flaunch.add_argument("--crash-worker", action="append", default=None,
                          metavar="WORKER:N",
                          help="fault injection: kill this worker (e.g. "
-                              "w1) right after it wins its Nth claim, "
-                              "before any child spawns — lease expiry "
-                              "must requeue the orphaned point "
-                              "(repeatable)")
+                              "w1) right after it wins its Nth claim "
+                              "(N >= 1), before that point starts — "
+                              "lease expiry must requeue the orphaned "
+                              "point (repeatable)")
     flaunch.add_argument("--verbose", action="store_true",
-                         help="stream the live claim map to stderr "
-                              "while the fleet runs")
+                         help="redraw the claim map on stderr every "
+                              "second while the fleet runs")
     _add_registry_flags(flaunch, suppress=True)
     fwork = fleet_sub.add_parser(
         "work", help="run one fleet worker against an existing fleet "
@@ -1785,10 +1794,6 @@ def main(argv=None) -> int:
     fwork.add_argument("--worker", required=True,
                        help="this worker's id (unique per fleet, e.g. "
                             "w0 or hostname-0)")
-    fwork.add_argument("--poll", type=float, default=0.2,
-                       metavar="SECONDS",
-                       help="idle poll interval between claim attempts "
-                            "(default 0.2)")
     fwork.add_argument("--max-wait", type=float, default=None,
                        metavar="SECONDS",
                        help="give up if the fleet is incomplete after "
@@ -1803,9 +1808,10 @@ def main(argv=None) -> int:
                             "`python -m repro trace`)")
     _add_registry_flags(fwork, suppress=True)
     fstatus = fleet_sub.add_parser(
-        "status", help="one-shot fleet view: claim map, per-worker "
-                       "throughput, stale heartbeats (plain ASCII; "
-                       "safe in CI logs)"
+        "status", help="one-shot fleet view read from the claim, done "
+                       "and reaped records: claim map, per-worker "
+                       "throughput, stalled claim holders (plain "
+                       "ASCII; safe in CI logs)"
     )
     fwatch = fleet_sub.add_parser(
         "watch", help="live fleet view: redraw the status until the "

@@ -11,21 +11,22 @@ the coordination half on top of plain atomic filesystem operations:
   byte-for-byte with single-host :func:`repro.harness.sweeps.sweep`.
 * :mod:`repro.fleet.claims` — the claim/lease/done protocol
   (``O_CREAT|O_EXCL`` single-winner claims, atomic renewal, lease
-  expiry with single-winner stealing, exactly-once done records) and
-  append-only worker heartbeats.
-* :mod:`repro.fleet.worker` — the worker loop: claim, execute through
-  the supervisor (renewing the lease per frame), record the manifest,
-  mark done; plus deterministic crash injection for testing requeue.
-* :mod:`repro.fleet.coordinator` — the merged live view (heartbeats +
-  claims + done records through :class:`~repro.obs.live.LiveAggregator`
-  stall detection), orphaned-claim reaping, and the local N-process
-  launcher CI uses to simulate a multi-host fleet.
+  expiry with single-winner stealing, exactly-once done records).
+  These records are the fleet's only status.
+* :mod:`repro.fleet.worker` — the worker: one supervised run fed
+  lazily by the points it claims, renewing each lease per frame and,
+  on each outcome, marking it done and recording the manifest; plus
+  deterministic crash injection for testing requeue.
+* :mod:`repro.fleet.coordinator` — views read from the claim, done and
+  reaped records (claim map, per-worker table, stalled workers, the
+  execute-wall histogram), orphaned-claim reaping, and the local
+  N-process launcher CI uses to simulate a multi-host fleet.
 
 See DESIGN §13 for the claim protocol, lease state machine and the
 failure matrix.
 """
 
-from .claims import ClaimStore, HeartbeatLog
+from .claims import ClaimStore
 from .coordinator import FleetCoordinator, launch_fleet
 from .points import FleetSpec, fleet_root, load_spec, point_id
 from .worker import FleetWorker
@@ -35,7 +36,6 @@ __all__ = [
     "FleetCoordinator",
     "FleetSpec",
     "FleetWorker",
-    "HeartbeatLog",
     "fleet_root",
     "launch_fleet",
     "load_spec",

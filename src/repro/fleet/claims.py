@@ -25,9 +25,9 @@ unclaimed`` when a worker dies or wedges.  Expiry compares the
 *owner's* promised ``expires_at`` against the *observer's* clock — see
 the clock-skew row of the failure matrix in DESIGN §13.
 
-Heartbeats are separate from claims: each worker appends monotone-seq
-records to its own ``hb/<worker>.jsonl`` (``O_APPEND``, one write per
-record — lines never tear), and the coordinator tails every file.
+These records are also the fleet's only status: the coordinator's
+views are read from ``claims/``, ``done/`` and ``reaped/``, and no
+worker publishes anything else.
 """
 
 from __future__ import annotations
@@ -37,15 +37,10 @@ import os
 import time
 
 from ..errors import FleetError
-from ..obs.store import (
-    append_jsonl_atomic,
-    claim_record,
-    done_record,
-    heartbeat_record,
-)
+from ..obs.store import claim_record, done_record
 from .points import fleet_root
 
-__all__ = ["ClaimStore", "HeartbeatLog", "tail_heartbeats"]
+__all__ = ["ClaimStore"]
 
 
 def _read_json(path):
@@ -224,6 +219,18 @@ class ClaimStore:
             if record.get("expires_at", 0) <= now
         ]
 
+    def reaped(self) -> list:
+        """Every reaped claim record, oldest reap first, each with the
+        ``reaped_at`` time (the reaper's clock) its file name carries."""
+        records = []
+        for name in os.listdir(self.reaped_dir):
+            record = _read_json(os.path.join(self.reaped_dir, name))
+            if record is not None:
+                stem = name[:-len(".json")]
+                record["reaped_at"] = float(stem.split(".", 2)[2])
+                records.append(record)
+        return sorted(records, key=lambda record: record["reaped_at"])
+
     def reap(self, point_id: str) -> bool:
         """Steal one expired claim: single-winner rename into
         ``reaped/``.  Returns whether *we* won the steal (the point is
@@ -255,76 +262,3 @@ class ClaimStore:
                 stolen.append(pid)
         return stolen
 
-
-class HeartbeatLog:
-    """One worker's append-only heartbeat stream.
-
-    Records carry a monotone ``seq`` plus free-form status fields
-    (``state``, ``point_id``, ``frames``, ``points_done``...).
-    ``min_interval_s`` rate-limits the mid-execute beats driven from
-    the per-frame progress hook; state-change beats always post."""
-
-    def __init__(self, registry_root, fleet_id: str, worker: str,
-                 min_interval_s: float = 0.5, clock=time.time) -> None:
-        self.worker = worker
-        self.path = os.path.join(
-            fleet_root(registry_root, fleet_id), "hb", f"{worker}.jsonl"
-        )
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        self.min_interval_s = min_interval_s
-        self._clock = clock
-        self._seq = 0
-        self._last_beat = None
-
-    def beat(self, force: bool = True, **fields) -> bool:
-        """Append one heartbeat; rate-limited unless ``force``."""
-        now = self._clock()
-        if (not force and self._last_beat is not None
-                and now - self._last_beat < self.min_interval_s):
-            return False
-        self._last_beat = now
-        self._seq += 1
-        append_jsonl_atomic(self.path, heartbeat_record(
-            self.worker, self._seq, clock=self._clock, **fields,
-        ))
-        return True
-
-
-def tail_heartbeats(registry_root, fleet_id: str, offsets: dict) -> list:
-    """Read new heartbeat records from every worker's log.
-
-    ``offsets`` maps worker -> records-already-consumed and is updated
-    in place, so a coordinator calls this in a loop and receives each
-    record exactly once.  Records are returned in (worker, seq) order;
-    torn trailing lines are impossible by construction (single
-    ``O_APPEND`` write per record)."""
-    hb_dir = os.path.join(fleet_root(registry_root, fleet_id), "hb")
-    fresh = []
-    try:
-        names = sorted(os.listdir(hb_dir))
-    except FileNotFoundError:
-        return fresh
-    for name in names:
-        if not name.endswith(".jsonl"):
-            continue
-        worker = name[:-len(".jsonl")]
-        seen = offsets.get(worker, 0)
-        count = 0
-        with open(os.path.join(hb_dir, name), "r",
-                  encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                count += 1
-                if count <= seen:
-                    continue
-                try:
-                    fresh.append(json.loads(line))
-                except json.JSONDecodeError:
-                    raise FleetError(
-                        f"{hb_dir}/{name}: corrupt heartbeat record "
-                        f"#{count}"
-                    ) from None
-        offsets[worker] = count
-    return fresh

@@ -1,21 +1,30 @@
-"""The fleet coordinator: merged live view, reaping, local launcher.
+"""The fleet coordinator: views read from records, reaping, launcher.
 
-The coordinator owns no work — points complete whether or not one is
-running — it *observes and unsticks*: it tails every worker's
-append-only heartbeat log (each record consumed exactly once), feeds
-the payloads into a :class:`~repro.obs.live.LiveAggregator` in
-``use_payload_ts`` mode (so staleness reflects when a worker last made
-progress, clamped against clock skew, not when the tail loop ran),
-snapshots the claim/done state into a point map, merges the workers'
-execute-wall histograms, and reaps expired claims so a crashed
-worker's points requeue even when every surviving worker is busy.
+The coordinator owns no work and keeps no state — points complete
+whether or not one is running.  Every view is read, when asked for,
+from the records the claim protocol already writes
+(:mod:`repro.fleet.claims`):
+
+* ``claims/`` — each live claim's holder, ``claimed_at``, ``renewals``
+  and promised ``expires_at``;
+* ``done/`` — each terminal record's worker, state, ``execute_s`` and
+  ``completed_at``;
+* ``reaped/`` — each reaped claim, which names its holder.
+
+A worker is **stalled** when it holds a claim whose promised
+``expires_at`` has passed by the observer's clock — the signal
+:meth:`~repro.fleet.claims.ClaimStore.reap_expired` acts on — so a
+worker whose clock runs ahead is never flagged early, and one that has
+released its claims never is.  The execute-wall histogram is rebuilt
+from the done records' ``execute_s`` on the shared fleet scheme.
 
 :func:`launch_fleet` is the local N-process mode CI uses: it writes the
-spec, spawns ``repro fleet work`` subprocesses, runs the coordinator
-loop until the fleet completes (journaling every observation), and
-reports per-worker exit codes.  Workers that crash are deliberately
-*not* respawned — the acceptance test is that the fleet completes
-anyway through lease expiry.
+spec, spawns ``repro fleet work`` subprocesses and waits for them (they
+exit once every point has a done record), then journals the done and
+reaped records it finds and reports per-worker exit codes.  Workers
+that crash are deliberately *not* respawned — the acceptance test is
+that the fleet completes anyway through lease expiry, which the
+surviving workers' own reaping drives.
 """
 
 from __future__ import annotations
@@ -27,87 +36,27 @@ import time
 
 from ..errors import FleetError
 from ..harness.supervisor import RunJournal
-from ..obs.live import LiveAggregator
-from ..service.telemetry import merge_histograms
-from .claims import ClaimStore, tail_heartbeats
+from ..service.telemetry import fleet_execute_histogram
+from .claims import ClaimStore
 from .points import fleet_root, load_spec
 
 __all__ = ["FleetCoordinator", "launch_fleet"]
 
-
-class _NullStream:
-    """Swallows the aggregator's periodic table (we render our own)."""
-
-    def write(self, text: str) -> int:
-        return len(text)
-
-    def flush(self) -> None:
-        pass
+#: Seconds between redraws of ``fleet watch`` (its ``--interval``
+#: default) and of ``fleet launch --verbose``.
+WATCH_INTERVAL_S = 1.0
 
 
 class FleetCoordinator:
-    """Read-side merge of one fleet's heartbeats, claims and results."""
+    """Read-side view of one fleet, derived from its claim, done and
+    reaped records each time it is asked."""
 
     def __init__(self, registry_root, fleet_id: str,
-                 stall_after_s: float = None, clock=time.time) -> None:
-        self.registry_root = os.fspath(registry_root)
+                 clock=time.time) -> None:
         self.spec = load_spec(registry_root, fleet_id)
         self.points = self.spec.points()
         self.claims = ClaimStore(registry_root, fleet_id, clock=clock)
-        self.root = fleet_root(registry_root, fleet_id)
-        self._offsets: dict = {}
-        self._worker_stats: dict = {}   # worker -> {..latest heartbeat..}
-        self._histograms: dict = {}     # worker -> latest to_dict()
-        self.started_at = time.monotonic()
-        # A worker silent for longer than its own lease is in stall
-        # territory — its claims are about to be stolen.
-        self.aggregator = LiveAggregator(
-            path=os.path.join(self.root, "live.json"),
-            stall_after_s=(stall_after_s if stall_after_s is not None
-                           else self.spec.lease_s),
-            stream=_NullStream(), use_payload_ts=True,
-            owner=f"repro-fleet:{os.getpid()}",
-        )
-
-    # Ingest -------------------------------------------------------------
-    def refresh(self) -> list:
-        """Consume new heartbeat records; returns them (for journaling).
-        Feeds the live aggregator and updates per-worker stats."""
-        fresh = tail_heartbeats(self.registry_root, self.spec.fleet_id,
-                                self._offsets)
-        for record in fresh:
-            worker = record["worker"]
-            stats = self._worker_stats.setdefault(worker, {
-                "completed": 0, "claims": 0, "state": None, "seq": 0,
-                "first_ts": record.get("ts"), "last_ts": None,
-            })
-            stats["state"] = record.get("state", stats["state"])
-            stats["seq"] = record.get("seq", stats["seq"])
-            stats["last_ts"] = record.get("ts")
-            if record.get("claims") is not None:
-                stats["claims"] = record["claims"]
-            if record.get("completed") is not None:
-                stats["completed"] = record["completed"]
-            if record.get("histogram"):
-                self._histograms[worker] = record["histogram"]
-            self.aggregator.update(self._to_live_payload(record))
-        self.aggregator.tick(force=bool(fresh))
-        return fresh
-
-    @staticmethod
-    def _to_live_payload(record: dict) -> dict:
-        payload = {"worker": record["worker"],
-                   "ts": record.get("ts", time.time())}
-        state = record.get("state")
-        if state == "exit":
-            payload.update(event="done", ok=True)
-        elif state == "crashing":
-            payload.update(event="done", ok=False)
-        else:
-            if isinstance(record.get("frames"), int):
-                payload["frames"] = record["frames"]
-            payload["counters"] = {}
-        return payload
+        self._clock = clock
 
     def reap_orphans(self) -> list:
         """Steal expired claims so a dead worker's points requeue even
@@ -115,12 +64,12 @@ class FleetCoordinator:
         return self.claims.reap_expired()
 
     # State --------------------------------------------------------------
-    def point_map(self) -> list:
+    def point_map(self, done: dict = None, live: dict = None) -> list:
         """Per-point status in grid order:
         ``(point_id, tag, status, holder)`` with status one of
         ``done`` / ``failed`` / ``claimed`` / ``unclaimed``."""
-        done = self.claims.done_records()
-        live = self.claims.claims()
+        done = self.claims.done_records() if done is None else done
+        live = self.claims.claims() if live is None else live
         rows = []
         for point in self.points:
             pid = point.point_id
@@ -136,62 +85,111 @@ class FleetCoordinator:
                 rows.append((pid, point.tag, "unclaimed", None))
         return rows
 
-    def merged_histogram(self):
-        """All workers' execute-wall histograms merged; ``None`` before
-        the first completed point."""
-        if not self._histograms:
-            return None
-        return merge_histograms(self._histograms.values())
+    def merged_histogram(self, done: dict = None):
+        """Execute-wall histogram of every point done so far (``None``
+        before the first), on the shared fleet scheme."""
+        done = self.claims.done_records() if done is None else done
+        histogram = fleet_execute_histogram()
+        for record in done.values():
+            if (record.get("state") == "done"
+                    and record.get("execute_s") is not None):
+                histogram.observe(record["execute_s"])
+        return histogram.to_dict() if histogram.count else None
 
     @property
     def complete(self) -> bool:
         return len(self.claims.done_ids()) >= len(self.points)
 
-    def failed_points(self) -> list:
+    def failed_points(self, done: dict = None) -> list:
+        done = self.claims.done_records() if done is None else done
         return sorted(
-            pid for pid, record in self.claims.done_records().items()
+            pid for pid, record in done.items()
             if record.get("state") != "done"
         )
 
+    def events(self, done: dict = None, reaped: list = None) -> list:
+        """The done and reaped records as events, oldest first."""
+        done = self.claims.done_records() if done is None else done
+        reaped = self.claims.reaped() if reaped is None else reaped
+        events = [
+            {"event": "claim_reaped", "ts": record["reaped_at"],
+             "point_id": record["point_id"], "worker": record["worker"]}
+            for record in reaped
+        ]
+        events += [
+            {"event": ("point_done" if record["state"] == "done"
+                       else "point_failed"),
+             "ts": record["completed_at"], "point_id": pid,
+             "worker": record["worker"], "execute_s": record["execute_s"]}
+            for pid, record in done.items()
+        ]
+        return sorted(events, key=lambda event: event["ts"])
+
+    def _workers(self, done: dict, live: dict, reaped: list) -> dict:
+        """Per-worker state, counts, last-record age and rate.  A record's
+        time is its writer's clock: a claim's last renewal (``expires_at
+        - lease_s``), a done record's ``completed_at``."""
+        now = self._clock()
+        marks: dict = {}        # worker -> [(start, end, kind, record)]
+        for kind, records in (("held", live.values()), ("reaped", reaped)):
+            for record in records:
+                marks.setdefault(record["worker"], []).append((
+                    record["claimed_at"],
+                    record["expires_at"] - record["lease_s"], kind, record,
+                ))
+        for record in done.values():
+            end = record["completed_at"]
+            marks.setdefault(record["worker"], []).append((
+                end - (record.get("execute_s") or 0.0), end,
+                record["state"], record,
+            ))
+        complete = len(done) >= len(self.points)
+        workers = {}
+        for worker, mine in sorted(marks.items()):
+            held = [record for _, _, kind, record in mine if kind == "held"]
+            completed = sum(kind == "done" for _, _, kind, _ in mine)
+            span_start = min(start for start, _, _, _ in mine)
+            _, last, last_kind, _ = max(mine, key=lambda mark: mark[1])
+            if held:
+                state = "executing"
+            elif last_kind == "reaped":
+                state = "reaped"
+            else:
+                state = "finished" if complete else "idle"
+            span = last - span_start
+            workers[worker] = {
+                "state": state,
+                "completed": completed,
+                "claims": len(mine),
+                "beat_age_s": max(0.0, now - last),
+                "stalled": any(r["expires_at"] <= now for r in held),
+                "throughput_per_min": (
+                    completed * 60.0 / span if span > 0 else 0.0
+                ),
+            }
+        return workers
+
     def status(self) -> dict:
-        """One mergeable snapshot of everything the coordinator knows."""
-        points = self.point_map()
+        """One snapshot of everything the records say."""
+        done = self.claims.done_records()
+        live = self.claims.claims()
+        reaped = self.claims.reaped()
+        points = self.point_map(done, live)
         by_state: dict = {}
         for _, _, state, _ in points:
             by_state[state] = by_state.get(state, 0) + 1
-        elapsed = time.monotonic() - self.started_at
-        workers = {}
-        for worker, stats in sorted(self._worker_stats.items()):
-            live = self.aggregator.workers.get(worker, {})
-            age = (max(0.0, time.time() - stats["last_ts"])
-                   if stats.get("last_ts") else None)
-            # Rate over the worker's own heartbeat span, not our loop's
-            # lifetime — a post-hoc coordinator (fresh object over a
-            # finished fleet) would otherwise divide by ~zero.
-            span = elapsed
-            if stats.get("first_ts") and stats.get("last_ts"):
-                span = max(span, stats["last_ts"] - stats["first_ts"])
-            workers[worker] = {
-                "state": stats["state"],
-                "completed": stats["completed"],
-                "claims": stats["claims"],
-                "beat_age_s": age,
-                "stalled": bool(live.get("stalled")),
-                "throughput_per_min": (
-                    stats["completed"] / (span / 60.0)
-                    if span > 0 else 0.0
-                ),
-            }
+        workers = self._workers(done, live, reaped)
         return {
             "fleet_id": self.spec.fleet_id,
             "points_total": len(points),
             "points": by_state,
-            "complete": self.complete,
-            "failed_points": self.failed_points(),
+            "complete": len(done) >= len(self.points),
+            "failed_points": self.failed_points(done),
             "workers": workers,
-            "stalled": self.aggregator.stalled(),
-            "histogram": self.merged_histogram(),
-            "events": self.aggregator.events[-20:],
+            "stalled": sorted(w for w, info in workers.items()
+                              if info["stalled"]),
+            "histogram": self.merged_histogram(done),
+            "events": self.events(done, reaped)[-20:],
         }
 
     # Rendering ----------------------------------------------------------
@@ -201,9 +199,10 @@ class FleetCoordinator:
         wraps to ``width``."""
         from ..harness.reporting import format_table
 
-        points = self.point_map()
+        status = self.status()
         symbols = {"done": "#", "failed": "X", "claimed": "c",
                    "unclaimed": "."}
+        points = self.point_map()
         map_line = "".join(symbols[state] for _, _, state, _ in points)
         wrap = max(16, int(width) - 12)
         wrapped = [map_line[i:i + wrap]
@@ -216,14 +215,13 @@ class FleetCoordinator:
             "points  " + f"\n{'':8}".join(wrapped)
             + "   [#=done X=failed c=claimed .=unclaimed]",
         ]
-        status = self.status()
         if status["workers"]:
             rows = []
             for worker, info in status["workers"].items():
                 age = info["beat_age_s"]
                 rows.append([
                     worker,
-                    "STALLED" if info["stalled"] else (info["state"] or "-"),
+                    "STALLED" if info["stalled"] else info["state"],
                     info["completed"],
                     info["claims"],
                     f"{age:.1f}s" if age is not None else "-",
@@ -244,22 +242,21 @@ class FleetCoordinator:
                          + ", ".join(status["failed_points"]))
         return "\n".join(lines)
 
-    def close(self) -> None:
-        self.aggregator.close()
-
 
 def launch_fleet(registry_root, spec, workers: int = 3,
                  crash_after: dict = None, max_wait_s: float = 300.0,
-                 poll_s: float = 0.25, stream=None,
-                 worker_args: list = None) -> dict:
+                 stream=None, worker_args: list = None) -> dict:
     """Spawn a local N-process fleet for ``spec`` and see it through.
 
     ``spec`` is a :class:`~repro.fleet.points.FleetSpec` (saved here) or
     a fleet id that was already saved.  ``crash_after`` maps worker id
     (``w0``..) -> claim count after which that worker hard-exits —
-    deterministic crash injection for requeue tests.  Returns a summary
-    dict; raises :class:`FleetError` on timeout.  Crashed workers stay
-    dead on purpose: completion must come from lease-expiry requeue.
+    deterministic crash injection for requeue tests.  ``stream``, when
+    given, gets the status redrawn every :data:`WATCH_INTERVAL_S` while
+    the workers run.  Returns the coordinator's status plus per-worker
+    ``exit_codes``; raises :class:`FleetError` on timeout or when every
+    worker exited with points remaining.  Crashed workers stay dead on
+    purpose: completion must come from lease-expiry requeue.
     """
     registry_root = os.fspath(registry_root)
     if isinstance(spec, str):
@@ -293,47 +290,45 @@ def launch_fleet(registry_root, spec, workers: int = 3,
 
     coordinator = FleetCoordinator(registry_root, spec.fleet_id)
     deadline = time.monotonic() + max_wait_s
+    exit_codes = {}
     try:
-        while True:
-            for record in coordinator.refresh():
-                journal.append("heartbeat", **{
-                    k: v for k, v in record.items() if k != "schema"
-                })
-            for pid in coordinator.reap_orphans():
-                journal.append("claim_reaped", point_id=pid,
-                               by="coordinator")
-            if stream is not None:
-                print(coordinator.render_status(), file=stream)
-            if coordinator.complete:
-                break
-            if all(p.poll() is not None for p in procs.values()):
-                # Every worker exited but points remain: unfinishable.
-                raise FleetError(
-                    f"fleet {spec.fleet_id!r}: all workers exited with "
-                    f"{len(coordinator.claims.done_ids())}/"
-                    f"{len(coordinator.points)} points done"
-                )
-            if time.monotonic() > deadline:
-                raise FleetError(
-                    f"fleet {spec.fleet_id!r} incomplete after "
-                    f"{max_wait_s}s"
-                )
-            time.sleep(poll_s)
-    finally:
-        exit_codes = {}
         for worker_id, proc in procs.items():
+            while worker_id not in exit_codes:
+                timeout = deadline - time.monotonic()
+                if stream is not None:
+                    timeout = min(timeout, WATCH_INTERVAL_S)
+                try:
+                    exit_codes[worker_id] = proc.wait(timeout=max(0.0,
+                                                                  timeout))
+                except subprocess.TimeoutExpired:
+                    if time.monotonic() >= deadline:
+                        raise FleetError(
+                            f"fleet {spec.fleet_id!r} incomplete after "
+                            f"{max_wait_s}s"
+                        ) from None
+                    print(coordinator.render_status(), file=stream)
+    finally:
+        for worker_id, proc in procs.items():
+            if worker_id in exit_codes:
+                continue
             try:
                 exit_codes[worker_id] = proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 exit_codes[worker_id] = proc.wait()
-        coordinator.refresh()
+        for event in coordinator.events():
+            journal.append(**event)
         status = coordinator.status()
-        journal.append("fleet_done", complete=coordinator.complete,
-                       failed_points=coordinator.failed_points(),
+        journal.append("fleet_done", complete=status["complete"],
+                       failed_points=status["failed_points"],
                        exit_codes=exit_codes)
         journal.close()
-        coordinator.close()
+    if not status["complete"]:
+        raise FleetError(
+            f"fleet {spec.fleet_id!r}: all workers exited with "
+            f"{len(coordinator.claims.done_ids())}/"
+            f"{len(coordinator.points)} points done"
+        )
     status["exit_codes"] = exit_codes
     return status
 

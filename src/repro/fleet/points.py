@@ -22,10 +22,11 @@ tenant namespaces::
         fleet.json         # the spec (this module)
         claims/<pid>.json  # live leases        (repro.fleet.claims)
         done/<pid>.json    # terminal records   (repro.fleet.claims)
-        reaped/            # stolen expired leases, kept for forensics
-        hb/<worker>.jsonl  # append-only worker heartbeats
-        journal.jsonl      # coordinator event journal
-        live.json          # coordinator heartbeat (obs.live)
+        reaped/            # reaped expired leases, kept for forensics
+        journal.jsonl      # the local launcher's event journal
+
+Every fleet view is read from ``claims/``, ``done/`` and ``reaped/``
+(:mod:`repro.fleet.coordinator`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -129,8 +131,12 @@ class FleetSpec:
             )
         if not self.parameters:
             raise FleetError("a fleet needs a non-empty parameter grid")
-        if self.lease_s <= 0:
-            raise FleetError(f"lease_s must be positive, got {self.lease_s}")
+        # NaN fails every comparison, so it must fail this one too: a
+        # NaN lease is never renewed and never expires.
+        if not 0 < self.lease_s < math.inf:
+            raise FleetError(
+                f"lease_s must be positive and finite, got {self.lease_s}"
+            )
         # Canonical grid order: the spec file is written with sorted
         # keys, so expansion order must not depend on the insertion
         # order the constructor happened to see — otherwise a spec
@@ -193,7 +199,7 @@ class FleetSpec:
         if self.created_at is None:
             self.created_at = time.time()
         root = fleet_root(registry_root, self.fleet_id)
-        for sub in ("claims", "done", "reaped", "hb"):
+        for sub in ("claims", "done", "reaped"):
             os.makedirs(os.path.join(root, sub), exist_ok=True)
         path = os.path.join(root, "fleet.json")
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)

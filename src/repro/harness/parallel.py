@@ -111,14 +111,17 @@ def per_cell_path(base, cell: Cell, index: int, many: bool):
     return f"{root}-{index:02d}-{alias}-{technique}{ext}"
 
 
-def ensure_unique_paths(paths: typing.Sequence, what: str = "artifact") -> None:
+def ensure_unique_paths(paths: typing.Sequence, what: str = "artifact",
+                        seen: dict = None) -> None:
     """Raise if any two derived artifact paths collide.
 
     Fan-out writes one trace/metrics file per cell; two cells mapping to
     the same path (sanitized tags or labels colliding) would silently
-    overwrite each other, so that is an error, not a warning.
+    overwrite each other, so that is an error, not a warning.  ``seen``
+    holds the paths of earlier calls and gains these, so cells checked
+    one at a time are checked against every cell before them.
     """
-    seen: dict = {}
+    seen = {} if seen is None else seen
     for path in paths:
         if path is None:
             continue

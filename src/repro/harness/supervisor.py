@@ -48,6 +48,7 @@ the retry demonstrably resumes mid-run rather than restarting.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import json
@@ -379,13 +380,22 @@ def _run_attempt(conn, label: str, state: _CellState, checkpoint_stride: int,
     return result, resumed_from
 
 
-def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
+def supervise_cells(cells: typing.Iterable, config: GpuConfig = None,
                     policy: SupervisorPolicy = None, processes: int = None,
                     journal_path=None, fault_spec=None,
                     workdir=None, trace_path=None,
                     metrics_path=None, live=None,
                     progress_hook=None) -> SupervisedRun:
     """Run every cell under supervision; never raises for cell failures.
+
+    ``cells`` is a sequence, read whole up front (duplicates collapse and
+    artifact paths are checked for collisions before anything runs), or
+    an iterator of :class:`Cell`, read lazily: the next cell is taken
+    only when a worker is free and no cell is pending, eligible or
+    backing off, so a taken cell starts at once.  Its ``next()`` may
+    block until it has a cell; with ``processes=1`` the run then has
+    nothing else to do.  An iterator's cells always get per-cell
+    artifact paths, and its outcomes are keyed in the order taken.
 
     ``processes`` bounds how many attempts run concurrently (default 1 —
     still fully supervised, in one isolated worker).  Workers are forked
@@ -423,15 +433,19 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
     independent of (and should be below) ``policy.timeout_s``.
 
     ``progress_hook`` is a lower-level tap on the same stream: a
-    callable invoked in the supervisor process for every progress /
-    telemetry message (``hook(kind, payload)`` with kind ``"progress"``
-    or ``"telemetry"``).  Fleet workers use it to renew their point
-    lease per frame; passing a hook enables per-frame telemetry in the
-    workers even when no ``live`` aggregator is attached.  Hook
-    exceptions propagate — a fleet worker that cannot renew its lease
-    must not keep rendering.
+    callable invoked in the supervisor process as ``hook(cell, kind,
+    payload)`` for every ``"progress"`` (frames rendered) and
+    ``"telemetry"`` message, and once with ``"done"`` and the cell's
+    :class:`CellOutcome` when it reaches its terminal state.  Fleet
+    workers use it to renew their point lease per frame and to record
+    each point's outcome; passing a hook enables per-frame telemetry in
+    the workers even when no ``live`` aggregator is attached.  Hook
+    exceptions propagate, ending the run and any attempt in flight — a
+    fleet worker that cannot renew its lease must not keep rendering.
     """
-    cells = coerce_cells(cells)
+    lazy = isinstance(cells, collections.abc.Iterator)
+    source = cells if lazy else None
+    cells = [] if lazy else coerce_cells(cells)
     config = config or GpuConfig.benchmark()
     policy = policy or SupervisorPolicy()
     if fault_spec is None:
@@ -441,7 +455,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         if isinstance(fault_spec, str) else fault_spec
     )
     width = 1 if processes in (None, 0) else max(1, int(processes))
-    width = min(width, len(cells)) if cells else 1
+    if not lazy:
+        width = min(width, len(cells)) if cells else 1
 
     own_workdir = workdir is None and policy.checkpoint_stride > 0
     if own_workdir:
@@ -449,39 +464,46 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
     if workdir is not None:
         os.makedirs(workdir, exist_ok=True)
 
-    many = len(cells) > 1
+    many = lazy or len(cells) > 1
+    taken: dict = {}       # Cell -> None, in the order taken
+    used_paths: dict = {"trace": {}, "metrics": {}, "checkpoint": {}}
     pending: list = []
+
+    def take(cell: Cell) -> None:
+        """Make ``cell`` pending, its artifact paths checked against
+        every cell taken before it."""
+        cell_config = cell.config or config
+        ckpt_path = None
+        if workdir is not None and policy.checkpoint_stride > 0:
+            exact = "-exact" if cell.exact_signatures else ""
+            ckpt_path = os.path.join(
+                workdir,
+                f"{cell.alias}-{cell.technique}-f{cell.num_frames}{exact}"
+                f"-{cell_config.digest()[:8]}.ckpt",
+            )
+        state = _CellState(
+            cell, cell_config, ckpt_path,
+            trace_path=per_cell_path(trace_path, cell, len(taken), many),
+            metrics_path=per_cell_path(metrics_path, cell, len(taken), many),
+        )
+        for what, path in (("trace", state.trace_path),
+                           ("metrics", state.metrics_path),
+                           ("checkpoint", state.ckpt_path)):
+            ensure_unique_paths([path], what, seen=used_paths[what])
+        taken[cell] = None
+        pending.append(state)
+
     try:
-        for index, cell in enumerate(cells):
-            cell_config = cell.config or config
-            ckpt_path = None
-            if workdir is not None and policy.checkpoint_stride > 0:
-                exact = "-exact" if cell.exact_signatures else ""
-                ckpt_path = os.path.join(
-                    workdir,
-                    f"{cell.alias}-{cell.technique}-f{cell.num_frames}{exact}"
-                    f"-{cell_config.digest()[:8]}.ckpt",
-                )
-            pending.append(_CellState(
-                cell, cell_config, ckpt_path,
-                trace_path=per_cell_path(trace_path, cell, index, many),
-                metrics_path=per_cell_path(metrics_path, cell, index, many),
-            ))
-        ensure_unique_paths([s.trace_path for s in pending], "trace")
-        ensure_unique_paths([s.metrics_path for s in pending], "metrics")
-        ensure_unique_paths([s.ckpt_path for s in pending], "checkpoint")
+        for cell in cells:
+            take(cell)
     except ReproError:
         if own_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
         raise
-    for state in pending:
-        if state.metrics_path is not None:
-            # Attempts append; start each supervised run from a clean log.
-            open(state.metrics_path, "w", encoding="utf-8").close()
 
     journal = RunJournal(journal_path)
     journal.append(
-        "run_start", cells=len(cells), processes=width,
+        "run_start", cells=None if lazy else len(cells), processes=width,
         config_digest=config.digest(),
         policy=dataclasses.asdict(policy),
         fault=str(fault) if fault else None,
@@ -507,6 +529,9 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
 
     def launch(worker: Worker, state: _CellState) -> None:
         state.attempt += 1
+        if state.attempt == 1 and state.metrics_path is not None:
+            # Attempts append; start each supervised run from a clean log.
+            open(state.metrics_path, "w", encoding="utf-8").close()
         worker.send(cell_label(state.cell), state)
         workers[worker] = state
         extra = {}
@@ -522,15 +547,25 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         )
 
     def dispatch() -> None:
-        """Hand eligible cells to free workers, forking up to ``width``;
+        """Hand eligible cells to free workers, forking up to ``width``
+        and taking the next cell of a lazy ``cells`` when one can start;
         the pairing rule is the one in the docstring above."""
+        nonlocal source
         now = time.monotonic()
         busy = {s.cell.alias for w, s in workers.items() if not w.idle}
         while True:
+            free = [w for w in workers if w.idle]
+            if (source is not None and not pending
+                    and (free or len(workers) < width)):
+                cell = next(source, None)
+                if cell is None:
+                    source = None
+                elif cell not in taken:
+                    take(cell)
+                continue
             eligible = [s for s in pending if s.next_eligible <= now]
             if not eligible:
                 return
-            free = [w for w in workers if w.idle]
             if not free:
                 if len(workers) >= width:
                     return
@@ -598,6 +633,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
                 attempt=state.attempt, kind=kind,
                 error=fields.get("error"),
             )
+            if progress_hook is not None:
+                progress_hook(state.cell, "done", outcomes[state.cell])
 
     def succeed(state: _CellState, result: RunResult,
                 resumed_from: int) -> None:
@@ -615,6 +652,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         )
         if state.ckpt_path is not None and os.path.exists(state.ckpt_path):
             os.remove(state.ckpt_path)
+        if progress_hook is not None:
+            progress_hook(state.cell, "done", outcomes[state.cell])
 
     def route(state: _CellState, message) -> None:
         """Route an attempt's progress and telemetry records."""
@@ -622,17 +661,18 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             if live is not None:
                 live.update(message)
             if progress_hook is not None:
-                progress_hook("telemetry", message[1])
+                progress_hook(state.cell, "telemetry", message[1])
             return
         frames = int(message[1])
         if progress_hook is not None:
-            progress_hook("progress", frames)
+            progress_hook(state.cell, "progress", frames)
         if state.ckpt_path is not None and frames < state.cell.num_frames:
             state.checkpoint_frame = frames
 
     try:
-        while pending or not all(w.idle for w in workers):
-            dispatch()
+        dispatch()
+        while (pending or source is not None
+               or not all(w.idle for w in workers)):
             timeout = next_timeout()
             if workers:
                 wait([w.conn for w in workers], timeout=timeout)
@@ -664,6 +704,7 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
                     retry_or_fail(
                         state, "timeout", timeout_s=policy.timeout_s,
                     )
+            dispatch()
 
         journal.append(
             "run_complete",
@@ -679,8 +720,8 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         if own_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    # Key outcomes in the caller's cell order.
-    ordered = {cell: outcomes[cell] for cell in cells}
+    # Key outcomes in the caller's cell order (the order taken).
+    ordered = {cell: outcomes[cell] for cell in taken}
     return SupervisedRun(
         outcomes=ordered, records=journal.records, journal_path=journal_path,
     )

@@ -16,7 +16,8 @@ other :class:`BaseException` (an injected ``os._exit``, the parent's
 terminate at a timeout) ends the child without a reply, and the parent's
 :meth:`Worker.drain` ends with :data:`EOF`.  Messages the handler sends
 on ``conn`` itself (progress, telemetry) reach the parent's callback
-untouched.  ``("stop",)`` or EOF on the pipe ends the child.
+untouched.  ``("stop",)`` or EOF on the pipe ends the child, so a child
+whose parent dies without retiring it exits too.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _serve(conn, handler) -> None:
+def _serve(conn, handler, parent_end) -> None:
     """The child loop described in the module docstring."""
+    # The fork copied the parent's end of the pipe; while this process
+    # holds it, the parent's death would never read as EOF here.
+    parent_end.close()
     while True:
         try:
             message = conn.recv()
@@ -73,7 +77,8 @@ class Worker:
         context = _mp_context()
         self.conn, child_conn = context.Pipe()
         self.process = context.Process(
-            target=_serve, args=(child_conn, handler), daemon=True,
+            target=_serve, args=(child_conn, handler, self.conn),
+            daemon=True,
         )
         self.process.start()
         child_conn.close()

@@ -132,18 +132,11 @@ class LiveAggregator:
     because the write is an atomic ``os.replace``.  ``owner`` stamps the
     writing process's identity into the heartbeat so a reader can tell a
     daemon's ``live.json`` from a foreground run's.
-
-    ``use_payload_ts`` switches staleness to the payload's own ``ts``
-    wall-clock stamp (clamped against clock skew) instead of arrival
-    time — for consumers like the fleet coordinator that *tail files*
-    rather than receive telemetry live, where arrival time says when
-    the tail loop ran, not when the worker last made progress.
     """
 
     def __init__(self, path="live.json", stall_after_s: float = 5.0,
                  interval_s: float = 1.0, stream=None,
-                 clock=time.monotonic, owner: str = None,
-                 use_payload_ts: bool = False) -> None:
+                 clock=time.monotonic, owner: str = None) -> None:
         self.path = path
         self.stall_after_s = stall_after_s
         self.interval_s = interval_s
@@ -153,7 +146,6 @@ class LiveAggregator:
         self._last_tick = -1e18
         self.started_at = time.time()
         self.owner = owner
-        self.use_payload_ts = use_payload_ts
         self.workers: dict = {}     # worker label -> state dict
         self.events: list = []
 
@@ -170,18 +162,8 @@ class LiveAggregator:
         if isinstance(payload, tuple):      # ("telemetry", {...})
             payload = payload[1]
         state = self._state(payload["worker"])
-        payload_ts = payload.get("ts", time.time())
-        if self.use_payload_ts:
-            # Staleness derives from the *payload's* wall-clock stamp,
-            # not arrival time: a fleet coordinator tailing heartbeat
-            # files reads records long after they were written.  The
-            # age is clamped at zero so a worker whose clock runs ahead
-            # of ours never reads as stale-er (or fresher than now).
-            age = max(0.0, time.time() - float(payload_ts))
-            state["last_update"] = self._clock() - age
-        else:
-            state["last_update"] = self._clock()
-        state["last_update_ts"] = payload_ts
+        state["last_update"] = self._clock()
+        state["last_update_ts"] = payload.get("ts", time.time())
         if payload.get("attempt") is not None:
             state["attempt"] = payload["attempt"]
         if payload.get("event") == "done":

@@ -46,7 +46,6 @@ __all__ = [
     "claim_record",
     "done_record",
     "git_revision",
-    "heartbeat_record",
     "run_manifest",
     "validate_tenant",
 ]
@@ -61,7 +60,7 @@ KINDS = ("run", "sweep-point", "figure", "golden")
 
 #: Registry-root names a tenant namespace may not shadow: the store's
 #: own layout lives there.  ``fleet`` holds distributed-sweep state
-#: (:mod:`repro.fleet`) — claims, leases, heartbeats — not a tenant.
+#: (:mod:`repro.fleet`) — claims, leases, done records — not a tenant.
 RESERVED_TENANTS = frozenset({"runs", "index.jsonl", "write_errors.jsonl",
                               "fleet"})
 
@@ -69,7 +68,6 @@ RESERVED_TENANTS = frozenset({"runs", "index.jsonl", "write_errors.jsonl",
 #: carries (see :mod:`repro.fleet.claims` for the protocol).
 CLAIM_SCHEMA = "repro-fleet-claim-v1"
 DONE_SCHEMA = "repro-fleet-done-v1"
-HEARTBEAT_SCHEMA = "repro-fleet-heartbeat-v1"
 
 
 def claim_record(point_id: str, fleet_id: str, worker: str,
@@ -114,24 +112,6 @@ def done_record(point_id: str, fleet_id: str, worker: str,
         "execute_s": execute_s,
         "completed_at": clock(),
     }
-
-
-def heartbeat_record(worker: str, seq: int, clock=time.time,
-                     **fields) -> dict:
-    """One append-only heartbeat line a fleet worker publishes.
-
-    ``seq`` is the worker's monotone record counter; ``ts`` is the
-    worker's wall clock (readers clamp skew — a future ``ts`` reads as
-    age zero, never as negative staleness)."""
-    record = {
-        "schema": HEARTBEAT_SCHEMA,
-        "worker": worker,
-        "seq": int(seq),
-        "ts": clock(),
-        "pid": os.getpid(),
-    }
-    record.update(fields)
-    return record
 
 
 def append_jsonl_atomic(path, record: dict) -> None:

@@ -5,8 +5,8 @@ its sweep points stamped with a fleet id.  This module rolls them up:
 
 * :func:`fleet_trend` — per-fleet aggregates over the registry index
   (points, workers, total cycles, skipped tiles, wall span), plus the
-  workers' merged execute-wall histogram when the fleet directory is
-  present;
+  execute-wall histogram of the fleet's done records when the fleet
+  directory is present;
 * :func:`render_fleet_trend` — the rollups as a table, with a cycles
   trajectory across re-runs of the same point set.
 
@@ -38,8 +38,8 @@ def fleet_trend(registry) -> list:
     Groups the registry's ``sweep-point`` entries by their ``fleet_id``
     stamp and aggregates each group: points, workers, total cycles,
     skipped tiles, wall span (first to last manifest), and — when the
-    fleet directory is present beside the registry — the workers'
-    merged execute-wall histogram and done/failed counts.  Ordered by
+    fleet directory is present beside the registry — the execute-wall
+    histogram and failed points its done records hold.  Ordered by
     first-manifest time, so fleets read chronologically: the fleet-wide
     perf dashboard.
     """
@@ -94,28 +94,14 @@ def _fleet_dir_rollup(registry, fleet_id: str) -> dict:
     from ..errors import FleetError
 
     try:
-        from ..fleet.claims import ClaimStore, tail_heartbeats
-        from ..fleet.points import load_spec
+        from ..fleet.coordinator import FleetCoordinator
 
-        spec = load_spec(registry.root, fleet_id)
-        claims = ClaimStore(registry.root, fleet_id)
-        done = claims.done_records()
-        histograms: dict = {}
-        for record in tail_heartbeats(registry.root, fleet_id, {}):
-            if record.get("histogram"):
-                histograms[record["worker"]] = record["histogram"]
-        merged = None
-        if histograms:
-            from ..service.telemetry import merge_histograms
-
-            merged = merge_histograms(histograms.values())
+        coordinator = FleetCoordinator(registry.root, fleet_id)
+        done = coordinator.claims.done_records()
         return {
-            "points_total": len(spec.point_ids()),
-            "failed": sorted(
-                pid for pid, rec in done.items()
-                if rec.get("state") != "done"
-            ),
-            "histogram": merged,
+            "points_total": len(coordinator.points),
+            "failed": coordinator.failed_points(done),
+            "histogram": coordinator.merged_histogram(done),
         }
     except (FleetError, OSError):
         return {}

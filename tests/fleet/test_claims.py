@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet.claims import ClaimStore, HeartbeatLog, tail_heartbeats
+from repro.fleet.claims import ClaimStore
 from repro.fleet.points import FleetSpec
 
 PID = "a" * 16
@@ -155,53 +155,17 @@ class TestReaping:
             assert store.reap_expired() == [PID]
         assert len(os.listdir(store.reaped_dir)) == 3
 
-
-class TestHeartbeats:
-    def test_beat_rate_limited_unless_forced(self, registry, clock):
-        log = HeartbeatLog(registry, "f1", "w0", min_interval_s=0.5,
-                           clock=clock)
-        assert log.beat(state="start")
-        assert not log.beat(force=False, state="idle")
-        clock.advance(0.6)
-        assert log.beat(force=False, state="idle")
-        assert log.beat(state="exit")   # forced always posts
-
-    def test_tail_exactly_once_with_offsets(self, registry, clock):
+    def test_reaped_records_name_holder_and_reap_time(self, store, clock):
+        # The fleet views read requeues from reaped/: each record names
+        # the holder it was stolen from and when, oldest reap first.
         for worker in ("w0", "w1"):
-            log = HeartbeatLog(registry, "f1", worker, clock=clock)
-            log.beat(state="start")
-            log.beat(state="idle")
-        offsets = {}
-        first = tail_heartbeats(registry, "f1", offsets)
-        assert len(first) == 4
-        assert offsets == {"w0": 2, "w1": 2}
-        assert tail_heartbeats(registry, "f1", offsets) == []
-        HeartbeatLog(registry, "f1", "w0", clock=clock).beat(state="exit")
-        fresh = tail_heartbeats(registry, "f1", offsets)
-        assert [r["state"] for r in fresh] == ["exit"]
-
-    def test_seq_monotone_per_worker(self, registry, clock):
-        log = HeartbeatLog(registry, "f1", "w0", clock=clock)
-        for _ in range(3):
-            log.beat(state="x")
-        records = tail_heartbeats(registry, "f1", {})
-        assert [r["seq"] for r in records] == [1, 2, 3]
-
-    def test_corrupt_record_raises(self, registry, clock):
-        log = HeartbeatLog(registry, "f1", "w0", clock=clock)
-        log.beat(state="start")
-        with open(log.path, "a", encoding="utf-8") as handle:
-            handle.write("{ torn\n")
-        with pytest.raises(FleetError, match="corrupt heartbeat"):
-            tail_heartbeats(registry, "f1", {})
-
-    def test_records_carry_identity(self, registry, clock):
-        HeartbeatLog(registry, "f1", "w0", clock=clock).beat(state="s")
-        [record] = tail_heartbeats(registry, "f1", {})
-        assert record["schema"] == "repro-fleet-heartbeat-v1"
-        assert record["worker"] == "w0"
-        assert record["pid"] == os.getpid()
-        assert record["ts"] == clock.now
+            store.try_claim(PID, worker, lease_s=1.0)
+            clock.advance(2.0)
+            store.reap_expired()
+        records = store.reaped()
+        assert [r["worker"] for r in records] == ["w0", "w1"]
+        assert [r["reaped_at"] for r in records] == [1002.0, 1004.0]
+        assert all(r["point_id"] == PID for r in records)
 
 
 class TestRecordHygiene:

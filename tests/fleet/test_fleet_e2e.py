@@ -89,6 +89,23 @@ class TestCrashInjectedFleet:
         assert ("claim_reaped" in kinds
                 or "reaped" in [e.get("state") for e in events])
 
+    def test_views_are_read_from_the_records(self, fleet_registry):
+        import os
+
+        root, _, status = fleet_registry
+        fleet_dir = os.path.join(root, "fleet", "e2e")
+        assert sorted(os.listdir(fleet_dir)) == [
+            "claims", "done", "fleet.json", "journal.jsonl", "reaped",
+        ]
+        assert status["histogram"]["count"] == 12
+        assert status["stalled"] == []
+        # w1 finished its first point, then died holding its second
+        # claim, which a peer reaped.
+        crashed = status["workers"]["w1"]
+        assert (crashed["state"], crashed["completed"], crashed["claims"]) \
+            == ("reaped", 1, 2)
+        assert sum(w["completed"] for w in status["workers"].values()) == 12
+
     def test_reconciles_with_single_host_sweep(self, fleet_registry):
         from repro.__main__ import main
 

@@ -97,6 +97,23 @@ class TestFleetSpec:
         with pytest.raises(FleetError, match="lease_s"):
             make_spec(lease_s=0.0)
 
+    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf")])
+    def test_non_finite_lease_rejected(self, lease_s):
+        # A NaN lease is never renewed (``now - last >= nan / 3`` is
+        # False) and never expires (``nan <= now`` is False), so a
+        # crashed worker's point would never requeue; an infinite one
+        # never expires either.
+        with pytest.raises(FleetError, match="lease_s"):
+            make_spec(lease_s=lease_s)
+
+    def test_non_finite_lease_in_a_spec_file_rejected(self, tmp_path):
+        path = make_spec().save(tmp_path)
+        raw = json.load(open(path, encoding="utf-8"))
+        raw["lease_s"] = float("nan")
+        json.dump(raw, open(path, "w", encoding="utf-8"))
+        with pytest.raises(FleetError, match="lease_s"):
+            load_spec(tmp_path, "f1")
+
 
 class TestValidateFleetId:
     def test_accepts_reasonable_ids(self):

@@ -1,10 +1,10 @@
-"""Heartbeat staleness edges: clock skew, SIGKILLed workers, and
-leases expiring mid-execute.
+"""Staleness edges: clock skew, SIGKILLed workers, and leases expiring
+mid-execute.
 
 These are the failure rows of DESIGN's fleet matrix, driven without
-real processes: heartbeat files and claim records are written the way
-real workers write them, and the coordinator/claim machinery observes
-them under controlled clocks.
+real processes: claim and done records are written the way real
+workers write them, and the coordinator/claim machinery observes them
+under controlled clocks.
 """
 
 import time
@@ -12,9 +12,9 @@ import time
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet.claims import ClaimStore, HeartbeatLog
+from repro.fleet.claims import ClaimStore
 from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.points import FleetSpec
+from repro.fleet.points import FleetSpec, load_spec
 from repro.obs.live import LiveAggregator
 
 PID = "b" * 16
@@ -40,27 +40,6 @@ def registry(tmp_path):
 
 
 class TestClockSkew:
-    def test_future_payload_ts_clamps_to_fresh(self):
-        # A worker whose wall clock runs *ahead* of the observer's
-        # stamps heartbeats "from the future".  With use_payload_ts the
-        # age clamps at zero: skew never reads as staleness (or as
-        # negative age pushing last_update beyond now).
-        agg = LiveAggregator(path=None, stall_after_s=1.0,
-                             use_payload_ts=True)
-        agg.update({"worker": "w0", "ts": time.time() + 3600.0,
-                    "frames": 1, "counters": {}})
-        assert agg.stalled() == []
-        assert agg.workers["w0"]["last_update"] <= agg._clock()
-
-    def test_past_payload_ts_counts_as_age(self):
-        # A record written long ago (tail loop catching up after the
-        # worker died) must read as stale even though it just arrived.
-        agg = LiveAggregator(path=None, stall_after_s=1.0,
-                             use_payload_ts=True)
-        agg.update({"worker": "w0", "ts": time.time() - 30.0,
-                    "frames": 1, "counters": {}})
-        assert agg.stalled() == ["w0"]
-
     def test_arrival_time_mode_ignores_payload_ts(self):
         # The default (service) mode keys staleness off arrival: the
         # same ancient stamp is fresh because it just arrived.
@@ -85,53 +64,69 @@ class TestClockSkew:
 
 
 class TestSigkilledWorker:
-    def test_stall_flagged_and_lease_reaped(self, registry):
-        # A worker beats, claims, then is SIGKILLed: no exit record, no
-        # release.  The coordinator must (a) flag the silence and (b)
-        # requeue the orphaned claim once the lease lapses.
-        from repro.fleet.points import load_spec
+    """A worker is stalled when it holds a claim whose promised
+    ``expires_at`` has passed by the observer's clock."""
 
+    @staticmethod
+    def flagged_once_the_promised_expiry_passes(registry, skew_s):
+        # The worker claims a point, then is SIGKILLed: no renewal, no
+        # release, no done record — nothing further is ever written.
         pid = load_spec(registry, "f1").point_ids()[0]
-        clock = FakeClock()
-        hb = HeartbeatLog(registry, "f1", "w0", clock=clock)
-        hb.beat(state="start")
-        hb.beat(state="claimed", point_id=pid, claims=1)
-        ClaimStore(registry, "f1", clock=clock).try_claim(
-            pid, "w0", lease_s=5.0)
-        # ...SIGKILL: nothing further is ever written.
+        ClaimStore(registry, "f1", clock=FakeClock(1000.0 + skew_s)
+                   ).try_claim(pid, "w0", lease_s=5.0)
+        observer = FakeClock(1000.0)
+        coordinator = FleetCoordinator(registry, "f1", clock=observer)
 
-        coordinator = FleetCoordinator(registry, "f1",
-                                       stall_after_s=0.05, clock=clock)
-        try:
-            coordinator.refresh()
-            # Heartbeat stamps came from the fake clock, so they are
-            # ancient relative to real wall time: stale immediately.
-            status = coordinator.status()
-            assert status["workers"]["w0"]["stalled"]
-            assert "w0" in status["stalled"]
-            assert coordinator.reap_orphans() == []     # lease still live
-            clock.advance(6.0)
-            assert coordinator.reap_orphans() == [pid]
-            states = {point: state for point, _, state, _
-                      in coordinator.point_map()}
-            assert states[pid] == "unclaimed"
-        finally:
-            coordinator.close()
+        observer.advance(skew_s + 4.9)      # the lease is still promised
+        status = coordinator.status()
+        assert status["stalled"] == []
+        assert status["workers"]["w0"]["state"] == "executing"
+        assert not status["workers"]["w0"]["stalled"]
+        assert coordinator.reap_orphans() == []
 
-    def test_exit_beat_prevents_stall_flag(self, registry):
-        # A clean exit is silent forever after, but must never read as
-        # a stall: the done event parks the worker's status.
+        observer.advance(0.2)               # just past the promised expiry
+        status = coordinator.status()
+        assert status["stalled"] == ["w0"]
+        assert status["workers"]["w0"]["stalled"]
+        assert "STALLED" in coordinator.render_status()
+
+        # The same signal requeues the point.
+        assert coordinator.reap_orphans() == [pid]
+        states = {point: state for point, _, state, _
+                  in coordinator.point_map()}
+        assert states[pid] == "unclaimed"
+        status = coordinator.status()
+        assert status["stalled"] == []
+        assert status["workers"]["w0"]["state"] == "reaped"
+
+    def test_stall_flagged_and_lease_reaped(self, registry):
+        self.flagged_once_the_promised_expiry_passes(registry, 0.0)
+
+    def test_clock_ahead_is_not_flagged_early(self, registry):
+        # The worker's clock runs a minute ahead, so it promises a later
+        # expiry; an honest observer waits that promise out.
+        self.flagged_once_the_promised_expiry_passes(registry, 60.0)
+
+    def test_released_worker_is_never_flagged(self, registry):
+        # A clean finish is silent forever after, but must never read
+        # as a stall: the worker holds no claim.
         clock = FakeClock()
-        hb = HeartbeatLog(registry, "f1", "w0", clock=clock)
-        hb.beat(state="start")
-        hb.beat(state="exit", points_done=2, completed=2, failed=[])
-        coordinator = FleetCoordinator(registry, "f1",
-                                       stall_after_s=0.05, clock=clock)
-        try:
-            coordinator.refresh()
-            assert coordinator.status()["stalled"] == []
-        finally:
-            coordinator.close()
+        store = ClaimStore(registry, "f1", clock=clock)
+        for pid in load_spec(registry, "f1").point_ids():
+            store.try_claim(pid, "w0", lease_s=5.0)
+            clock.advance(1.0)
+            store.mark_done(pid, "w0", execute_s=1.0)
+            store.release(pid, "w0")
+        coordinator = FleetCoordinator(registry, "f1", clock=clock)
+        clock.advance(3600.0)
+        status = coordinator.status()
+        assert status["stalled"] == []
+        assert status["complete"]
+        worker = status["workers"]["w0"]
+        assert (worker["state"], worker["completed"], worker["claims"]) \
+            == ("finished", 2, 2)
+        assert worker["beat_age_s"] == pytest.approx(3600.0)
+        assert status["histogram"]["count"] == 2
 
 
 class TestLeaseExpiryMidExecute:
